@@ -1,235 +1,27 @@
 package smt_test
 
-// One benchmark per table/figure of the paper's evaluation. Each runs
-// the corresponding experiment sweep in virtual time and reports rows
-// via b.Log; per-row custom metrics carry the headline numbers so
-// `go test -bench=.` regenerates every artifact. Absolute wall time per
-// iteration reflects simulation cost, not protocol speed — the virtual-
-// time results inside the rows are the reproduction.
-
 import (
 	"testing"
 
 	"smt/internal/experiments"
-	"smt/internal/handshake"
-	"smt/internal/ycsb"
 )
 
-// must unwraps a (rows, error) driver result; benchmarks fail loudly on
-// a wiring error.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// BenchmarkTable1Properties regenerates Table 1 (design-space matrix).
-func BenchmarkTable1Properties(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1()
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("%-16s enc=%-8s abs=%-6s offload=%-8s proto=%-4s par=%s",
-					r.System, r.Encryption, r.Abstraction, r.Offload, r.Protocol, r.Parallelism)
-			}
-		}
-	}
-}
-
-// BenchmarkTable2Handshake regenerates Table 2 (handshake breakdown)
-// with real crypto on this machine next to the paper's numbers.
-func BenchmarkTable2Handshake(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := handshake.MeasureTable2()
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("%-24s paper=%8.1fµs measured=%8.1fµs", r.Name, r.PaperUs, r.MeasuredUs)
-			}
-		}
-	}
-}
-
-// BenchmarkFig2ResyncSemantics regenerates the Figure 2 scenarios.
-func BenchmarkFig2ResyncSemantics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig2()
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("%-24s decrypted=%v corrupted=%d resyncs=%d", r.Scenario, r.Decrypted, r.Corrupted, r.Resyncs)
-			}
-		}
-	}
-}
-
-// BenchmarkFig5BitAllocation regenerates the Figure 5 trade-off matrix.
-func BenchmarkFig5BitAllocation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig5()
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("sizeBits=%2d idBits=%2d maxMsgs=%.3g maxSize=%.1fMB(1.5K) %.0fMB(16K)",
-					r.SizeBits, r.IDBits, r.MaxMessages, r.MaxMsgSizeMB, r.MaxMsgSize16KB)
-			}
-		}
-	}
-}
-
-// BenchmarkFig6UnloadedRTT regenerates Figure 6 on a reduced grid (the
-// full grid via cmd/smtbench fig6).
-func BenchmarkFig6UnloadedRTT(b *testing.B) {
-	sizes := []int{64, 1024, 8192, 65536}
-	for i := 0; i < b.N; i++ {
-		for _, size := range sizes {
-			for _, sys := range experiments.Fig6Systems() {
-				r := must(experiments.MeasureRTT(sys, size, 0, false, 42))
-				if i == 0 {
-					b.Logf("%-8s %6dB RTT=%v", r.System, r.Size, r.MeanRTT)
+// BenchmarkExperiment runs every registered experiment's full sweep,
+// one sub-benchmark per registry name, so `go test -bench
+// 'Experiment/^fig6$'` times exactly the points `smtexp -run fig6`
+// emits. Points run serially: ns/op is the single-goroutine simulation
+// cost of the sweep, not protocol speed — the virtual-time results are
+// the reproduction, and smtexp prints them.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, r := range experiments.Run(e, experiments.RunOptions{Workers: 1}) {
+					if r.Err != "" {
+						b.Fatalf("%s: %s", r.Key, r.Err)
+					}
 				}
 			}
-		}
-	}
-}
-
-// BenchmarkFig7Throughput regenerates Figure 7 at one concurrency point
-// per size (full sweep via cmd/smtbench fig7).
-func BenchmarkFig7Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, size := range experiments.Fig7Sizes {
-			for _, sys := range experiments.Fig6Systems() {
-				r := must(experiments.MeasureThroughput(sys, size, 150, 0, 0, 9))
-				if i == 0 {
-					b.Logf("%-8s %6dB c=150: %.3fM RPC/s", r.System, r.Size, r.RPCsPerSec/1e6)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFig8Redis regenerates Figure 8 on one workload per value size
-// (full sweep via cmd/smtbench fig8).
-func BenchmarkFig8Redis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, v := range []int{64, 1024, 4096} {
-			for _, sys := range must(experiments.Fig8Systems()) {
-				r := must(experiments.MeasureRedis(sys, ycsb.WorkloadB, v, 64, 99))
-				if i == 0 {
-					b.Logf("%-8s YCSB-B v=%4d: %.0f ops/s", r.System, r.Value, r.OpsPerSec)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFig9NVMeoF regenerates Figure 9 at iodepth 1 and 8.
-func BenchmarkFig9NVMeoF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, d := range []int{1, 8} {
-			for _, sys := range experiments.Fig6Systems() {
-				r := must(experiments.MeasureNVMeoF(sys, d, 444))
-				if i == 0 {
-					b.Logf("%-8s iodepth=%d: p50=%.1fµs p99=%.1fµs", r.System, r.IODepth, r.P50Us, r.P99Us)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFig10TCPLS regenerates Figure 10.
-func BenchmarkFig10TCPLS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := must(experiments.Fig10())
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("%-8s %6dB RTT=%v", r.System, r.Size, r.MeanRTT)
-			}
-		}
-	}
-}
-
-// BenchmarkFig11TSO regenerates Figure 11.
-func BenchmarkFig11TSO(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := must(experiments.Fig11())
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("%-16s %6dB RTT=%v", r.System, r.Size, r.MeanRTT)
-			}
-		}
-	}
-}
-
-// BenchmarkFig12KeyExchange regenerates Figure 12 at one RPC size.
-func BenchmarkFig12KeyExchange(b *testing.B) {
-	modes := []handshake.Mode{
-		handshake.Init0RTT, handshake.Init0RTTFS, handshake.Init1RTT,
-		handshake.Rsmp, handshake.RsmpFS,
-	}
-	for i := 0; i < b.N; i++ {
-		for _, m := range modes {
-			r, err := experiments.MeasureKeyExchange(m, 1024, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.Logf("%-10s %.0fµs", r.Mode, r.TimeUs)
-			}
-		}
-	}
-}
-
-// BenchmarkIncast regenerates the fabric incast experiment at the
-// 3-client acceptance point (full sweep via cmd/smtbench incast).
-func BenchmarkIncast(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, sys := range experiments.FabricSystems() {
-			r := must(experiments.MeasureIncast(sys, 3, 65536, 9003))
-			if i == 0 {
-				b.Logf("%-8s clients=3 64KB: p99=%.0fµs goodput=%.1fGbps drops=%d",
-					r.System, r.P99LatUs, r.GoodputGbps, r.SwitchDrops)
-			}
-		}
-	}
-}
-
-// BenchmarkMulticlient regenerates the fabric scaling experiment at
-// 4 client hosts (full sweep via cmd/smtbench multiclient).
-func BenchmarkMulticlient(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, sys := range experiments.FabricSystems() {
-			r := must(experiments.MeasureMulticlient(sys, 4, 8004))
-			if i == 0 {
-				b.Logf("%-8s clients=4: %.2fM RPC/s aggregate, server CPU %.0f%%",
-					r.System, r.RPCsPerSec/1e6, r.ServerCPU*100)
-			}
-		}
-	}
-}
-
-// BenchmarkLoadSweep regenerates the open-loop load sweep at the
-// highest swept load — the slowdown-separation acceptance point (full
-// sweep via cmd/smtbench loadsweep).
-func BenchmarkLoadSweep(b *testing.B) {
-	top := experiments.LoadSweepLoads[len(experiments.LoadSweepLoads)-1]
-	for i := 0; i < b.N; i++ {
-		for _, sys := range experiments.FabricSystems() {
-			r := must(experiments.MeasureLoadSweep(sys, top, experiments.LoadSweepSeed(top)))
-			if i == 0 {
-				b.Logf("%-8s load=%.0f%%: slowdown p50=%.1f p99=%.1f goodput=%.1fGbps",
-					r.System, top*100, r.P50Slowdown, r.P99Slowdown, r.GoodputGbps)
-			}
-		}
-	}
-}
-
-// BenchmarkCPUUsage regenerates the §5.2 fixed-rate CPU comparison.
-func BenchmarkCPUUsage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := must(experiments.CPUUsage(1.2e6))
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("%-8s rate=%.2fM cli=%.1f%% srv=%.1f%%", r.System, r.RPCsPerSec/1e6, r.ClientCPU*100, r.ServerCPU*100)
-			}
-		}
+		})
 	}
 }

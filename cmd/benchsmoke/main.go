@@ -3,8 +3,13 @@
 // JSON artifact — the BENCH_*.json perf trajectory — with ns/op,
 // B/op and allocs/op per benchmark.
 //
-//	go run ./cmd/benchsmoke -out BENCH_5.json
-//	go run ./cmd/benchsmoke -bench 'BenchmarkCodec' -pkgs ./internal/core -benchtime 100x
+//	go run ./cmd/benchsmoke -pkgs ./internal/sim,./internal/core -benchtime 200ms -out bench-micro.json
+//	go run ./cmd/benchsmoke -bench 'Experiment/^(fig6|loadsweep)$' -pkgs . -out bench-e2e.json
+//
+// Micro-benchmarks want a warm run (-benchtime 200ms): at 1x they time
+// one cold call, pool warm-up included. The end-to-end sweeps under
+// BenchmarkExperiment run at 1x. Go matches -bench patterns per "/"
+// level, so the two sets take separate invocations.
 //
 // Passing -compare with a previous artifact adds per-benchmark baseline
 // numbers and wall-clock deltas, which is how a PR records its
@@ -29,9 +34,9 @@ import (
 	"time"
 )
 
-// defaultBench is the key-benchmark set: the two end-to-end sweeps the
-// perf acceptance tracks plus the allocation-sensitive micro paths.
-const defaultBench = "BenchmarkFig6UnloadedRTT|BenchmarkLoadSweep|BenchmarkCodecEncode|BenchmarkCodecEncodeHW|BenchmarkCodecDecode|BenchmarkEngineScheduleCancel|BenchmarkEngineScheduleRun|BenchmarkEngineDeepPending|BenchmarkHeapDeepPending"
+// defaultBench is the key micro-benchmark set: the allocation-sensitive
+// codec and engine scheduling paths plus the wheel-vs-heap comparison.
+const defaultBench = "BenchmarkCodecEncode|BenchmarkCodecEncodeHW|BenchmarkCodecDecode|BenchmarkEngineScheduleCancel|BenchmarkEngineScheduleRun|BenchmarkEngineDeepPending|BenchmarkHeapDeepPending"
 
 // Artifact is the emitted document.
 type Artifact struct {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	smtexp -list                     # experiments + registered stacks
-//	smtexp -run fig6                 # one experiment, human-readable rows
+//	smtexp -run fig6                 # one experiment, one human-readable row per point
 //	smtexp -run fig6,fig7 -json o.json -workers 8
 //	smtexp -run loadsweep -json s.json  # open-loop slowdown-vs-load sweep
 //	smtexp -run all -json all.json   # the full evaluation
@@ -21,12 +21,12 @@
 // nonzero.
 //
 // -stacks selects the lineup the lineup-driven experiments (fig6, fig7,
-// fig9, incast, multiclient, loadsweep, churn) sweep: any comma-separated
-// subset of the registered stacks (see -list), defaulting to the
-// six-system lineup of the §5 figures. Each stack is a transport ×
-// record-layer composition from the StackSpec registry, so TCPLS and
-// user-space TLS run on the switched-fabric experiments exactly like
-// the default six.
+// fig9, incast, multiclient, loadsweep, churn) sweep in this run: any
+// comma-separated subset of the registered stacks (see -list), each
+// named once, defaulting to the six-system lineup of the §5 figures.
+// Each stack is a transport × record-layer composition from the
+// StackSpec registry, so TCPLS and user-space TLS run on the
+// switched-fabric experiments exactly like the default six.
 //
 // Points of one experiment fan out across -workers goroutines (default
 // GOMAXPROCS); each point is an independent (configuration, seed) world,
@@ -59,12 +59,10 @@ func main() {
 	)
 	flag.Parse()
 
+	var lineup []experiments.StackSpec
 	if *stacks != "" {
-		specs, err := experiments.ParseStacks(*stacks)
-		if err == nil {
-			err = experiments.SetLineup(specs)
-		}
-		if err != nil {
+		var err error
+		if lineup, err = experiments.ParseStacks(*stacks); err != nil {
 			fmt.Fprintln(os.Stderr, "smtexp:", err)
 			os.Exit(1)
 		}
@@ -74,7 +72,7 @@ func main() {
 	case *list:
 		listExperiments()
 	case *run != "":
-		if err := runExperiments(*run, *workers, *jsonOut, *quiet, *audit); err != nil {
+		if err := runExperiments(*run, lineup, *workers, *jsonOut, *quiet, *audit); err != nil {
 			fmt.Fprintln(os.Stderr, "smtexp:", err)
 			os.Exit(1)
 		}
@@ -104,7 +102,7 @@ func listExperiments() {
 	}
 }
 
-func runExperiments(arg string, workers int, jsonOut string, quiet, audit bool) error {
+func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jsonOut string, quiet, audit bool) error {
 	names := splitNames(arg)
 	if len(names) == 0 {
 		return fmt.Errorf("no experiment names in %q (try -list)", arg)
@@ -124,6 +122,7 @@ func runExperiments(arg string, workers int, jsonOut string, quiet, audit bool) 
 	runs, err := experiments.RunNamed(names, experiments.RunOptions{
 		Workers:  workers,
 		OnResult: onResult,
+		Lineup:   lineup,
 	})
 	if err != nil {
 		return err

@@ -19,12 +19,12 @@ func main() {
 		clients   = 64
 	)
 	fmt.Printf("YCSB-B, %d B values, %d closed-loop clients:\n\n", valueSize, clients)
-	systems, err := experiments.Fig8Systems()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kvcache:", err)
-		os.Exit(1)
-	}
-	for _, sys := range systems {
+	for _, spec := range experiments.RedisLineup() {
+		sys, err := experiments.BuildRedis(spec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "kvcache:", err)
+			os.Exit(1)
+		}
 		r, err := experiments.MeasureRedis(sys, ycsb.WorkloadB, valueSize, clients, 2024)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kvcache:", err)

@@ -20,7 +20,10 @@ import (
 // round-trips, then AllocsPerRun over single echoes.
 func echoAllocsPerOp(t *testing.T, stack string, size int) float64 {
 	t.Helper()
-	sys := MustBuildSystem(mustStack(stack))
+	sys, err := BuildSystem(mustStack(stack))
+	if err != nil {
+		t.Fatalf("build %s: %v", stack, err)
+	}
 	w := NewWorld(7)
 	doneID := uint64(0)
 	gotDone := false

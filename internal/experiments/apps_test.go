@@ -15,12 +15,11 @@ import (
 // Runs under TestExperiments; all (system, value) cells fan out at once.
 func testFig8Shape(t *testing.T) {
 	values := []int{64, 1024, 4096}
-	nsys := len(must(Fig8Systems()))
+	lineup := RedisLineup()
+	nsys := len(lineup)
 	rows := make([]Fig8Row, len(values)*nsys)
 	ForEach(len(rows), 0, func(i int) {
-		// Fig8Systems is rebuilt per point: redisSystem carries
-		// per-setup socket state and must not be shared.
-		rows[i] = must(MeasureRedis(must(Fig8Systems())[i%nsys], ycsb.WorkloadB, values[i/nsys], 64, 99))
+		rows[i] = must(MeasureRedis(must(BuildRedis(lineup[i%nsys])), ycsb.WorkloadB, values[i/nsys], 64, 99))
 	})
 	get := func(valueSize int) map[string]float64 {
 		out := map[string]float64{}
@@ -61,10 +60,11 @@ func testFig8Shape(t *testing.T) {
 // improvement at iodepth 8. Runs under TestExperiments, cells in parallel.
 func testFig9Shape(t *testing.T) {
 	depths := []int{1, 8}
-	nsys := len(Fig6Systems())
+	lineup := DefaultLineup()
+	nsys := len(lineup)
 	flat := make([]Fig9Row, len(depths)*nsys)
 	ForEach(len(flat), 0, func(i int) {
-		flat[i] = must(MeasureNVMeoF(Fig6Systems()[i%nsys], depths[i/nsys], 12))
+		flat[i] = must(MeasureNVMeoF(must(BuildSystem(lineup[i%nsys])), depths[i/nsys], 12))
 	})
 	rows := map[string]map[int]Fig9Row{}
 	for _, r := range flat {
@@ -101,15 +101,16 @@ func testFig9Shape(t *testing.T) {
 // latency than TCPLS. Runs under TestExperiments, cells in parallel.
 func testFig10Shape(t *testing.T) {
 	sizes := []int{64, 1024, 16384}
-	mk := []func() System{tcplsSystem, func() System { return smtSystem(false) }, func() System { return smtSystem(true) }}
-	rows := make([]RTTRow, len(sizes)*len(mk))
+	lineup := []StackSpec{mustStack("TCPLS"), mustStack("SMT-sw"), mustStack("SMT-hw")}
+	n := len(lineup)
+	rows := make([]RTTRow, len(sizes)*n)
 	ForEach(len(rows), 0, func(i int) {
-		rows[i] = must(MeasureRTT(mk[i%len(mk)](), sizes[i/len(mk)], 0, false, 3))
+		rows[i] = must(MeasureRTT(must(BuildSystem(lineup[i%n])), sizes[i/n], 0, false, 3))
 	})
 	for si, size := range sizes {
-		tls := rows[si*len(mk)]
-		ssw := rows[si*len(mk)+1]
-		shw := rows[si*len(mk)+2]
+		tls := rows[si*n]
+		ssw := rows[si*n+1]
+		shw := rows[si*n+2]
 		t.Logf("%6dB TCPLS=%v SMT-sw=%v SMT-hw=%v", size, tls.MeanRTT, ssw.MeanRTT, shw.MeanRTT)
 		gSW := ratio(float64(tls.MeanRTT), float64(ssw.MeanRTT))
 		gHW := ratio(float64(tls.MeanRTT), float64(shw.MeanRTT))
@@ -168,10 +169,10 @@ func testFig11Shape(t *testing.T) {
 
 // testFig2Scenarios: the three Figure 2 outcomes.
 func testFig2Scenarios(t *testing.T) {
-	rows := Fig2()
-	if len(rows) != 3 {
+	if len(fig2Scenarios) != 3 {
 		t.Fatal("want 3 scenarios")
 	}
+	rows := []Fig2Row{Fig2Scenario(0), Fig2Scenario(1), Fig2Scenario(2)}
 	if !rows[0].Decrypted || rows[0].Corrupted != 0 {
 		t.Errorf("in-seq: %+v", rows[0])
 	}

@@ -35,13 +35,6 @@ func SetAuditAll(v bool) {
 	auditAll = v
 }
 
-// AuditAll reports whether global auditing is enabled.
-func AuditAll() bool {
-	auditMu.Lock()
-	defer auditMu.Unlock()
-	return auditAll
-}
-
 // TakeAuditedWorlds returns the worlds audited (via SetAuditAll) since
 // the last call, and clears the list.
 func TakeAuditedWorlds() []*World {

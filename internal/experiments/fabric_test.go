@@ -45,17 +45,15 @@ func TestFabricWorldAddressing(t *testing.T) {
 	}
 }
 
-// TestFabricLineupMatchesFigures: the N-host lineup and the two-host
-// figure lineup are the same six systems in the same order.
+// TestFabricLineupMatchesFigures: the N-host and two-host builds of
+// the default lineup are the same six systems in the same order, so the
+// fabric sweeps and the two-host figures report the same system names.
 func TestFabricLineupMatchesFigures(t *testing.T) {
-	fab := FabricSystems()
-	two := Fig6Systems()
-	if len(fab) != len(two) {
-		t.Fatalf("lineups differ in size: %d vs %d", len(fab), len(two))
-	}
-	for i := range fab {
-		if fab[i].Name != two[i].Name {
-			t.Errorf("lineup[%d]: fabric %q vs figures %q", i, fab[i].Name, two[i].Name)
+	for i, spec := range DefaultLineup() {
+		fab := must(BuildFabric(spec))
+		two := must(BuildSystem(spec))
+		if fab.Name != spec.Name || two.Name != spec.Name {
+			t.Errorf("lineup[%d] %q: fabric %q vs figures %q", i, spec.Name, fab.Name, two.Name)
 		}
 	}
 }
@@ -71,7 +69,7 @@ func TestGoldenTwoHostRTT(t *testing.T) {
 	t.Parallel()
 	golden := []struct {
 		system string
-		index  int // position in Fig6Systems()
+		index  int // position in DefaultLineup()
 		size   int
 		mean   float64 // mean_rtt_ns from the pre-refactor artifact
 	}{
@@ -81,7 +79,7 @@ func TestGoldenTwoHostRTT(t *testing.T) {
 		{"SMT-hw", 5, 1024, 20504},
 	}
 	for _, g := range golden {
-		r := must(MeasureRTT(Fig6Systems()[g.index], g.size, 0, false, 42))
+		r := must(MeasureRTT(must(BuildSystem(DefaultLineup()[g.index])), g.size, 0, false, 42))
 		if r.System != g.system {
 			t.Fatalf("lineup moved: index %d is %q, want %q", g.index, r.System, g.system)
 		}
@@ -97,8 +95,9 @@ func incastByName(t *testing.T, clients, size int, seed int64) map[string]Incast
 	t.Helper()
 	var mu sync.Mutex
 	rows := map[string]IncastRow{}
-	ForEach(len(FabricSystems()), 0, func(i int) {
-		r := must(MeasureIncast(FabricSystems()[i], clients, size, seed))
+	lineup := DefaultLineup()
+	ForEach(len(lineup), 0, func(i int) {
+		r := must(MeasureIncast(must(BuildFabric(lineup[i])), clients, size, seed))
 		mu.Lock()
 		rows[r.System] = r
 		mu.Unlock()
@@ -162,9 +161,9 @@ func TestMulticlientScaling(t *testing.T) {
 	type point struct{ one, eight MulticlientRow }
 	var mu sync.Mutex
 	rows := map[string]point{}
-	systems := FabricSystems()
-	ForEach(len(systems)*2, 0, func(i int) {
-		sys := systems[i/2]
+	lineup := DefaultLineup()
+	ForEach(len(lineup)*2, 0, func(i int) {
+		sys := must(BuildFabric(lineup[i/2]))
 		clients, seed := 1, int64(8001)
 		if i%2 == 1 {
 			clients, seed = 8, 8008

@@ -9,8 +9,7 @@ import (
 )
 
 // Fig12Sizes are the x-axis RPC sizes of Figure 12; Fig12Modes are the
-// key-exchange variants. Shared by the serial driver and the registry
-// sweep.
+// key-exchange variants.
 var (
 	Fig12Sizes = []int{64, 128, 256, 1024, 4096, 8192}
 	Fig12Modes = []handshake.Mode{
@@ -77,20 +76,4 @@ func MeasureKeyExchange(mode handshake.Mode, size int, seed int64) (Fig12Row, er
 	})
 	w.Eng.RunUntil(50 * sim.Millisecond)
 	return Fig12Row{Mode: mode.String(), Size: size, TimeUs: float64(doneAt) / 1e3}, xerr
-}
-
-// Fig12 reproduces Figure 12: key-exchange + first-RPC latency for the
-// five variants across RPC sizes.
-func Fig12() ([]Fig12Row, error) {
-	var rows []Fig12Row
-	for _, size := range Fig12Sizes {
-		for _, m := range Fig12Modes {
-			r, err := MeasureKeyExchange(m, size, 5000)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
 }

@@ -28,11 +28,12 @@ func rttOf(rows []RTTRow, system string, size int) float64 {
 // worlds, so they fan out across the worker pool.
 func testFig6Shape(t *testing.T) {
 	sizes := []int{64, 1024, 8192, 65536}
-	nsys := len(Fig6Systems())
+	lineup := DefaultLineup()
+	nsys := len(lineup)
 	rows := make([]RTTRow, len(sizes)*nsys)
 	ForEach(len(rows), 0, func(i int) {
 		size := sizes[i/nsys]
-		rows[i] = must(MeasureRTT(Fig6Systems()[i%nsys], size, 0, false, 7))
+		rows[i] = must(MeasureRTT(must(BuildSystem(lineup[i%nsys])), size, 0, false, 7))
 	})
 	for _, r := range rows {
 		t.Logf("%-8s %6dB mean=%v n=%d", r.System, r.Size, r.MeanRTT, r.N)

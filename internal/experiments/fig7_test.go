@@ -24,11 +24,12 @@ func tputOf(rows []TputRow, system string, size, conc int) float64 {
 // Runs under TestExperiments with the cells fanned out in parallel.
 func testFig7Shape(t *testing.T) {
 	const conc = 150
-	nsys := len(Fig6Systems())
+	lineup := DefaultLineup()
+	nsys := len(lineup)
 	rows := make([]TputRow, len(Fig7Sizes)*nsys)
 	ForEach(len(rows), 0, func(i int) {
 		size := Fig7Sizes[i/nsys]
-		rows[i] = must(MeasureThroughput(Fig6Systems()[i%nsys], size, conc, 0, 0, 9))
+		rows[i] = must(MeasureThroughput(must(BuildSystem(lineup[i%nsys])), size, conc, 0, 0, 9))
 	})
 	for _, r := range rows {
 		t.Logf("%-8s %6dB c=%d: %.3f M RPC/s (lat %.1fµs, cpu cli %.2f srv %.2f)",

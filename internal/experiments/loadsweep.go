@@ -20,8 +20,7 @@ import (
 // that message size — the evaluation axis of Homa-style comparisons.
 
 // LoadSweepLoads sweeps the offered load as a fraction of the link
-// rate. The registry sweep (register.go) shares this grid with the
-// serial driver below. The sweep tops out at 60%: beyond that the
+// rate. The sweep tops out at 60%: beyond that the
 // server's four softirq cores saturate for every transport, so the
 // open loop drives unbounded queues for all six systems and there is
 // no separation left to measure (the regime the sweep exists to show
@@ -203,26 +202,10 @@ func measureLoadSweepOn(sys FabricSystem, load float64, seed int64, p loadSweepP
 	}, nil
 }
 
-// LoadSweep reproduces the offered-load sweep across the active lineup.
-func LoadSweep() ([]LoadSweepRow, error) {
-	var rows []LoadSweepRow
-	for _, load := range LoadSweepLoads {
-		for _, sys := range FabricSystems() {
-			r, err := MeasureLoadSweep(sys, load, LoadSweepSeed(load))
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
-}
-
 // LoadSweepPercent renders a load fraction as an integer percentage
 // (rounded, so 0.29 is 29 even though 0.29*100 floats below it); keys
 // and seeds both derive from it.
 func LoadSweepPercent(load float64) int { return int(math.Round(load * 100)) }
 
-// LoadSweepSeed derives the per-load world seed shared by the registry
-// and the serial driver.
+// LoadSweepSeed derives the per-load world seed.
 func LoadSweepSeed(load float64) int64 { return 11000 + int64(LoadSweepPercent(load)) }

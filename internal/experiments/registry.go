@@ -3,12 +3,11 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
 // This file defines the experiment registry: every figure/table of the
-// paper's evaluation registers itself (see register.go) as a named
+// paper's evaluation is defined exactly once, in register.go, as a named
 // Experiment whose sweep is decomposed into independent Points. A Point
 // is one (configuration, seed) cell — it builds its own World, so any
 // subset of points can run concurrently (see runner.go) and in any
@@ -78,18 +77,29 @@ type pointSpec struct {
 
 // specExperiment adapts a deterministic []pointSpec builder to the
 // Experiment interface. The builder is re-invoked per call; it must be
-// cheap and must return the same decomposition every time.
+// cheap and must return the same decomposition for the same lineup.
+// Builders of the lineup-driven sweeps decompose over their argument;
+// the rest ignore it.
 type specExperiment struct {
-	name  string
-	desc  string
-	build func() []pointSpec
+	name   string
+	desc   string
+	build  func(lineup []StackSpec) []pointSpec
+	lineup []StackSpec // nil = DefaultLineup()
 }
 
 func (e *specExperiment) Name() string     { return e.name }
 func (e *specExperiment) Describe() string { return e.desc }
 
+// specs decomposes the sweep over the experiment's lineup.
+func (e *specExperiment) specs() []pointSpec {
+	if e.lineup == nil {
+		return e.build(DefaultLineup())
+	}
+	return e.build(e.lineup)
+}
+
 func (e *specExperiment) Points() []Point {
-	specs := e.build()
+	specs := e.specs()
 	pts := make([]Point, len(specs))
 	for i, s := range specs {
 		pts[i] = Point{Index: i, Key: s.Key, Seed: s.Seed}
@@ -98,7 +108,7 @@ func (e *specExperiment) Points() []Point {
 }
 
 func (e *specExperiment) Run(p Point) Result {
-	specs := e.build()
+	specs := e.specs()
 	res := Result{Experiment: e.name, Index: p.Index, Key: p.Key, Seed: p.Seed}
 	if p.Index < 0 || p.Index >= len(specs) {
 		res.Err = fmt.Sprintf("point index %d out of range [0,%d)", p.Index, len(specs))
@@ -131,45 +141,34 @@ func (e *specExperiment) Run(p Point) Result {
 	return res
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Experiment{}
-)
+// registry maps names to experiments. register writes it only during
+// package init, so every later read is unsynchronized.
+var registry = map[string]Experiment{}
 
-// Register adds an experiment under its name. It panics on a duplicate
-// or empty name — registration is an init-time programming contract.
-func Register(e Experiment) {
-	name := e.Name()
+// register adds an experiment built on the default lineup. It panics on
+// a duplicate or empty name — registration is an init-time programming
+// contract.
+func register(name, desc string, build func(lineup []StackSpec) []pointSpec) {
 	if name == "" {
 		//smt:allow panic -- init-time registration contract; a nameless experiment can never be looked up
-		panic("experiments: Register with empty name")
+		panic("experiments: register with empty name")
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
 	if _, dup := registry[name]; dup {
 		//smt:allow panic -- init-time registration contract; a duplicate would silently shadow an experiment
-		panic("experiments: duplicate Register of " + name)
+		panic("experiments: duplicate register of " + name)
 	}
-	registry[name] = e
+	registry[name] = &specExperiment{name: name, desc: desc, build: build}
 }
 
-// register is the init-time shorthand used by register.go.
-func register(name, desc string, build func() []pointSpec) {
-	Register(&specExperiment{name: name, desc: desc, build: build})
-}
-
-// Lookup returns the experiment registered under name.
+// Lookup returns the experiment registered under name, decomposed over
+// DefaultLineup (RunOptions.Lineup selects another at run time).
 func Lookup(name string) (Experiment, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	e, ok := registry[name]
 	return e, ok
 }
 
 // Names returns all registered experiment names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	names := make([]string, 0, len(registry))
 	//smt:allow determinism -- names are sorted before use; iteration order never escapes
 	for n := range registry {
@@ -182,8 +181,6 @@ func Names() []string {
 // All returns all registered experiments, sorted by name.
 func All() []Experiment {
 	names := Names()
-	regMu.RLock()
-	defer regMu.RUnlock()
 	exps := make([]Experiment, len(names))
 	for i, n := range names {
 		exps[i] = registry[n]

@@ -89,17 +89,19 @@ func TestRegistryPoints(t *testing.T) {
 }
 
 // TestRegistryPointCounts pins every registry decomposition to the
-// shared sweep grids the serial drivers iterate, so editing a driver
-// grid without the registry following along fails fast.
+// exported sweep grids and lineup lists that the bench module and the
+// shape tests also iterate, so the two cannot drift apart.
 func TestRegistryPointCounts(t *testing.T) {
+	lineup := len(DefaultLineup())
 	want := map[string]int{
+		"bigworld":    len(BigWorldLineup()),
 		"chaos":       len(ChaosLevels) * len(Stacks()),
-		"fig6":        len(Fig6Sizes) * len(Fig6Systems()),
-		"fig7":        len(Fig7Sizes) * len(Fig7Concurrency) * len(Fig6Systems()),
+		"fig6":        len(Fig6Sizes) * lineup,
+		"fig7":        len(Fig7Sizes) * len(Fig7Concurrency) * lineup,
 		"fig7mtu":     len(Fig7MTUConcurrency) * len(Fig7MTUs) * 2,
-		"cpuusage":    len(CPUUsageSystems()),
-		"fig8":        len(Fig8Values) * len(Fig8Workloads) * len(must(Fig8Systems())),
-		"fig9":        len(Fig9Depths) * len(Fig6Systems()),
+		"cpuusage":    len(CPUUsageLineup()),
+		"fig8":        len(Fig8Values) * len(Fig8Workloads) * len(RedisLineup()),
+		"fig9":        len(Fig9Depths) * lineup,
 		"fig10":       len(Fig10Sizes) * 3,
 		"fig11":       len(Fig11Sizes) * 2,
 		"fig12":       len(Fig12Sizes) * len(Fig12Modes),
@@ -107,9 +109,9 @@ func TestRegistryPointCounts(t *testing.T) {
 		"fig5":        len(Fig5()),
 		"table1":      len(Table1()),
 		"table2":      1,
-		"incast":      len(IncastClients) * len(IncastSizes) * len(FabricSystems()),
-		"loadsweep":   len(LoadSweepLoads) * len(FabricSystems()),
-		"multiclient": len(MulticlientCounts) * len(FabricSystems()),
+		"incast":      len(IncastClients) * len(IncastSizes) * lineup,
+		"loadsweep":   len(LoadSweepLoads) * lineup,
+		"multiclient": len(MulticlientCounts) * lineup,
 	}
 	for name, n := range want {
 		e, ok := Lookup(name)
@@ -118,7 +120,7 @@ func TestRegistryPointCounts(t *testing.T) {
 			continue
 		}
 		if got := len(e.Points()); got != n {
-			t.Errorf("%s: %d points, want %d (registry out of sync with driver grid)", name, got, n)
+			t.Errorf("%s: %d points, want %d (registry out of sync with its grid)", name, got, n)
 		}
 	}
 }
@@ -126,10 +128,10 @@ func TestRegistryPointCounts(t *testing.T) {
 func TestRegisterDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("duplicate Register did not panic")
+			t.Error("duplicate register did not panic")
 		}
 	}()
-	register("fig6", "dup", func() []pointSpec { return nil })
+	register("fig6", "dup", func([]StackSpec) []pointSpec { return nil })
 }
 
 func TestRunOutOfRangePoint(t *testing.T) {
@@ -146,7 +148,7 @@ func TestRunOutOfRangePoint(t *testing.T) {
 // TestRunRecoversPanic checks that a panicking point surfaces as
 // Result.Err rather than killing the worker pool.
 func TestRunRecoversPanic(t *testing.T) {
-	e := &specExperiment{name: "boom", desc: "test", build: func() []pointSpec {
+	e := &specExperiment{name: "boom", desc: "test", build: func([]StackSpec) []pointSpec {
 		return []pointSpec{{Key: "p0", Run: func() (Values, error) { panic("kaboom") }}}
 	}}
 	res := Run(e, RunOptions{Workers: 2})

@@ -21,6 +21,10 @@ type RunOptions struct {
 	// (completion order, not point order). It is called from worker
 	// goroutines and must be safe for concurrent use.
 	OnResult func(Result)
+	// Lineup is the stack lineup the lineup-driven experiments (fig6,
+	// fig7, fig9, incast, multiclient, loadsweep, churn) sweep; nil or
+	// empty means DefaultLineup(). Every other experiment ignores it.
+	Lineup []StackSpec
 }
 
 func (o RunOptions) workers() int {
@@ -83,10 +87,24 @@ func ForEach(n, workers int, fn func(i int)) {
 	}
 }
 
-// RunPoints runs the given points of an experiment and returns their
-// results in the order the points were given, regardless of worker
-// count or completion order.
+// bind decomposes a registry experiment over o.Lineup. Experiments
+// defined outside the registry, and runs on the default lineup, come
+// back unchanged.
+func (o RunOptions) bind(e Experiment) Experiment {
+	s, ok := e.(*specExperiment)
+	if !ok || len(o.Lineup) == 0 {
+		return e
+	}
+	bound := *s
+	bound.lineup = append([]StackSpec(nil), o.Lineup...)
+	return &bound
+}
+
+// RunPoints runs the given points of an experiment, decomposed over
+// opts.Lineup, and returns their results in the order the points were
+// given, regardless of worker count or completion order.
 func RunPoints(e Experiment, pts []Point, opts RunOptions) []Result {
+	e = opts.bind(e)
 	results := make([]Result, len(pts))
 	ForEach(len(pts), opts.workers(), func(i int) {
 		results[i] = e.Run(pts[i])
@@ -97,8 +115,9 @@ func RunPoints(e Experiment, pts []Point, opts RunOptions) []Result {
 	return results
 }
 
-// Run runs every point of an experiment.
+// Run runs every point of an experiment over opts.Lineup.
 func Run(e Experiment, opts RunOptions) []Result {
+	e = opts.bind(e)
 	return RunPoints(e, e.Points(), opts)
 }
 
@@ -113,8 +132,14 @@ type ExperimentRun struct {
 
 // RunNamed resolves each name in the registry and runs it. The names
 // run sequentially; each experiment's points fan out across the pool.
-// An unknown name is an error (reported before anything runs).
+// An unknown name or an unbuildable lineup stack is an error (reported
+// before anything runs).
 func RunNamed(names []string, opts RunOptions) ([]ExperimentRun, error) {
+	for _, s := range opts.Lineup {
+		if _, err := BuildFabric(s); err != nil {
+			return nil, err
+		}
+	}
 	exps := make([]Experiment, len(names))
 	for i, n := range names {
 		e, ok := Lookup(n)

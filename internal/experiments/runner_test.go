@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -96,24 +97,47 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRegistryMatchesSerialDriver pins the registry decomposition to the
-// original serial driver: registry fig2 values equal Fig2() rows.
-func TestRegistryMatchesSerialDriver(t *testing.T) {
-	e, _ := Lookup("fig2")
-	res := Run(e, RunOptions{Workers: 4})
-	rows := Fig2()
-	if len(res) != len(rows) {
-		t.Fatalf("registry fig2 has %d points, driver %d rows", len(res), len(rows))
+// TestRunNamedConcurrentLineups runs fig6 on two lineups at once: the
+// lineup is a value of each run, so neither run may see the other's
+// stacks, and a stack both runs share must measure identically.
+func TestRunNamedConcurrentLineups(t *testing.T) {
+	custom := []StackSpec{mustStack("TCPLS"), mustStack("SMT-hw")}
+	lineups := [][]StackSpec{custom, nil}
+	runs := make([][]ExperimentRun, len(lineups))
+	errs := make([]error, len(lineups))
+	var wg sync.WaitGroup
+	for i, l := range lineups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], errs[i] = RunNamed([]string{"fig6"}, RunOptions{Workers: 2, Lineup: l})
+		}()
 	}
-	for i, r := range res {
-		dec := 0.0
-		if rows[i].Decrypted {
-			dec = 1
+	wg.Wait()
+
+	values := map[string]Values{}
+	for i, want := range [][]StackSpec{custom, DefaultLineup()} {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-		if r.Values["decrypted"] != dec ||
-			r.Values["corrupted"] != float64(rows[i].Corrupted) ||
-			r.Values["resyncs"] != float64(rows[i].Resyncs) {
-			t.Errorf("point %d: registry %v != driver %+v", i, r.Values, rows[i])
+		var wantKeys []string
+		for _, size := range Fig6Sizes {
+			for _, s := range want {
+				wantKeys = append(wantKeys, fmt.Sprintf("sys=%s/size=%d", s.Name, size))
+			}
+		}
+		res := runs[i][0].Results
+		if len(res) != len(wantKeys) {
+			t.Fatalf("run %d: %d results, want %d", i, len(res), len(wantKeys))
+		}
+		for j, r := range res {
+			if r.Err != "" || r.Key != wantKeys[j] {
+				t.Fatalf("run %d point %d: key %q err %q, want key %q", i, j, r.Key, r.Err, wantKeys[j])
+			}
+			if prev, ok := values[r.Key]; ok && !reflect.DeepEqual(prev, r.Values) {
+				t.Errorf("%s measured %v on one lineup, %v on the other", r.Key, prev, r.Values)
+			}
+			values[r.Key] = r.Values
 		}
 	}
 }

@@ -223,23 +223,6 @@ func BuildSystem(spec StackSpec) (System, error) {
 	return f.System(), nil
 }
 
-// MustBuildFabric is BuildFabric for specs known buildable (the
-// registered lineups); it panics on error, which for those specs is a
-// programming error caught by the cross-product smoke test.
-func MustBuildFabric(spec StackSpec) FabricSystem {
-	f, err := BuildFabric(spec)
-	if err != nil {
-		//smt:allow panic -- Must-prefixed escalation for registered (pre-validated) specs; arbitrary specs go through BuildFabric
-		panic("experiments: " + err.Error())
-	}
-	return f
-}
-
-// MustBuildSystem is BuildSystem's panicking twin for registered specs.
-func MustBuildSystem(spec StackSpec) System {
-	return MustBuildFabric(spec).System()
-}
-
 // --- the named-stack registry ---
 
 var (
@@ -248,7 +231,7 @@ var (
 	stackSeq   []string                 // canonical names in registration order
 )
 
-// RegisterStack adds a named spec to the stack registry. Like Register
+// RegisterStack adds a named spec to the stack registry. Like register
 // for experiments it panics on an empty or duplicate name, and also on a
 // spec BuildFabric rejects — registration is an init-time contract that
 // every listed stack is runnable.
@@ -324,8 +307,9 @@ func mustStack(name string) StackSpec {
 	return s
 }
 
-// DefaultLineup is the six-stack lineup of the §5 figures, in the
-// Fig6Systems order. Its registry artifacts are pinned bit-identical by
+// DefaultLineup is the six-stack lineup of the §5 figures, and what the
+// lineup-driven experiments sweep unless RunOptions.Lineup selects
+// another. Its registry artifacts are pinned bit-identical by
 // TestGoldenTwoHostRTT and the determinism battery.
 func DefaultLineup() []StackSpec {
 	return []StackSpec{
@@ -334,9 +318,8 @@ func DefaultLineup() []StackSpec {
 	}
 }
 
-// RedisLineup is the §5.3 seven-stack lineup: the default six plus
-// user-space TLS (Redis's stock configuration), in the Fig8Systems
-// order.
+// RedisLineup is the §5.3 seven-stack lineup of Figure 8: the default
+// six plus user-space TLS (Redis's stock configuration).
 func RedisLineup() []StackSpec {
 	return []StackSpec{
 		mustStack("TCP"), mustStack("TLS"), mustStack("kTLS-sw"), mustStack("kTLS-hw"),
@@ -344,48 +327,9 @@ func RedisLineup() []StackSpec {
 	}
 }
 
-// --- lineup selection ---
-
-var (
-	lineupMu     sync.RWMutex
-	activeLineup []StackSpec // nil = DefaultLineup
-)
-
-// Lineup returns the stacks the lineup-driven experiments (fig6, fig7,
-// fig9, incast, multiclient, loadsweep) sweep: DefaultLineup unless
-// SetLineup installed a selection.
-func Lineup() []StackSpec {
-	lineupMu.RLock()
-	defer lineupMu.RUnlock()
-	if activeLineup == nil {
-		return DefaultLineup()
-	}
-	return append([]StackSpec(nil), activeLineup...)
-}
-
-// SetLineup installs the lineup the sweeping experiments decompose
-// over (smtexp -stacks, smtbench -stacks); nil or empty restores the
-// default. Every spec must be buildable. Call it before enumerating or
-// running experiments, not concurrently with a run — an experiment's
-// point list must stay stable for the duration of a run.
-func SetLineup(specs []StackSpec) error {
-	for _, s := range specs {
-		if _, err := BuildFabric(s); err != nil {
-			return err
-		}
-	}
-	lineupMu.Lock()
-	defer lineupMu.Unlock()
-	if len(specs) == 0 {
-		activeLineup = nil
-		return nil
-	}
-	activeLineup = append([]StackSpec(nil), specs...)
-	return nil
-}
-
 // ParseStacks resolves a comma-separated stack-name list ("TCP,
-// TCPLS, SMT-hw", case-insensitive) against the registry.
+// TCPLS, SMT-hw", case-insensitive) against the registry. A stack named
+// twice is an error: it would give two points the same key.
 func ParseStacks(arg string) ([]StackSpec, error) {
 	var specs []StackSpec
 	for _, n := range strings.Split(arg, ",") {
@@ -396,6 +340,11 @@ func ParseStacks(arg string) ([]StackSpec, error) {
 		s, ok := LookupStack(n)
 		if !ok {
 			return nil, fmt.Errorf("unknown stack %q (have: %s)", n, strings.Join(StackNames(), ", "))
+		}
+		for _, prev := range specs {
+			if prev.Name == s.Name {
+				return nil, fmt.Errorf("stack %q named twice in %q", s.Name, arg)
+			}
 		}
 		specs = append(specs, s)
 	}

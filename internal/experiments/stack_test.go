@@ -118,7 +118,7 @@ var echoSmokeSizes = []int{64, 4096, 40000}
 // ForEach worker goroutines, so failures panic (which ForEach
 // propagates into the test) rather than calling Fatalf off-goroutine.
 func runEchoSmoke(spec StackSpec, w *World) map[int]uint64 {
-	sys := MustBuildFabric(spec)
+	sys := must(BuildFabric(spec))
 	clients := w.ClientHosts()
 	var loops []*rpc.ClosedLoop
 	issue, err := sys.Setup(w, clients, w.Server,
@@ -198,9 +198,10 @@ func TestStackCrossProductSmoke(t *testing.T) {
 	}
 }
 
-// TestStackLineupSelection pins the SetLineup/ParseStacks path smtexp
-// -stacks drives: the lineup experiments re-decompose over the
-// selection and restore to the default (and its point keys) afterwards.
+// TestStackLineupSelection pins the ParseStacks/RunOptions.Lineup path
+// smtexp -stacks drives: the lineup experiments decompose over the
+// selection for that run only, while Lookup keeps the default lineup
+// (and its point keys).
 func TestStackLineupSelection(t *testing.T) {
 	specs, err := ParseStacks("tcpls, TLS ,SMT-hw")
 	if err != nil {
@@ -212,34 +213,28 @@ func TestStackLineupSelection(t *testing.T) {
 	if _, err := ParseStacks("TCP,warpstream"); err == nil || !strings.Contains(err.Error(), "warpstream") {
 		t.Fatalf("unknown stack should be named in the error, got %v", err)
 	}
-
-	if err := SetLineup(specs); err != nil {
-		t.Fatal(err)
+	// A repeated stack (in any case) would give two points one key.
+	if _, err := ParseStacks("TCP,tcp"); err == nil || !strings.Contains(err.Error(), `"TCP"`) {
+		t.Fatalf("repeated stack should be named in the error, got %v", err)
 	}
-	defer func() {
-		if err := SetLineup(nil); err != nil {
-			t.Fatal(err)
-		}
-	}()
+
 	fig6, _ := Lookup("fig6")
-	pts := fig6.Points()
+	pts := RunOptions{Lineup: specs}.bind(fig6).Points()
 	if want := len(Fig6Sizes) * 3; len(pts) != want {
 		t.Fatalf("fig6 over 3-stack lineup has %d points, want %d", len(pts), want)
 	}
 	if !strings.Contains(pts[0].Key, "sys=TCPLS") {
 		t.Errorf("first point %q should sweep TCPLS first", pts[0].Key)
 	}
-	// An unbuildable spec cannot become the lineup.
-	if err := SetLineup([]StackSpec{{Transport: TransportHoma, Record: RecordTCPLS}}); err == nil {
-		t.Error("SetLineup accepted an unbuildable spec")
+	// An unbuildable spec fails the run before anything runs.
+	bad := RunOptions{Lineup: []StackSpec{{Transport: TransportHoma, Record: RecordTCPLS}}}
+	if _, err := RunNamed([]string{"fig6"}, bad); err == nil {
+		t.Error("RunNamed accepted an unbuildable lineup spec")
 	}
 
-	if err := SetLineup(nil); err != nil {
-		t.Fatal(err)
-	}
 	pts = fig6.Points()
 	if want := len(Fig6Sizes) * len(DefaultLineup()); len(pts) != want {
-		t.Fatalf("default lineup not restored: %d points, want %d", len(pts), want)
+		t.Fatalf("Lookup lost the default lineup: %d points, want %d", len(pts), want)
 	}
 	if !strings.Contains(pts[0].Key, "sys=TCP/") {
 		t.Errorf("default first point %q changed", pts[0].Key)
@@ -263,7 +258,7 @@ func TestStackFabricSeparation(t *testing.T) {
 	rows := map[string]IncastRow{}
 	var mu sync.Mutex
 	ForEach(len(names), 0, func(i int) {
-		r := must(MeasureIncast(MustBuildFabric(mustStack(names[i])), 3, 65536, 9003))
+		r := must(MeasureIncast(must(BuildFabric(mustStack(names[i]))), 3, 65536, 9003))
 		mu.Lock()
 		rows[r.System] = r
 		mu.Unlock()
