@@ -36,7 +36,7 @@ func run() int {
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Printf("%-13s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}

@@ -15,59 +15,23 @@ import (
 // into them simply end there, which is also how taint analyses
 // "declassify" through crypto primitives).
 //
-// Three edge kinds, by how the callee was resolved:
+// A call gets an edge when its callee resolves statically: a package
+// function, a method called on a concrete receiver, a method expression,
+// or an immediately invoked func literal. A method call through an
+// interface value gets one edge per concrete first-party type that
+// implements the interface (class-hierarchy style): every implementation
+// might be the dynamic callee.
 //
-//   - EdgeDirect: the callee is statically known — a package function, a
-//     method called on a concrete receiver, a method expression, or an
-//     immediately invoked func literal.
-//   - EdgeInterface: a method call through an interface value. The
-//     builder conservatively adds one edge per concrete first-party type
-//     that implements the interface (class-hierarchy style): every
-//     implementation might be the dynamic callee.
-//   - EdgeFuncValue: a call through a func-typed value (variable, field,
-//     parameter, return value). The builder conservatively adds one edge
-//     per address-taken function or func literal whose signature is
-//     identical to the call's: any of them could have been stored.
-//
-// Analyses choose which kinds to follow: hot-path reachability follows
-// Direct and Interface edges and instead *declares* the landing points of
-// stored-func indirection (the event-dispatch surface) as roots, because
-// signature matching over common shapes like func() degenerates to
-// "everything".
-
-// EdgeKind classifies how a call edge's callee was resolved.
-type EdgeKind uint8
-
-const (
-	// EdgeDirect is a statically resolved call.
-	EdgeDirect EdgeKind = iota
-	// EdgeInterface is an interface method call, resolved to every
-	// implementing first-party type.
-	EdgeInterface
-	// EdgeFuncValue is a call through a stored func value, resolved to
-	// every address-taken function with an identical signature.
-	EdgeFuncValue
-)
-
-// String names the edge kind.
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeDirect:
-		return "direct"
-	case EdgeInterface:
-		return "interface"
-	case EdgeFuncValue:
-		return "funcvalue"
-	default:
-		return fmt.Sprintf("EdgeKind(%d)", uint8(k))
-	}
-}
+// A call through a func-typed value (variable, field, parameter, return
+// value) gets no edge: signature matching over common shapes like func()
+// degenerates to "everything". Reachability analyses instead *declare*
+// the landing points of stored-func indirection (the event-dispatch
+// surface, //smt:hotroot) as roots.
 
 // Edge is one call edge: caller invokes callee at Site.
 type Edge struct {
 	Caller, Callee *Node
 	Site           token.Pos
-	Kind           EdgeKind
 }
 
 // Node is one function in the graph: a declared function or method
@@ -80,7 +44,6 @@ type Node struct {
 	Decl *ast.FuncDecl // nil for func literals
 
 	Out []Edge
-	In  []Edge
 
 	// cold marks an //smt:coldpath-annotated declaration: hot-path
 	// reachability stops at (and excludes) this node.
@@ -93,12 +56,6 @@ type Node struct {
 	// state: if-blocks that end in a return or panic (guard clauses and
 	// error paths).
 	coldSpans []span
-
-	// valueSigs are the signatures under which this function was used as
-	// a value (plain reference, method value, method expression) — the
-	// match keys for EdgeFuncValue resolution. Empty = never
-	// address-taken.
-	valueSigs []*types.Signature
 }
 
 // String renders a stable human-readable name: the types.Func full name,
@@ -182,12 +139,6 @@ type implKey struct {
 	method string
 }
 
-// NodeFor returns the node of a declared function, or nil.
-func (g *Graph) NodeFor(fn *types.Func) *Node { return g.byFn[fn] }
-
-// NodeForLit returns the node of a func literal, or nil.
-func (g *Graph) NodeForLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
 // coldLine reports whether a line-level coldpath directive covers pos
 // (directive on the same line or the line above).
 func (g *Graph) coldLine(pos token.Position) bool {
@@ -239,9 +190,6 @@ func buildGraph(prog *Program, extra *Package) *Graph {
 		g.collectNodes(pkg)
 		g.collectColdLines(pkg)
 		g.collectNamedTypes(pkg)
-	}
-	for _, n := range g.Nodes {
-		g.markValueUses(n)
 	}
 	for _, n := range g.Nodes {
 		g.buildEdges(n)
@@ -408,76 +356,6 @@ func blockEndsCold(b *ast.BlockStmt) bool {
 	return false
 }
 
-// markValueUses records every use of a function as a value (rather than
-// in call position): plain references, method values, method
-// expressions, and non-invoked func literals. These become the candidate
-// callees of EdgeFuncValue resolution.
-func (g *Graph) markValueUses(n *Node) {
-	info := n.Pkg.Info
-	callFuns := make(map[ast.Node]bool)
-	ast.Inspect(n.Body, func(nd ast.Node) bool {
-		if call, ok := nd.(*ast.CallExpr); ok {
-			callFuns[ast.Unparen(call.Fun)] = true
-		}
-		return true
-	})
-	ast.Inspect(n.Body, func(nd ast.Node) bool {
-		switch e := nd.(type) {
-		case *ast.FuncLit:
-			if e != n.Lit && !callFuns[e] {
-				if ln := g.byLit[e]; ln != nil {
-					if sig, ok := info.Types[e].Type.(*types.Signature); ok {
-						ln.addValueSig(sig)
-					}
-				}
-			}
-			if e != n.Lit {
-				return false
-			}
-		case *ast.Ident:
-			if callFuns[e] {
-				return true
-			}
-			if fn, ok := info.Uses[e].(*types.Func); ok {
-				if tgt := g.byFn[fn]; tgt != nil {
-					if sig, ok := fn.Type().(*types.Signature); ok {
-						tgt.addValueSig(sig)
-					}
-				}
-			}
-		case *ast.SelectorExpr:
-			if callFuns[e] {
-				return true
-			}
-			fn, ok := info.Uses[e.Sel].(*types.Func)
-			if !ok {
-				return true
-			}
-			tgt := g.byFn[fn]
-			if tgt == nil {
-				return true
-			}
-			// Method value x.M (receiver bound: signature drops it) or
-			// method expression T.M (receiver becomes the first
-			// parameter): either way the selector expression's own type
-			// is the value signature.
-			if sig, ok := info.Types[e].Type.(*types.Signature); ok {
-				tgt.addValueSig(sig)
-			}
-		}
-		return true
-	})
-}
-
-func (n *Node) addValueSig(sig *types.Signature) {
-	for _, s := range n.valueSigs {
-		if types.Identical(s, sig) {
-			return
-		}
-	}
-	n.valueSigs = append(n.valueSigs, sig)
-}
-
 // buildEdges resolves every call expression directly inside n's body
 // (nested literals are separate nodes) into zero or more edges.
 func (g *Graph) buildEdges(n *Node) {
@@ -495,69 +373,40 @@ func (g *Graph) buildEdges(n *Node) {
 	})
 }
 
-// addEdge appends a caller→callee edge to both endpoints.
-func (g *Graph) addEdge(caller, callee *Node, site token.Pos, kind EdgeKind) {
+// addEdge appends a caller→callee edge.
+func (g *Graph) addEdge(caller, callee *Node, site token.Pos) {
 	if callee == nil {
 		return
 	}
-	e := Edge{Caller: caller, Callee: callee, Site: site, Kind: kind}
-	caller.Out = append(caller.Out, e)
-	callee.In = append(callee.In, e)
+	caller.Out = append(caller.Out, Edge{Caller: caller, Callee: callee, Site: site})
 }
 
+// resolveCall adds the edges of one statically resolvable call; calls
+// through func values, builtins and conversions add none.
 func (g *Graph) resolveCall(n *Node, info *types.Info, call *ast.CallExpr) {
-	fun := ast.Unparen(call.Fun)
-	// Conversions parse as calls; skip them.
-	if tv, ok := info.Types[fun]; ok && tv.IsType() {
-		return
-	}
-	switch f := fun.(type) {
+	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		switch o := info.Uses[f].(type) {
-		case *types.Builtin:
-			return
-		case *types.Func:
-			g.addEdge(n, g.byFn[o], call.Pos(), EdgeDirect)
-		case *types.Var:
-			g.funcValueEdges(n, call, o.Type())
+		if o, ok := info.Uses[f].(*types.Func); ok {
+			g.addEdge(n, g.byFn[o], call.Pos())
 		}
 	case *ast.SelectorExpr:
 		if sel := info.Selections[f]; sel != nil {
-			switch sel.Kind() {
-			case types.MethodVal:
-				callee, _ := sel.Obj().(*types.Func)
-				if callee == nil {
-					return
-				}
-				if types.IsInterface(sel.Recv()) {
-					g.interfaceEdges(n, call, sel.Recv(), callee.Name())
-					return
-				}
-				g.addEdge(n, g.byFn[callee], call.Pos(), EdgeDirect)
-			case types.MethodExpr:
-				if callee, ok := sel.Obj().(*types.Func); ok {
-					g.addEdge(n, g.byFn[callee], call.Pos(), EdgeDirect)
-				}
-			case types.FieldVal:
-				g.funcValueEdges(n, call, sel.Type())
+			callee, ok := sel.Obj().(*types.Func)
+			switch {
+			case !ok: // a func-typed field
+			case sel.Kind() == types.MethodVal && types.IsInterface(sel.Recv()):
+				g.interfaceEdges(n, call, sel.Recv(), callee.Name())
+			default: // a concrete method value or a method expression
+				g.addEdge(n, g.byFn[callee], call.Pos())
 			}
 			return
 		}
 		// Package-qualified reference.
-		switch o := info.Uses[f.Sel].(type) {
-		case *types.Func:
-			g.addEdge(n, g.byFn[o], call.Pos(), EdgeDirect)
-		case *types.Var:
-			g.funcValueEdges(n, call, o.Type())
+		if o, ok := info.Uses[f.Sel].(*types.Func); ok {
+			g.addEdge(n, g.byFn[o], call.Pos())
 		}
 	case *ast.FuncLit:
-		g.addEdge(n, g.byLit[f], call.Pos(), EdgeDirect)
-	default:
-		// Call of a computed expression (another call's result, an
-		// index into a func slice/map, a channel receive...).
-		if tv, ok := info.Types[fun]; ok {
-			g.funcValueEdges(n, call, tv.Type)
-		}
+		g.addEdge(n, g.byLit[f], call.Pos())
 	}
 }
 
@@ -569,7 +418,7 @@ func (g *Graph) interfaceEdges(n *Node, call *ast.CallExpr, recv types.Type, met
 		return
 	}
 	for _, impl := range g.implementations(iface, method) {
-		g.addEdge(n, impl, call.Pos(), EdgeInterface)
+		g.addEdge(n, impl, call.Pos())
 	}
 }
 
@@ -604,23 +453,6 @@ func (g *Graph) implementations(iface *types.Interface, method string) []*Node {
 	}
 	g.implCache[key] = impls
 	return impls
-}
-
-// funcValueEdges adds one edge per address-taken function whose value
-// signature is identical to the call's func type.
-func (g *Graph) funcValueEdges(n *Node, call *ast.CallExpr, t types.Type) {
-	sig, ok := t.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	for _, tgt := range g.Nodes {
-		for _, vs := range tgt.valueSigs {
-			if types.Identical(vs, sig) {
-				g.addEdge(n, tgt, call.Pos(), EdgeFuncValue)
-				break
-			}
-		}
-	}
 }
 
 // ResolveRoots maps root specs to nodes. A spec is either a function

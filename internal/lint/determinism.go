@@ -22,6 +22,9 @@ import (
 //     if its seed is; the annotation documents where the seed comes
 //     from — the engine seed in sim, the experiment point seed in
 //     ycsb).
+//   - package-level math/rand state (a *rand.Rand, Source or Zipf
+//     variable): a shared stream is racy under the parallel runner and
+//     its draw order depends on point scheduling.
 //   - crypto/rand (never deterministic; allowed only where the bytes
 //     provably stay off the artifact path, e.g. dcdns ticket-signing
 //     keys).
@@ -35,7 +38,7 @@ import (
 // source that a registered experiment happens to exercise.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock, global/fresh RNG streams, and map iteration in internal/ unless annotated with a reason",
+	Doc:  "forbid wall-clock, global/fresh/package-level RNG streams, and map iteration in internal/ unless annotated with a reason",
 	Run:  runDeterminism,
 }
 
@@ -58,6 +61,12 @@ var mathRandExempt = map[string]bool{"NewZipf": true}
 func runDeterminism(pass *Pass) {
 	if !internalScope(pass.Pkg.Path) {
 		return
+	}
+	scope := pass.Pkg.Types.Scope()
+	for _, name := range scope.Names() {
+		if v, ok := scope.Lookup(name).(*types.Var); ok && holdsRNG(v.Type()) {
+			pass.Report(v.Pos(), "package-level RNG state %q: a shared stream's draw order depends on point scheduling; thread the engine's *rand.Rand through instead", name)
+		}
 	}
 	info := pass.Pkg.Info
 	walkFiles(pass, func(n ast.Node) bool {
@@ -101,4 +110,17 @@ func runDeterminism(pass *Pass) {
 		}
 		return true
 	})
+}
+
+// holdsRNG reports whether t is (or points to) math/rand stream state.
+func holdsRNG(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "math/rand" {
+		return false
+	}
+	name := named.Obj().Name()
+	return name == "Rand" || name == "Source" || name == "Source64" || name == "Zipf"
 }

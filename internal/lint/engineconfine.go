@@ -89,8 +89,7 @@ func (g *Graph) confinedSets() (map[*Node]bool, map[*Node]*Node) {
 			return true
 		})
 	}
-	follow := func(e Edge) bool { return e.Kind != EdgeFuncValue }
-	g.confReached, g.confOrigin = g.Reachable(roots, follow)
+	g.confReached, g.confOrigin = g.Reachable(roots, nil)
 	return g.confReached, g.confOrigin
 }
 

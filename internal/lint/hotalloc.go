@@ -15,10 +15,10 @@ import (
 // funnels through — sim.Action.Run implementations, netsim delivery,
 // the codec Encode/Decode interface, record-layer seal/open, transport
 // rx/tx — plus any declaration annotated //smt:hotroot. Reachability
-// follows direct and interface-dispatch edges; stored-func indirection
-// (the Engine's fn() dispatch) is bridged by rooting the landing points
-// instead, because signature-matching func() would make the whole
-// program hot.
+// follows the call graph's direct and interface-dispatch edges; a
+// callback reached only through a stored func value (the Engine's fn()
+// dispatch of a prebuilt arrivalFn/deliverFn field) is rooted with
+// //smt:hotroot instead.
 //
 // An allocation site is exempt when it provably cannot run at steady
 // state:
@@ -34,7 +34,9 @@ import (
 // literals, append outside the recognized scratch idiom (appending into
 // field-backed or parameter-backed storage), capturing closures, fmt
 // calls, string<->[]byte conversions, and explicit interface boxing of
-// non-pointer values.
+// non-pointer values. A capturing closure handed to the alloc-free
+// Engine.Post/PostAfter forms is the common case: that is what the pooled
+// PostAction form or a prebuilt func field is for.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "no heap allocation reachable from a steady-state root without //smt:coldpath -- <reason>",
@@ -75,10 +77,7 @@ func (g *Graph) hotSets() (map[*Node]bool, map[*Node]*Node, []string) {
 		}
 	}
 	follow := func(e Edge) bool {
-		if e.Kind == EdgeFuncValue || e.Callee.cold {
-			return false
-		}
-		if e.Caller.inColdSpan(e.Site) {
+		if e.Callee.cold || e.Caller.inColdSpan(e.Site) {
 			return false
 		}
 		return !g.coldLine(g.Prog.Fset.Position(e.Site))
@@ -211,6 +210,47 @@ func (ha *hotAlloc) scanCall(call *ast.CallExpr, n *Node, info *types.Info, scra
 			flag(call.Pos(), "fmt."+fn.Name()+" allocates (boxing + formatting)")
 		}
 	}
+}
+
+// captured returns the name of one variable the literal captures from
+// an enclosing function scope, or "" if it is capture-free. Package-
+// level objects (globals, funcs, consts) do not force a closure
+// allocation and are not captures.
+func captured(info *types.Info, lit *ast.FuncLit) string {
+	// Variables declared inside the literal (params, locals).
+	inside := make(map[types.Object]bool)
+	ast.Inspect(lit, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := info.Defs[id]; obj != nil {
+				inside[obj] = true
+			}
+		}
+		return true
+	})
+	var capt string
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if capt != "" {
+			return false
+		}
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || inside[v] || v.IsField() {
+			return true
+		}
+		// Package-level vars live in the package scope: referencing one
+		// does not capture. Anything else var-like used here but declared
+		// outside the literal is a capture (locals, params, receivers,
+		// range vars of the enclosing function).
+		if v.Parent() != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			return true
+		}
+		capt = v.Name()
+		return false
+	})
+	return capt
 }
 
 // scratchLocals infers the function's scratch slice variables: locals

@@ -7,41 +7,35 @@
 // the way production transport stacks gate merges on domain-specific
 // compliance rules rather than reviewer memory.
 //
-// Nine analyzers ship (see Analyzers):
+// Seven analyzers ship (see Analyzers):
 //
-//   - determinism: wall-clock reads, global or freshly-seeded RNG
-//     streams, and map iteration are forbidden in internal/ unless
-//     annotated with a reason — the serial==parallel byte-identical
-//     artifact guarantee survives only if no nondeterminism source can
-//     leak into scheduling or output.
+//   - determinism: wall-clock reads, global, freshly-seeded or
+//     package-level RNG streams, and map iteration are forbidden in
+//     internal/ unless annotated with a reason — the serial==parallel
+//     byte-identical artifact guarantee survives only if no
+//     nondeterminism source can leak into scheduling or output.
 //   - panic: library code under internal/ must return errors, not
 //     panic; deliberate invariant guards carry an annotated reason.
+//   - allowunused: an //smt:allow that suppresses nothing is itself a
+//     finding, so suppressions cannot rot in place.
+//
+// The other four ride the static call graph (callgraph.go) and its
+// per-function summaries (summary.go):
+//
 //   - poolowner: a wire.Packet taken from a pool must reach Release or
 //     a consuming call on every path through the acquiring function;
 //     consumption is inferred interprocedurally from call-graph
-//     summaries, with //smt:owner-transfer as the override for
-//     declarations that have no body to infer from.
-//   - hotclosure: capturing func literals may not be scheduled through
-//     the allocation-free Engine.Post/PostAfter forms — that is what
-//     the pooled PostAction path is for.
-//   - rngplumb: randomness in the load-generation and fabric packages
-//     must flow from the engine-seeded RNG, never a package-level or
-//     locally-constructed source.
-//
-// Four interprocedural rules ride the static call graph (callgraph.go)
-// and its per-function summaries (summary.go):
-//
-//   - hotalloc: no heap allocation reachable from a steady-state root
-//     (event dispatch, delivery, codec, record layer, transport rx/tx)
-//     without an //smt:coldpath -- <reason> annotation.
+//     summaries.
+//   - hotalloc: no heap allocation — capturing closures handed to
+//     Engine.Post/PostAfter included — reachable from a steady-state
+//     root (event dispatch, delivery, codec, record layer, transport
+//     rx/tx) without an //smt:coldpath -- <reason> annotation.
 //   - keyflow: key material — SessionKeys, handshake secrets, hkdfx
 //     outputs — must not flow into error strings, artifact JSON, or
 //     plaintext wire writes.
 //   - engineconfine: code running under a sim.Engine must not write
 //     package-level state, the aliasing precondition for running
 //     engines in parallel.
-//   - allowunused: an //smt:allow that suppresses nothing is itself a
-//     finding, so suppressions cannot rot in place.
 //
 // A finding is suppressed by annotating the offending line (or the line
 // above it) with a reasoned comment:
@@ -50,8 +44,6 @@
 //
 // The reason is mandatory: an allow comment without one is itself a
 // finding, so every suppression documents why the site is safe.
-// Functions that take over a pooled packet's ownership are annotated
-// //smt:owner-transfer in their doc comment (see poolowner.go).
 package lint
 
 import (
@@ -240,8 +232,6 @@ func Analyzers() []*Analyzer {
 		DeterminismAnalyzer,
 		PanicAnalyzer,
 		PoolOwnerAnalyzer,
-		HotClosureAnalyzer,
-		RNGPlumbAnalyzer,
 		HotAllocAnalyzer,
 		KeyFlowAnalyzer,
 		EngineConfineAnalyzer,

@@ -35,7 +35,7 @@ type Package struct {
 	TypeErrors []error
 
 	// prog links back to the owning program, for analyses that need
-	// cross-package facts (poolowner's //smt:owner-transfer lookup).
+	// cross-package facts (the shared call graph and its summaries).
 	prog *Program
 }
 
@@ -49,11 +49,6 @@ type Program struct {
 	byPath map[string]*Package
 	export map[string]string // dependency import path -> export data file
 	gcImp  types.ImporterFrom
-
-	// //smt:owner-transfer annotation index (object -> directive
-	// position), built lazily by poolowner.
-	transferOnce sync.Once
-	transferSet  map[types.Object]token.Pos
 
 	// Call graph and summaries, built once and shared by the
 	// interprocedural analyzers (see callgraph.go). cgFix memoizes

@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
 // PoolOwnerAnalyzer enforces the pooled-packet ownership rules from
@@ -13,23 +11,18 @@ import (
 // must, on every path through the acquiring function, either
 //
 //   - reach pkt.Release(),
-//   - be handed to a call that takes over ownership — inferred
-//     interprocedurally from call-graph summaries (the callee consumes
-//     its packet parameter on every path; see Graph.PacketConsumption),
-//     or declared via //smt:owner-transfer on declarations that have no
-//     body to infer from (interface methods, func-typed fields),
+//   - be handed to a consuming call — one whose callee provably consumes
+//     that packet parameter on every path, inferred interprocedurally
+//     from call-graph summaries (see Graph.PacketConsumption),
 //   - or escape in a way the next owner is responsible for: returned,
 //     stored into a struct field / slice / map / channel, captured by a
 //     closure, or bound into a composite literal.
 //
-// Passing a packet to a call that neither consumes by summary nor
-// carries the annotation does NOT count as a transfer. The annotation
-// is an override, not the mechanism: on a bodied function the summary
-// is authoritative, so an //smt:owner-transfer there is reported as
-// redundant (the inference already proves it) or stale (the body
-// contradicts it) — either way it must come off. The dynamic complement
-// is PacketPool.OutstandingPackets, which only notices a leak when a
-// test drains that specific world to quiescence.
+// Passing a packet to any other call does NOT count as a transfer — in
+// particular a call through an interface method or a func-typed field,
+// which has no body to infer from. The dynamic complement is
+// PacketPool.OutstandingPackets, which only notices a leak when a test
+// drains that specific world to quiescence.
 //
 // The per-acquisition check is path-sensitive over the AST (if/else,
 // switch, loops, early returns, defers). It is deliberately permissive
@@ -37,13 +30,9 @@ import (
 // every report is a real unconsumed path.
 var PoolOwnerAnalyzer = &Analyzer{
 	Name: "poolowner",
-	Doc:  "a pooled wire.Packet must reach Release or a consuming (inferred or //smt:owner-transfer) call on every path of the acquiring function",
+	Doc:  "a pooled wire.Packet must reach Release or a consuming call on every path of the acquiring function",
 	Run:  runPoolOwner,
 }
-
-// ownerTransferDirective marks a function/method declaration as taking
-// over ownership of its *wire.Packet argument(s).
-const ownerTransferDirective = "//smt:owner-transfer"
 
 // packetSources are the pool entry points whose results the analyzer
 // tracks, by types.Func.FullName.
@@ -53,71 +42,9 @@ var packetSources = map[string]bool{
 	"(*smt/internal/nicsim.NIC).AcquirePacket":     true,
 }
 
-// transferFuncs returns the function objects annotated
-// //smt:owner-transfer anywhere in the program (plus extra, for fixture
-// packages that are not part of the program's package list), mapped to
-// the directive's position. Built once per program.
-func (p *Program) transferFuncs(extra *Package) map[types.Object]token.Pos {
-	p.transferOnce.Do(func() {
-		p.transferSet = make(map[types.Object]token.Pos)
-		for _, pkg := range p.Packages {
-			collectTransfers(pkg, p.transferSet)
-		}
-	})
-	if extra == nil {
-		return p.transferSet
-	}
-	merged := make(map[types.Object]token.Pos, len(p.transferSet)+4)
-	//smt:allow determinism -- map union; map order never observed
-	for o, pos := range p.transferSet {
-		merged[o] = pos
-	}
-	collectTransfers(extra, merged)
-	return merged
-}
-
-func collectTransfers(pkg *Package, out map[types.Object]token.Pos) {
-	mark := func(doc *ast.CommentGroup, name *ast.Ident) {
-		if doc == nil || name == nil {
-			return
-		}
-		for _, c := range doc.List {
-			if strings.HasPrefix(c.Text, ownerTransferDirective) {
-				if obj := pkg.Info.Defs[name]; obj != nil {
-					out[obj] = c.Pos()
-				}
-			}
-		}
-	}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				mark(n.Doc, n.Name)
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						mark(m.Doc, name)
-					}
-				}
-			case *ast.StructType:
-				// Func-typed fields that take ownership (callback slots).
-				for _, fld := range n.Fields.List {
-					for _, name := range fld.Names {
-						mark(fld.Doc, name)
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
 func runPoolOwner(pass *Pass) {
-	transfers := pass.Pkg.prog.transferFuncs(fixtureExtra(pass.Pkg))
 	g := pass.Pkg.prog.CallGraph(fixtureExtra(pass.Pkg))
-	consume := g.PacketConsumption()
-	po := &poolOwner{pass: pass, info: pass.Pkg.Info, transfers: transfers, consume: consume}
+	po := &poolOwner{pass: pass, info: pass.Pkg.Info, consume: g.PacketConsumption()}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -131,34 +58,10 @@ func runPoolOwner(pass *Pass) {
 			return true
 		})
 	}
-	reportAnnotationDrift(pass, g, transfers, consume)
-}
-
-// reportAnnotationDrift audits this package's //smt:owner-transfer
-// annotations against the inferred summaries. On a bodied function the
-// summary is authoritative: an annotation the inference already proves
-// is redundant, and one the body contradicts is stale — both must come
-// off, keeping //smt:owner-transfer reserved for declarations with no
-// body to infer from.
-func reportAnnotationDrift(pass *Pass, g *Graph, transfers map[types.Object]token.Pos, consume map[*types.Func]uint64) {
-	for _, n := range g.Nodes {
-		if n.Fn == nil || n.Pkg != pass.Pkg {
-			continue
-		}
-		pos, annotated := transfers[n.Fn]
-		if !annotated {
-			continue
-		}
-		if consume[n.Fn] != 0 {
-			pass.Report(pos, "redundant //smt:owner-transfer on %s: consumption is inferred from the body; drop the annotation", n.Fn.Name())
-		} else {
-			pass.Report(pos, "stale //smt:owner-transfer on %s: the body does not consume its packet parameter on every path; fix the body or drop the annotation", n.Fn.Name())
-		}
-	}
 }
 
 // fixtureExtra returns pkg when it is a fixture loaded outside the
-// program's package list (so its own annotations are honored too).
+// program's package list (so the call graph spans it too).
 func fixtureExtra(pkg *Package) *Package {
 	for _, p := range pkg.prog.Packages {
 		if p == pkg {
@@ -179,12 +82,11 @@ const (
 )
 
 type poolOwner struct {
-	pass      *Pass // nil during summary computation (no reporting there)
-	info      *types.Info
-	transfers map[types.Object]token.Pos
+	pass *Pass // nil during summary computation (no reporting there)
+	info *types.Info
 	// consume maps bodied functions to the bitmask of packet parameters
 	// they are proved to consume (Graph.PacketConsumption) — the
-	// interprocedural half of isTransfer/consumes.
+	// interprocedural half of consumes.
 	consume map[*types.Func]uint64
 }
 
@@ -248,7 +150,7 @@ func (po *poolOwner) checkBlock(blk *ast.BlockStmt, unit *ast.BlockStmt) {
 			// fine (the continuation is outside our view) — only the unit
 			// body's end is a real exit.
 			if res == flowLeaked || declared || blk == unit {
-				po.pass.Report(call.Pos(), "pooled wire.Packet %q may leak: not Released, returned, stored, or passed to an //smt:owner-transfer call on every path", id.Name)
+				po.pass.Report(call.Pos(), "pooled wire.Packet %q may leak: not Released, returned, stored, or passed to a consuming call on every path", id.Name)
 			}
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok && po.isSource(call) {
@@ -431,8 +333,8 @@ func (po *poolOwner) evalCases(stmt ast.Stmt, x types.Object) flowResult {
 }
 
 // consumes reports whether evaluating expr definitely consumes x:
-// x.Release(), x passed to an //smt:owner-transfer callee, x bound into
-// a composite literal, or x appended into a slice.
+// x.Release(), x passed as a parameter its callee's summary consumes, x
+// bound into a composite literal, or x appended into a slice.
 func (po *poolOwner) consumes(expr ast.Expr, x types.Object) bool {
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
@@ -447,15 +349,7 @@ func (po *poolOwner) consumes(expr ast.Expr, x types.Object) bool {
 					return false
 				}
 			}
-			if po.isTransfer(n.Fun) {
-				for _, a := range n.Args {
-					if po.usesAnywhere(a, x) {
-						found = true
-						return false
-					}
-				}
-			}
-			// Inferred transfer: the callee's summary proves it consumes
+			// Consuming call: the callee's summary proves it consumes
 			// the packet parameter x is passed as.
 			if fn := po.calleeOf(n.Fun); fn != nil {
 				if mask := po.consume[fn]; mask != 0 {
@@ -494,23 +388,6 @@ func (po *poolOwner) consumes(expr ast.Expr, x types.Object) bool {
 // in any expression.
 func (po *poolOwner) consumesCond(cond ast.Expr, x types.Object) bool {
 	return cond != nil && po.consumes(cond, x)
-}
-
-// isTransfer resolves a call target to its declaration object and
-// checks for the //smt:owner-transfer annotation.
-func (po *poolOwner) isTransfer(fun ast.Expr) bool {
-	switch f := fun.(type) {
-	case *ast.Ident:
-		_, ok := po.transfers[po.objOf(f)]
-		return ok
-	case *ast.SelectorExpr:
-		if obj := po.info.Uses[f.Sel]; obj != nil {
-			if _, ok := po.transfers[obj]; ok {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // calleeOf resolves a call target to its *types.Func, for summary

@@ -46,8 +46,7 @@ func TestRepoClean(t *testing.T) {
 
 // fixtureSpecs maps each testdata package to the synthetic import path
 // it is checked under (the determinism/panic analyzers key on
-// "/internal/", rngplumb on the smt/internal/workload tree) and the
-// rules run over it.
+// "/internal/") and the rules run over it.
 var fixtureSpecs = []struct {
 	dir    string
 	asPath string
@@ -56,8 +55,10 @@ var fixtureSpecs = []struct {
 	{"determinism", "smt/internal/lintfix/determinism", "determinism"},
 	{"panicfix", "smt/internal/lintfix/panicfix", "panic"},
 	{"poolowner", "smt/internal/lintfix/poolowner", "poolowner"},
-	{"hotclosure", "smt/internal/lintfix/hotclosure", "hotclosure"},
-	{"rngplumb", "smt/internal/workload/lintfix", "rngplumb"},
+	// The retired hotclosure and rngplumb rules' fixtures, checked by the
+	// rules that absorbed them: every case they flagged is still flagged.
+	{"hotclosure", "smt/internal/lintfix/hotclosure", "hotalloc"},
+	{"rngplumb", "smt/internal/workload/lintfix", "determinism"},
 	// allowfix runs the determinism analyzer so that each malformed
 	// suppression is paired with the finding it failed to suppress.
 	{"allowfix", "smt/internal/lintfix/allowfix", "determinism"},
@@ -137,8 +138,6 @@ func TestScopeBoundaries(t *testing.T) {
 		// determinism/panic only govern internal/ packages.
 		{"determinism", "smt/lintfix/notinternal", "determinism"},
 		{"panicfix", "smt/lintfix/notinternal2", "panic"},
-		// rngplumb only governs experiments/workload/netsim.
-		{"rngplumb", "smt/internal/lintfix/rngfixout", "rngplumb"},
 	}
 	for _, c := range cases {
 		pkg, err := prog.LoadFixture(filepath.Join("testdata", c.dir), c.asPath)
@@ -157,11 +156,11 @@ func TestScopeBoundaries(t *testing.T) {
 	}
 }
 
-// TestAnalyzersRegistry pins the suite: nine uniquely named, documented
+// TestAnalyzersRegistry pins the suite: seven uniquely named, documented
 // rules, resolvable one by one and as "all". allowunused is last by
 // construction (it audits what the others consumed).
 func TestAnalyzersRegistry(t *testing.T) {
-	want := []string{"determinism", "panic", "poolowner", "hotclosure", "rngplumb", "hotalloc", "keyflow", "engineconfine", "allowunused"}
+	want := []string{"determinism", "panic", "poolowner", "hotalloc", "keyflow", "engineconfine", "allowunused"}
 	all := Analyzers()
 	if len(all) != len(want) {
 		t.Fatalf("Analyzers() = %d rules, want %d", len(all), len(want))

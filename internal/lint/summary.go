@@ -45,14 +45,13 @@ func isWirePacketPtr(t types.Type) bool {
 // PacketConsumption returns, for every bodied first-party function, the
 // bitmask of its *wire.Packet parameters that are consumed on every path
 // through the body (bit i = parameter i, receiver excluded). The map is
-// a fixpoint: consumption through calls to other inferred consumers (and
-// through //smt:owner-transfer-annotated declarations) counts.
+// a fixpoint: consumption through calls to other inferred consumers
+// counts.
 func (g *Graph) PacketConsumption() map[*types.Func]uint64 {
 	if g.consume != nil {
 		return g.consume
 	}
 	g.consume = make(map[*types.Func]uint64)
-	transfers := g.Prog.transferFuncs(g.fixturePkg())
 
 	// Candidates: bodied functions with at least one named packet param.
 	type candidate struct {
@@ -72,11 +71,7 @@ func (g *Graph) PacketConsumption() map[*types.Func]uint64 {
 	for changed := true; changed; {
 		changed = false
 		for _, c := range cands {
-			po := &poolOwner{
-				info:      c.node.Pkg.Info,
-				transfers: transfers,
-				consume:   g.consume,
-			}
+			po := &poolOwner{info: c.node.Pkg.Info, consume: g.consume}
 			for _, slot := range c.params {
 				bit := uint64(1) << slot.index
 				if g.consume[c.node.Fn]&bit != 0 {
@@ -122,17 +117,6 @@ func packetParams(n *Node) []paramSlot {
 		}
 	}
 	return slots
-}
-
-// fixturePkg returns the graph's fixture package (the one not in the
-// program's package list), or nil.
-func (g *Graph) fixturePkg() *Package {
-	for _, pkg := range g.pkgs {
-		if g.Prog.byPath[pkg.Path] != pkg {
-			return pkg
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------

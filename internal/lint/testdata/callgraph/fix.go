@@ -1,8 +1,9 @@
 // Package cgfix exercises the call-graph builder directly (see
 // callgraph_test.go): direct calls, conservative interface dispatch
-// over the first-party class hierarchy, and stored func values / method
-// values bridged by signature matching. It carries no want comments —
-// the test asserts must- and must-not-edges on the Graph itself.
+// over the first-party class hierarchy, and calls through stored func
+// values / method values, which get no edge. It carries no want
+// comments — the test asserts must- and must-not-edges on the Graph
+// itself.
 package cgfix
 
 // Ringer has two first-party implementations with different receiver
@@ -25,32 +26,21 @@ func (Silent) Honk() {}
 
 func helper() {}
 
-func takesInt(int) {}
-
 func direct() { helper() }
 
 func viaInterface(r Ringer) { r.Ring() }
 
 func caller() { viaInterface(Bell{}) }
 
-// stored invokes a func-typed variable: the builder bridges it with
-// EdgeFuncValue edges to every address-taken function of identical
-// signature.
+// stored invokes a func-typed variable: the callee is not statically
+// known, so the builder adds no edge.
 func stored() {
 	f := helper
 	f()
 }
 
-// methodValue takes a method value's address and invokes it the same
-// way.
+// methodValue invokes a method value the same way.
 func methodValue(b Bell) {
 	f := b.Ring
 	f()
-}
-
-// mismatch address-takes a function of a different signature; stored()
-// and methodValue() must not edge to it.
-func mismatch() {
-	f := takesInt
-	f(1)
 }

@@ -15,6 +15,8 @@ import (
 // errors.
 var Sink any
 
+var shared *rand.Rand // want "package-level RNG state"
+
 func wallClock() {
 	Sink = time.Now()        // want "wall-clock read time.Now"
 	start := time.Now()      // want "wall-clock read time.Now"

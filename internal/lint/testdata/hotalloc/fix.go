@@ -5,16 +5,24 @@
 // the directive grammar's failure mode.
 package hotfix
 
-import "fmt"
+import (
+	"fmt"
+
+	"smt/internal/sim"
+)
 
 // Sink absorbs values so the fixture type-checks.
 var Sink any
 
 type state struct {
-	buf []byte
+	buf  []byte
+	eng  *sim.Engine
+	fire func()
 }
 
 type msg struct{ n int }
+
+func use(int) {}
 
 // pump is this fixture's steady-state root: everything reachable from
 // it over direct and interface edges is hot.
@@ -41,6 +49,14 @@ func pump(s *state, m *msg, data []byte) {
 
 	fn := func() { m.n++ } // want "capturing closure"
 	fn()
+
+	// The alloc-free scheduling forms allocate one closure per event when
+	// handed a capturing literal; a capture-free literal (a static func
+	// value) and a prebuilt func field do not.
+	s.eng.Post(0, func() { use(m.n) })      // want "capturing closure"
+	s.eng.PostAfter(1, func() { use(m.n) }) // want "capturing closure"
+	s.eng.Post(0, func() { use(0) })
+	s.eng.PostAfter(1, s.fire)
 
 	if m.n < 0 {
 		// A guard clause ending in panic or return is cold by

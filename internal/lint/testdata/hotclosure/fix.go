@@ -1,5 +1,9 @@
-// Package hotfix is analysis-only fixture data for the hotclosure
-// analyzer (see testdata/determinism for the want-comment convention).
+// Package hotfix is analysis-only fixture data for the scheduling-closure
+// cases hotalloc took over from the retired hotclosure rule (see
+// testdata/determinism for the want-comment convention). Both methods
+// are rooted with //smt:hotroot, the way the stored arrivalFn/deliverFn
+// callbacks are, so a capturing literal handed to Engine.Post/PostAfter
+// is a hot allocation.
 package hotfix
 
 import "smt/internal/sim"
@@ -12,19 +16,23 @@ type node struct {
 
 func use(int) {}
 
+//smt:hotroot
 func (n *node) capturing(x int) {
-	n.eng.Post(0, func() { use(x) })      // want "func literal capturing"
-	n.eng.PostAfter(1, func() { use(x) }) // want "func literal capturing"
+	n.eng.Post(0, func() { use(x) })      // want "capturing closure"
+	n.eng.PostAfter(1, func() { use(x) }) // want "capturing closure"
+	// The handle-returning At/After path was out of the old rule's
+	// scope; on the hot path its capturing literal allocates all the same.
+	n.eng.At(0, func() { use(x) }) // want "capturing closure"
 }
 
 // clean shows every approved scheduling form: a capture-free literal
-// (compiles to a static func value), a prebuilt func-valued field, the
-// pooled Action forms, and the handle-returning At/After path, which
-// allocates a Timer regardless and is not the alloc-free contract.
-func (n *node) clean(x int) {
+// (compiles to a static func value), a prebuilt func-valued field, and
+// the pooled Action forms.
+//
+//smt:hotroot
+func (n *node) clean() {
 	n.eng.Post(0, func() { use(0) })
 	n.eng.PostAfter(1, n.fire)
 	n.eng.PostAction(0, n.act)
 	n.eng.PostActionAfter(1, n.act)
-	n.eng.At(0, func() { use(x) })
 }

@@ -4,25 +4,25 @@ package poolfix
 
 import "smt/internal/wire"
 
-// Taker consumes packets handed to it. Interface methods have no body
-// to infer a summary from, so //smt:owner-transfer is the declaration
-// of record — the one remaining legitimate use of the annotation.
+// Taker may consume packets handed to it, but an interface method has no
+// body to infer a summary from, so a call through it is never a
+// transfer.
 type Taker interface {
-	//smt:owner-transfer
 	Consume(p *wire.Packet)
 }
 
-// plainCall is neither annotated nor consuming, so passing a packet to
-// it does not count as a transfer — the analyzer's teeth.
+// plainCall does not consume, so passing a packet to it does not count
+// as a transfer — the analyzer's teeth.
 func plainCall(p *wire.Packet) {}
 
 type holder struct {
-	pkt *wire.Packet
+	pkt  *wire.Packet
+	take func(*wire.Packet) // a callback slot: no body to infer from either
 }
 
 // stash consumes its packet on every path (the field store hands
-// ownership to the holder). No annotation: the call-graph summary
-// proves it, and call sites get credit interprocedurally.
+// ownership to the holder): the call-graph summary proves it, and call
+// sites get credit interprocedurally.
 func stash(h *holder, p *wire.Packet) {
 	h.pkt = p
 }
@@ -35,21 +35,6 @@ func stashMaybe(h *holder, p *wire.Packet, cond bool) {
 	}
 }
 
-// annotatedRedundant consumes on every path AND carries the annotation;
-// on a bodied function the summary is authoritative, so the annotation
-// is flagged for removal.
-//
-//smt:owner-transfer // want "redundant //smt:owner-transfer on annotatedRedundant"
-func annotatedRedundant(h *holder, p *wire.Packet) {
-	h.pkt = p
-}
-
-// annotatedStale claims a transfer its body contradicts: the packet is
-// dropped on the floor. The annotation must not be believed.
-//
-//smt:owner-transfer // want "stale //smt:owner-transfer on annotatedStale"
-func annotatedStale(p *wire.Packet) {}
-
 func leakOnEarlyReturn(pool *wire.PacketPool, cond bool) {
 	pkt := pool.Get() // want "may leak"
 	if cond {
@@ -61,6 +46,16 @@ func leakOnEarlyReturn(pool *wire.PacketPool, cond bool) {
 func leakViaPlainCallee(pool *wire.PacketPool) {
 	pkt := pool.Get() // want "may leak"
 	plainCall(pkt)
+}
+
+func leakViaInterface(pool *wire.PacketPool, t Taker) {
+	pkt := pool.Get() // want "may leak"
+	t.Consume(pkt)
+}
+
+func leakViaFuncField(pool *wire.PacketPool, h *holder) {
+	pkt := pool.Get() // want "may leak"
+	h.take(pkt)
 }
 
 func leakViaPartialConsumer(pool *wire.PacketPool, h *holder, cond bool) {
@@ -93,11 +88,6 @@ func cleanDefer(pool *wire.PacketPool) {
 	pkt := pool.Get()
 	defer pkt.Release()
 	plainCall(pkt)
-}
-
-func cleanInterfaceTransfer(pool *wire.PacketPool, t Taker) {
-	pkt := pool.Get()
-	t.Consume(pkt)
 }
 
 func cleanInferredTransfer(pool *wire.PacketPool, h *holder) {

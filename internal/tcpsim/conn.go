@@ -531,6 +531,7 @@ func (c *Conn) scheduleDelivery() {
 	c.host.Eng.PostAfter(cm.WakeupLatency, c.deliverFn)
 }
 
+//smt:hotroot
 func (c *Conn) deliverCycle() {
 	cm := c.host.CM
 	n := len(c.rxPending) - c.rxHead
@@ -551,6 +552,7 @@ func (c *Conn) deliverCycle() {
 	}
 	total := cm.EpollDispatch + cm.Syscall + cm.TCPDeliver + cm.Copy(len(data)) + cpu +
 		cm.TCPPerConn*sim.Time(c.host.StreamConns)
+	//smt:allow hotalloc -- per-read-cycle app completion closure; counted in the steady-state alloc budget
 	c.host.RunApp(c.appThread, total, func() {
 		if c.appHead > 0 && c.appHead == len(c.appStream) {
 			c.appStream = c.appStream[:0]

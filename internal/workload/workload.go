@@ -217,6 +217,8 @@ func (o *OpenLoop) gap() sim.Time {
 // arrival issues one request and rearms the next arrival. Round-robin
 // placement spreads consecutive arrivals across clients first, then
 // streams, so every (client, stream) pair carries an equal share.
+//
+//smt:hotroot
 func (o *OpenLoop) arrival() {
 	now := o.eng.Now()
 	if now >= o.stop {
