@@ -61,7 +61,8 @@ func maybeAuditWorld(w *World) {
 
 // EnableAudit attaches a fresh auditor to w's network (idempotent) and
 // returns it. The auditor expects ciphertext until a stack's Setup
-// declares otherwise (BuildFabric wires that declaration).
+// declares otherwise (every harness built from a StackSpec declares
+// through wiring.declare).
 func (w *World) EnableAudit() *audit.Auditor {
 	if w.Audit == nil {
 		w.Audit = audit.New()

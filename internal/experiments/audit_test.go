@@ -83,7 +83,7 @@ func TestAuditorGreenAcrossRegistry(t *testing.T) {
 // with the audit tap attached and without it. Any engine RNG draw,
 // schedule perturbation, or packet mutation by the auditor breaks this.
 func TestAuditArtifactIdentity(t *testing.T) {
-	names := []string{"fig6", "fig10", "incast", "loadsweep"}
+	names := []string{"fig6", "fig8", "fig10", "incast", "loadsweep"}
 	maxPts := 4
 	if testing.Short() {
 		names = []string{"fig6"}

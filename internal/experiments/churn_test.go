@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"smt/internal/cpusim"
-	"smt/internal/netsim"
 	"smt/internal/rpc"
 	"smt/internal/sim"
 )
@@ -23,22 +22,18 @@ func TestChurnRegistered(t *testing.T) {
 	}
 }
 
-// TestChurnAudited runs representative churn points under the wire
-// auditor: setup must succeed, every connection's RPC must complete,
-// worlds must quiesce leak-free with zero violations, and the
-// handshake flights must actually cross the audited wire (counted,
-// exempt from the plaintext invariant).
+// TestChurnAudited dials every registered stack at its default policy
+// under the wire auditor: setup must succeed, every connection's RPC
+// must complete, worlds must quiesce leak-free with zero violations,
+// and the handshake flights must actually cross the audited wire
+// (counted, exempt from the plaintext invariant).
 func TestChurnAudited(t *testing.T) {
 	rate := ChurnRates[1]
-	stacks := []string{"SMT-sw", "kTLS-sw", "Homa", "TCP"}
 	if testing.Short() {
 		rate = ChurnRates[0]
-		stacks = []string{"SMT-sw", "kTLS-sw"}
 	}
-	for _, name := range stacks {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			spec := mustStack(name)
+	for _, spec := range Stacks() {
+		t.Run(spec.Name, func(t *testing.T) {
 			policy := ChurnPolicyFor(spec)
 			SetAuditAll(true)
 			r, err := MeasureChurn(spec, policy, rate, ChurnSeed(rate))
@@ -134,36 +129,60 @@ func TestChurnZeroRTTSeparation(t *testing.T) {
 	}
 }
 
-// TestDialedMatchesPrepaired: once established, a dialed connection is
+// TestDialedMatchesPrepaired: once established, a Dialer connection is
 // the same connection the pre-paired fast path builds — steady-state
 // RPC latency must agree closely (the keys differ, the costs don't).
+// Both sides run the same 2-stream 1 KB closed loop on NewWorld(777):
+// over a BuildFabric world, and over two HS1RTT dials.
 func TestDialedMatchesPrepaired(t *testing.T) {
 	for _, name := range []string{"SMT-sw", "kTLS-sw"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			sys := must(BuildFabric(mustStack(name)))
-			measure := func(dialed bool) float64 {
-				w := NewFabricWorld(777, netsim.Topology{Hosts: 2})
-				var loop *rpc.ClosedLoop
-				issue, err := sys.Setup(w, []*cpusim.Host{w.Client}, w.Server,
-					FabricConfig{StreamsPerClient: 2, MTU: mtuOrDefault(0), Dialed: dialed},
-					func(_ int, reqID uint64) { loop.Done(reqID) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				loop = rpc.NewClosedLoop(w.Eng, func(stream int, reqID uint64) {
-					issue(0, stream, reqID, 1024, rpc.MinSize)
-				})
+			spec := mustStack(name)
+			var loop *rpc.ClosedLoop
+			measure := func(w *World, issue func(stream int, reqID uint64)) float64 {
+				loop = rpc.NewClosedLoop(w.Eng, issue)
 				start := w.Eng.Now()
 				loop.Start(2, start+200*sim.Microsecond, start+3*sim.Millisecond)
 				w.Eng.RunUntil(start + 4*sim.Millisecond)
 				if loop.Completed == 0 {
-					t.Fatalf("dialed=%v: no RPCs completed", dialed)
+					t.Fatal("no RPCs completed")
 				}
 				return loop.Latency.Mean()
 			}
-			pre := measure(false)
-			dialed := measure(true)
+
+			w := NewWorld(777)
+			issue, err := must(BuildFabric(spec)).Setup(w, []*cpusim.Host{w.Client}, w.Server,
+				FabricConfig{StreamsPerClient: 2, MTU: mtuOrDefault(0)},
+				func(_ int, reqID uint64) { loop.Done(reqID) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			pre := measure(w, func(stream int, reqID uint64) { issue(0, stream, reqID, 1024, rpc.MinSize) })
+
+			w = NewWorld(777)
+			d, err := NewDialer(w, spec, DialConfig{Policy: HS1RTT})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var conns []*DialedConn
+			for i := 0; i < 2; i++ {
+				d.Dial(w.Client, func(reqID uint64) { loop.Done(reqID) }, func(c *DialedConn, err error) {
+					if err != nil {
+						t.Errorf("dial: %v", err)
+						return
+					}
+					conns = append(conns, c)
+				})
+			}
+			for deadline := w.Eng.Now() + 50*sim.Millisecond; len(conns) < 2 && w.Eng.Now() < deadline; {
+				w.Eng.RunUntil(w.Eng.Now() + sim.Millisecond)
+			}
+			if len(conns) != 2 {
+				t.Fatalf("%d of 2 dials established", len(conns))
+			}
+			dialed := measure(w, func(stream int, reqID uint64) { conns[stream].Issue(reqID, 1024, rpc.MinSize) })
+
+			t.Logf("pre-paired %.1fns, dialed %.1fns", pre, dialed)
 			if r := dialed/pre - 1; r < -0.03 || r > 0.03 {
 				t.Errorf("steady-state mean RPC latency diverges: pre-paired %.1fns, dialed %.1fns (%.1f%%)",
 					pre, dialed, r*100)

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"smt/internal/core"
 	"smt/internal/homa"
-	"smt/internal/ktls"
 	"smt/internal/kvstore"
 	"smt/internal/rpc"
 	"smt/internal/sim"
@@ -36,7 +34,8 @@ var (
 // single-threaded (app thread 0 on the server host), exactly like Redis:
 // all request parsing, DB work, response building and the send-path
 // costs (including software crypto) run there. Like FabricSystem it is
-// composed from a StackSpec — see BuildRedis.
+// composed from a StackSpec — BuildRedis runs redisOverMsg or
+// redisOverTCP over the spec's resolved wiring.
 type redisSystem struct {
 	name  string
 	setup func(w *World, streams, valueSize int, done func(reqID uint64, resp []byte)) (func(stream int, reqID uint64, req []byte), error)
@@ -55,19 +54,68 @@ func kvUnwrap(m []byte) (uint64, []byte, bool) {
 	return id, m[rpc.MinSize:], true
 }
 
-// msgSock adapts homa and SMT sockets to a common shape.
-type msgSock interface {
-	OnMessage(func(homa.Delivery))
-	Send(dst uint32, port uint16, payload []byte, thread int) uint64
-	Port() uint16
+// BuildRedis composes the §5.3 Redis harness for a spec from the same
+// resolved wiring as BuildFabric: bytestream record layers plug into
+// the TCP wiring, the message transport carries plain Homa or SMT
+// records, and inexpressible combinations return resolve's errors.
+func BuildRedis(spec StackSpec) (redisSystem, error) {
+	wr, err := resolve(spec)
+	if err != nil {
+		return redisSystem{}, err
+	}
+	setup := redisOverTCP
+	if wr.msg != nil {
+		setup = redisOverMsg
+	}
+	return redisSystem{name: wr.name, setup: func(w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
+		wr.declare(w)
+		return setup(wr, w, streams, valueSize, done)
+	}}, nil
 }
 
-func redisOverMsg(name string, mkSock func(w *World, port uint16, server bool) msgSock, pair func(cli, srv msgSock) error) redisSystem {
-	return redisSystem{name: name, setup: func(w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
-		store := kvstore.New(w.CM, fig8Keys, valueSize)
-		srv := mkSock(w, ServerPort, true)
-		srv.OnMessage(func(d homa.Delivery) {
-			id, body, ok := kvUnwrap(d.Payload)
+// redisOverMsg wires the kvstore behind a message-transport stack: a
+// server socket delivering into thread 0 and one client socket,
+// pre-paired with it.
+func redisOverMsg(wr wiring, w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
+	store := kvstore.New(w.CM, fig8Keys, valueSize)
+	srv := wr.msg.open(w.Server, homa.Config{Port: ServerPort, AppThreads: []int{0}})
+	srv.OnMessage(func(d homa.Delivery) {
+		id, body, ok := kvUnwrap(d.Payload)
+		if !ok {
+			return
+		}
+		req, err := kvstore.DecodeRequest(body)
+		if err != nil {
+			return
+		}
+		resp, cpu := store.Execute(req)
+		// Single-threaded server: everything on thread 0.
+		w.Server.RunApp(0, cpu, func() {
+			srv.Send(d.Src, d.SrcPort, kvWrap(id, resp), 0)
+		})
+	})
+	cli := wr.msg.open(w.Client, homa.Config{})
+	cli.OnMessage(func(d homa.Delivery) {
+		if id, body, ok := kvUnwrap(d.Payload); ok {
+			done(id, body)
+		}
+	})
+	if err := wr.msg.pair(cli, srv, 31); err != nil {
+		return nil, fmt.Errorf("%s: pair sessions: %w", wr.name, err)
+	}
+	return func(stream int, reqID uint64, req []byte) {
+		cli.Send(ServerAddr, ServerPort, kvWrap(reqID, req), stream%AppThreads)
+	}, nil
+}
+
+// redisOverTCP wires the kvstore behind the TCP family with one
+// connection per client stream, keyed per connection through the
+// stack's stream record layer (plaintext when it has none).
+func redisOverTCP(wr wiring, w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
+	store := kvstore.New(w.CM, fig8Keys, valueSize)
+	tcpsim.Listen(w.Server, serverPortK, tcpsim.Config{}, wr.rec.serverCodecs(w.CM), func() int { return 0 /* single-threaded server */ }, func(c *tcpsim.Conn) {
+		c.OnMessage(func(m []byte) {
+			id, body, ok := kvUnwrap(m)
 			if !ok {
 				return
 			}
@@ -76,163 +124,24 @@ func redisOverMsg(name string, mkSock func(w *World, port uint16, server bool) m
 				return
 			}
 			resp, cpu := store.Execute(req)
-			// Single-threaded server: everything on thread 0.
-			w.Server.RunApp(0, cpu, func() {
-				srv.Send(d.Src, d.SrcPort, kvWrap(id, resp), 0)
-			})
+			w.Server.RunApp(0, cpu, func() { c.SendMessage(kvWrap(id, resp)) })
 		})
-		cli := mkSock(w, 0, false)
-		cli.OnMessage(func(d homa.Delivery) {
-			if id, body, ok := kvUnwrap(d.Payload); ok {
+	})
+	cliCodecs := wr.rec.clientCodecs(w.CM, w.Client.Addr)
+	conns := make([]*tcpsim.Conn, streams)
+	for i := range conns {
+		c := tcpsim.Dial(w.Client, i%AppThreads, tcpsim.Config{}, cliCodecs, ServerAddr, serverPortK, nil)
+		c.OnMessage(func(m []byte) {
+			if id, body, ok := kvUnwrap(m); ok {
 				done(id, body)
 			}
 		})
-		if pair != nil {
-			if err := pair(cli, srv); err != nil {
-				return nil, fmt.Errorf("%s: pair sessions: %w", name, err)
-			}
-		}
-		return func(stream int, reqID uint64, req []byte) {
-			cli.Send(ServerAddr, ServerPort, kvWrap(reqID, req), stream%AppThreads)
-		}, nil
-	}}
-}
-
-func redisHoma(name string) redisSystem {
-	return redisOverMsg(name, func(w *World, port uint16, server bool) msgSock {
-		cfg := homa.Config{Port: port}
-		if server {
-			cfg.AppThreads = []int{0}
-		}
-		host := w.Client
-		if server {
-			host = w.Server
-		}
-		return homa.NewSocket(host, cfg, nil)
-	}, nil)
-}
-
-func redisSMT(name string, hw bool) redisSystem {
-	return redisOverMsg(name, func(w *World, port uint16, server bool) msgSock {
-		cfg := core.Config{HWOffload: hw, Transport: homa.Config{Port: port}}
-		if server {
-			cfg.Transport.AppThreads = []int{0}
-		}
-		host := w.Client
-		if server {
-			host = w.Server
-		}
-		return core.NewSocket(host, cfg)
-	}, func(cli, srv msgSock) error {
-		return core.PairSessions(cli.(*core.Socket), cli.Port(), srv.(*core.Socket), ServerPort, 31)
-	})
-}
-
-// redisOverTCP wires the kvstore behind the TCP family with one
-// connection per client stream; nil rec means plain TCP. Key material
-// is derived per connection (ktls.ConnKeys), never shared.
-func redisOverTCP(name string, rec *streamRecord) redisSystem {
-	return redisSystem{name: name, setup: func(w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
-		if rec != nil {
-			if err := rec.validate(w.CM); err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-		}
-		store := kvstore.New(w.CM, fig8Keys, valueSize)
-		var srvCodec func(peerAddr uint32, peerPort uint16) tcpsim.Codec
-		if rec != nil {
-			srvCodec = func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
-				_, sk := ktls.ConnKeys(rec.label, peerAddr, peerPort)
-				return rec.mustCodec(w.CM, sk)
-			}
-		}
-		tcpsim.Listen(w.Server, serverPortK, tcpsim.Config{}, srvCodec, func() int { return 0 /* single-threaded server */ }, func(c *tcpsim.Conn) {
-			c.OnMessage(func(m []byte) {
-				id, body, ok := kvUnwrap(m)
-				if !ok {
-					return
-				}
-				req, err := kvstore.DecodeRequest(body)
-				if err != nil {
-					return
-				}
-				resp, cpu := store.Execute(req)
-				w.Server.RunApp(0, cpu, func() { c.SendMessage(kvWrap(id, resp)) })
-			})
-		})
-		conns := make([]*tcpsim.Conn, streams)
-		for i := 0; i < streams; i++ {
-			var cliCodec func(localPort uint16) tcpsim.Codec
-			if rec != nil {
-				cliCodec = func(localPort uint16) tcpsim.Codec {
-					ck, _ := ktls.ConnKeys(rec.label, w.Client.Addr, localPort)
-					return rec.mustCodec(w.CM, ck)
-				}
-			}
-			c := tcpsim.Dial(w.Client, i%AppThreads, tcpsim.Config{}, cliCodec, ServerAddr, serverPortK, nil)
-			c.OnMessage(func(m []byte) {
-				if id, body, ok := kvUnwrap(m); ok {
-					done(id, body)
-				}
-			})
-			conns[i] = c
-		}
-		w.Eng.RunUntil(w.Eng.Now() + 5*sim.Millisecond)
-		return func(stream int, reqID uint64, req []byte) {
-			conns[stream].SendMessage(kvWrap(reqID, req))
-		}, nil
-	}}
-}
-
-// BuildRedis composes the §5.3 Redis harness for a spec, mirroring
-// BuildFabric's matrix: bytestream record layers plug into the TCP
-// wiring, the message transport carries plain Homa or SMT records, and
-// inexpressible combinations return the same descriptive errors.
-func BuildRedis(spec StackSpec) (redisSystem, error) {
-	sys, err := buildRedis(spec)
-	if err != nil {
-		return redisSystem{}, err
+		conns[i] = c
 	}
-	// Declare the spec's encryption policy to the world's wire auditor
-	// (when one is attached), mirroring BuildFabric.
-	encrypted := spec.Record != RecordPlain
-	inner := sys.setup
-	sys.setup = func(w *World, streams, valueSize int, done func(uint64, []byte)) (func(int, uint64, []byte), error) {
-		if w.Audit != nil {
-			w.Audit.SetExpectCiphertext(encrypted)
-		}
-		return inner(w, streams, valueSize, done)
-	}
-	return sys, nil
-}
-
-func buildRedis(spec StackSpec) (redisSystem, error) {
-	switch spec.Transport {
-	case TransportTCP:
-		rec, err := streamRecordFor(spec)
-		if err != nil {
-			return redisSystem{}, err
-		}
-		return redisOverTCP(spec.name(), rec), nil
-	case TransportHoma:
-		switch spec.Record {
-		case RecordPlain:
-			return redisHoma(spec.name()), nil
-		case RecordSMTSW:
-			return redisSMT(spec.name(), false), nil
-		case RecordSMTHW:
-			return redisSMT(spec.name(), true), nil
-		default:
-			// Delegate to BuildFabric for the canonical mismatch error.
-			_, err := BuildFabric(spec)
-			if err == nil {
-				err = fmt.Errorf("stack %s: no redis wiring for record layer %q", spec.name(), spec.Record)
-			}
-			return redisSystem{}, err
-		}
-	default:
-		return redisSystem{}, fmt.Errorf("stack %s: unknown transport %q (have tcp, homa)", spec.name(), spec.Transport)
-	}
+	w.Eng.RunUntil(w.Eng.Now() + 5*sim.Millisecond)
+	return func(stream int, reqID uint64, req []byte) {
+		conns[stream].SendMessage(kvWrap(reqID, req))
+	}, nil
 }
 
 // MeasureRedis runs one (system, workload, value size) cell of Figure 8.

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"sync"
 
+	"smt/internal/core"
 	"smt/internal/cost"
 	"smt/internal/cpusim"
+	"smt/internal/homa"
 	"smt/internal/ktls"
 	"smt/internal/tcpls"
 	"smt/internal/tcpsim"
@@ -16,13 +18,14 @@ import (
 // This file is the composable stack registry: the paper's design-space
 // decomposition (Table 1) as an API. A stack under test is not an opaque
 // closure but a StackSpec — a transport crossed with a record layer —
-// and BuildFabric composes the two from small per-layer constructors.
-// The runnable matrix is therefore open: every registered spec runs on
-// every World shape (two-host and switched fabric), and combinations the
+// and resolve turns it into the sockets and codecs every harness
+// (BuildFabric, BuildRedis, NewDialer) is built from. The runnable
+// matrix is therefore open: every registered spec runs on every World
+// shape (two-host and switched fabric), and combinations the
 // decomposition cannot express (a bytestream record layer on a message
 // transport, or SMT's transport-integrated records over TCP) are
-// rejected by the builder with a descriptive error instead of silently
-// not existing.
+// rejected by resolve with a descriptive error instead of silently not
+// existing.
 
 // Transport selects the layer that moves bytes or messages between
 // hosts.
@@ -97,8 +100,8 @@ type streamRecord struct {
 }
 
 // validate constructs a probe codec pair so key-material or constructor
-// errors surface as error returns (from BuildFabric and Setup) instead
-// of failing later inside a tcpsim accept path that cannot return one.
+// errors surface as error returns (from resolve) instead of failing
+// later inside a tcpsim accept path that cannot return one.
 func (r *streamRecord) validate(cm *cost.Model) error {
 	ck, sk := ktls.ConnKeys(r.label, 0, 0)
 	if _, err := r.newCodec(cm, ck); err != nil {
@@ -116,10 +119,37 @@ func (r *streamRecord) validate(cm *cost.Model) error {
 func (r *streamRecord) mustCodec(cm *cost.Model, keys ktls.Keys) tcpsim.Codec {
 	c, err := r.newCodec(cm, keys)
 	if err != nil {
-		//smt:allow panic -- the spec was validated at RegisterStack; failing after validation is a programming error
+		//smt:allow panic -- resolve validated this record layer before any harness could reach it; failing after validation is a programming error
 		panic(fmt.Sprintf("experiments: %s codec failed after validation: %v", r.label, err))
 	}
 	return c
+}
+
+// serverCodecs is the tcpsim.Listen codec factory of a pre-keyed
+// listener: each accepted connection derives its own mirrored keys from
+// the record layer's label and the client half of its 4-tuple
+// (ktls.ConnKeys), so no two connections in any world share keys. A nil
+// record is plaintext.
+func (r *streamRecord) serverCodecs(cm *cost.Model) func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
+	if r == nil {
+		return nil
+	}
+	return func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
+		_, sk := ktls.ConnKeys(r.label, peerAddr, peerPort)
+		return r.mustCodec(cm, sk)
+	}
+}
+
+// clientCodecs is the matching tcpsim.Dial codec factory for a client
+// at addr.
+func (r *streamRecord) clientCodecs(cm *cost.Model, addr uint32) func(localPort uint16) tcpsim.Codec {
+	if r == nil {
+		return nil
+	}
+	return func(localPort uint16) tcpsim.Codec {
+		ck, _ := ktls.ConnKeys(r.label, addr, localPort)
+		return r.mustCodec(cm, ck)
+	}
 }
 
 // streamRecordFor maps a spec onto its bytestream record constructor;
@@ -151,67 +181,112 @@ func streamRecordFor(spec StackSpec) (*streamRecord, error) {
 	}
 }
 
-// BuildFabric composes a runnable FabricSystem from a spec: the
-// transport wiring from the transport constructors in world.go, the
-// codec/session setup from the record-layer constructors above. A
-// combination the decomposition cannot express returns a descriptive
-// error; nothing in the build path panics on bad input.
-//
-// The composed Setup also declares the spec's encryption policy to the
-// world's wire auditor (when one is attached): plain record layers are
-// allowed plaintext on the wire, everything else must show ciphertext.
-func BuildFabric(spec StackSpec) (FabricSystem, error) {
-	f, err := buildFabric(spec)
-	if err != nil {
-		return FabricSystem{}, err
-	}
-	return withAuditPolicy(f, spec.Record != RecordPlain), nil
+// msgSock is what the harnesses use of a message-transport socket;
+// homa.Socket and core.Socket both provide it.
+type msgSock interface {
+	OnMessage(func(homa.Delivery))
+	Send(dst uint32, port uint16, payload []byte, thread int) uint64
+	Port() uint16
+	Close()
 }
 
-// withAuditPolicy wraps a fabric Setup so the world's auditor (if any)
-// learns whether this stack's data path is expected to be ciphertext
-// before any traffic flows.
-func withAuditPolicy(f FabricSystem, encrypted bool) FabricSystem {
-	inner := f.Setup
-	f.Setup = func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-		if w.Audit != nil {
-			w.Audit.SetExpectCiphertext(encrypted)
-		}
-		return inner(w, clients, server, cfg, done)
+// msgTransport is the message-transport half of a homa stack: plain
+// Homa, or SMT's transport-integrated records in software crypto or
+// with NIC offload on transmit (hw).
+type msgTransport struct{ smt, hw bool }
+
+// open binds one of the stack's sockets on host.
+func (m *msgTransport) open(host *cpusim.Host, cfg homa.Config) msgSock {
+	if !m.smt {
+		return homa.NewSocket(host, cfg, nil)
 	}
-	return f
+	return core.NewSocket(host, core.Config{Transport: cfg, HWOffload: m.hw})
 }
 
-// buildFabric is BuildFabric without the audit-policy wrapper.
-func buildFabric(spec StackSpec) (FabricSystem, error) {
+// pair pre-pairs client socket cli with the server socket srv bound on
+// ServerPort: SMT sessions get mirrored keys derived from seed
+// (core.PairSessions), the state both ends reach after a handshake.
+// Homa has no session to install.
+func (m *msgTransport) pair(cli, srv msgSock, seed byte) error {
+	if !m.smt {
+		return nil
+	}
+	return core.PairSessions(cli.(*core.Socket), cli.Port(), srv.(*core.Socket), ServerPort, seed)
+}
+
+// wiring is a StackSpec resolved into the parts every harness builds
+// it from: the message transport's sockets (msg, homa stacks) or the
+// bytestream record layer (rec, tcp stacks; nil for plaintext TCP).
+type wiring struct {
+	name      string
+	encrypted bool
+	msg       *msgTransport
+	rec       *streamRecord
+}
+
+// resolve decides the transport × record matrix for every harness —
+// BuildFabric, BuildRedis and NewDialer all build from its wiring. A
+// combination the decomposition cannot express gets a descriptive
+// error naming the stack and the record layer; a stream record layer
+// is validated here, once, so no harness can fail on it later.
+func resolve(spec StackSpec) (wiring, error) {
+	wr := wiring{name: spec.name(), encrypted: spec.Record != RecordPlain}
 	switch spec.Transport {
 	case TransportTCP:
 		rec, err := streamRecordFor(spec)
 		if err != nil {
-			return FabricSystem{}, err
+			return wiring{}, err
 		}
 		if rec != nil {
 			if err := rec.validate(cost.Default()); err != nil {
-				return FabricSystem{}, fmt.Errorf("stack %s: %w", spec.name(), err)
+				return wiring{}, fmt.Errorf("stack %s: %w", wr.name, err)
 			}
 		}
-		return tcpFabricFamily(spec.name(), rec), nil
+		wr.rec = rec
 	case TransportHoma:
 		switch spec.Record {
-		case RecordPlain:
-			return homaFabric(spec.name()), nil
-		case RecordSMTSW:
-			return smtFabric(spec.name(), false), nil
-		case RecordSMTHW:
-			return smtFabric(spec.name(), true), nil
+		case RecordPlain, RecordSMTSW, RecordSMTHW:
+			wr.msg = &msgTransport{smt: wr.encrypted, hw: spec.Record == RecordSMTHW}
 		case RecordUserTLS, RecordKTLSSW, RecordKTLSHW, RecordTCPLS:
-			return FabricSystem{}, fmt.Errorf("stack %s: record layer %q protects a TCP bytestream; the homa transport delivers whole messages with no byte sequence to cut records from — use smt-sw or smt-hw for encryption integrated into the message transport", spec.name(), spec.Record)
+			return wiring{}, fmt.Errorf("stack %s: record layer %q protects a TCP bytestream; the homa transport delivers whole messages with no byte sequence to cut records from — use smt-sw or smt-hw for encryption integrated into the message transport", wr.name, spec.Record)
 		default:
-			return FabricSystem{}, fmt.Errorf("stack %s: unknown record layer %q", spec.name(), spec.Record)
+			return wiring{}, fmt.Errorf("stack %s: unknown record layer %q", wr.name, spec.Record)
 		}
 	default:
-		return FabricSystem{}, fmt.Errorf("stack %s: unknown transport %q (have tcp, homa)", spec.name(), spec.Transport)
+		return wiring{}, fmt.Errorf("stack %s: unknown transport %q (have tcp, homa)", wr.name, spec.Transport)
 	}
+	return wr, nil
+}
+
+// declare tells the world's wire auditor (when one is attached) the
+// stack's encryption policy before any traffic flows: plain record
+// layers are allowed plaintext on the wire, everything else must show
+// ciphertext.
+func (wr wiring) declare(w *World) {
+	if w.Audit != nil {
+		w.Audit.SetExpectCiphertext(wr.encrypted)
+	}
+}
+
+// BuildFabric composes a runnable FabricSystem from a spec: the echo
+// wiring of its transport (world.go) over the sockets or record layer
+// resolve chose. A combination the decomposition cannot express returns
+// a descriptive error; nothing in the build path panics on bad input.
+// The composed Setup declares the spec's encryption policy to the
+// world's wire auditor.
+func BuildFabric(spec StackSpec) (FabricSystem, error) {
+	wr, err := resolve(spec)
+	if err != nil {
+		return FabricSystem{}, err
+	}
+	setup := fabricOverTCP
+	if wr.msg != nil {
+		setup = fabricOverMsg
+	}
+	return FabricSystem{Name: wr.name, Setup: func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
+		wr.declare(w)
+		return setup(wr, w, clients, server, cfg, done)
+	}}, nil
 }
 
 // BuildSystem composes the two-host System adapter for a spec.

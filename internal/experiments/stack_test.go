@@ -61,18 +61,23 @@ func TestStackCatalogue(t *testing.T) {
 	}
 }
 
-// TestStackMatrix builds every cell of the transport × record matrix:
-// the buildable half composes, the rest returns a descriptive error —
-// never a panic, never a silent omission.
+// TestStackMatrix builds every cell of the transport × record matrix
+// through all three harness builders — BuildFabric, BuildRedis and
+// NewDialer at the cell's ChurnPolicyFor — which share one resolver:
+// the buildable half composes in all three, the rest fails in all three
+// with the same descriptive error naming the stack and the record
+// layer — never a panic, never a silent omission.
 func TestStackMatrix(t *testing.T) {
 	for _, tr := range allTransports {
 		for _, rec := range allRecords {
 			spec := StackSpec{Transport: tr, Record: rec}
 			sys, err := BuildFabric(spec)
+			redis, rerr := BuildRedis(spec)
+			_, derr := NewDialer(NewWorld(1), spec, DialConfig{Policy: ChurnPolicyFor(spec)})
 			if buildableCells[tr][rec] {
-				if err != nil {
-					t.Errorf("%s × %s should build: %v", tr, rec, err)
-				} else if sys.Name == "" || sys.Setup == nil {
+				if err != nil || rerr != nil || derr != nil {
+					t.Errorf("%s × %s should build: BuildFabric %v, BuildRedis %v, NewDialer %v", tr, rec, err, rerr, derr)
+				} else if sys.Name == "" || sys.Setup == nil || redis.name == "" || redis.setup == nil {
 					t.Errorf("%s × %s built an empty system", tr, rec)
 				}
 				continue
@@ -82,9 +87,27 @@ func TestStackMatrix(t *testing.T) {
 				continue
 			}
 			msg := err.Error()
-			if !strings.Contains(msg, string(rec)) {
-				t.Errorf("%s × %s error %q does not name the record layer", tr, rec, msg)
+			if !strings.Contains(msg, spec.name()) || !strings.Contains(msg, string(rec)) {
+				t.Errorf("%s × %s error %q does not name the stack and the record layer", tr, rec, msg)
 			}
+			for _, b := range []struct {
+				builder string
+				err     error
+			}{{"BuildRedis", rerr}, {"NewDialer", derr}} {
+				if b.err == nil || b.err.Error() != msg {
+					t.Errorf("%s × %s: %s error %v, want BuildFabric's %q", tr, rec, b.builder, b.err, msg)
+				}
+			}
+		}
+	}
+	// A buildable stack still rejects a handshake policy it cannot run.
+	for _, c := range []struct {
+		stack  string
+		policy HandshakePolicy
+	}{{"TCP", HS1RTT}, {"SMT-sw", HSResume}, {"kTLS-sw", HS0RTT}} {
+		_, err := NewDialer(NewWorld(1), mustStack(c.stack), DialConfig{Policy: c.policy})
+		if err == nil || !strings.Contains(err.Error(), c.stack) || !strings.Contains(err.Error(), c.policy.String()) {
+			t.Errorf("%s dialing %v: want an error naming both, got %v", c.stack, c.policy, err)
 		}
 	}
 	// The two mismatch directions read as design-space arguments, not

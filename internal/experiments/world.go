@@ -22,9 +22,10 @@
 //     the shape tests and the bench module call them directly.
 //
 // The systems under test are composed, not hardwired: a StackSpec names
-// a transport × record-layer cell and BuildFabric assembles it from the
-// per-layer constructors in this file (tcpFabricFamily, homaFabric,
-// smtFabric) — see stack.go for the registry and the buildable matrix.
+// a transport × record-layer cell, resolve (stack.go) decides which
+// sockets and codecs it is built from, and BuildFabric runs the echo
+// wiring of its transport in this file (fabricOverMsg, fabricOverTCP) —
+// see stack.go for the registry and the buildable matrix.
 //
 // Worlds come in two shapes. NewWorld builds the paper's two-host
 // back-to-back testbed; NewFabricWorld builds an N-host fabric from a
@@ -38,11 +39,9 @@ import (
 	"fmt"
 
 	"smt/internal/audit"
-	"smt/internal/core"
 	"smt/internal/cost"
 	"smt/internal/cpusim"
 	"smt/internal/homa"
-	"smt/internal/ktls"
 	"smt/internal/netsim"
 	"smt/internal/rpc"
 	"smt/internal/sim"
@@ -151,13 +150,6 @@ type FabricConfig struct {
 	MTU int
 	// NoTSO makes the stack cut packets in software (Fig. 11 ablation).
 	NoTSO bool
-	// Dialed establishes encrypted sessions by running a live 1-RTT
-	// key exchange over the fabric (dial.go) instead of installing
-	// pre-paired mirrored keys (core.PairSessions / ktls.ConnKeys).
-	// Off by default: the figure experiments measure steady state, so
-	// they pre-pair, exactly as the paper's harness pre-establishes
-	// connections before measuring.
-	Dialed bool
 }
 
 // FabricSystem is a System generalized to N hosts: Setup wires one echo
@@ -201,191 +193,103 @@ func serverThreads() []int {
 	return threads
 }
 
-// --- message-transport wiring (homa × {plain, smt-sw, smt-hw}) ---
+// --- the echo wirings BuildFabric chooses between ---
+//
+// Both pre-establish every session before measuring, as the paper's
+// harness does: the figure experiments measure steady state. Dialed
+// connections, with a live key exchange, are the churn Dialer's
+// (dial.go).
 
-// homaFabric is the plain message-transport constructor: Homa with no
-// record layer.
-func homaFabric(name string) FabricSystem {
-	return FabricSystem{Name: name, Setup: func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-		// encBuf is the world's RPC-payload scratch: the transports copy
-		// the payload synchronously in Send, and the whole world runs on
-		// one goroutine, so one buffer serves every send.
-		var encBuf []byte
-		srv := homa.NewSocket(server, homa.Config{Port: ServerPort, MTU: cfg.MTU, NoTSO: cfg.NoTSO, AppThreads: serverThreads()}, nil)
-		srv.OnMessage(func(d homa.Delivery) {
+// fabricOverMsg wires the echo service over a message-transport stack:
+// one server socket delivering into every app thread, and one socket
+// per client pre-paired with it.
+func fabricOverMsg(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
+	// encBuf is the world's RPC-payload scratch: the transports copy
+	// the payload synchronously in Send, and the whole world runs on
+	// one goroutine, so one buffer serves every send.
+	var encBuf []byte
+	srv := wr.msg.open(server, homa.Config{Port: ServerPort, MTU: cfg.MTU, NoTSO: cfg.NoTSO, AppThreads: serverThreads()})
+	// Bound once: capturing the two-word interface in the per-response
+	// closure would move that allocation up a size class.
+	send := srv.Send
+	srv.OnMessage(func(d homa.Delivery) {
+		w.checkDelivery(d.Payload)
+		id, respSize, err := rpc.Decode(d.Payload)
+		if err != nil {
+			return
+		}
+		server.RunApp(d.AppThread, w.CM.AppLogic, func() {
+			encBuf = rpc.AppendEncode(encBuf, id, 0, int(respSize))
+			send(d.Src, d.SrcPort, encBuf, d.AppThread)
+		})
+	})
+	clis := make([]msgSock, len(clients))
+	for ci, ch := range clients {
+		cli := wr.msg.open(ch, homa.Config{MTU: cfg.MTU, NoTSO: cfg.NoTSO})
+		// Each client pair gets its own session keys, as one TLS
+		// handshake per flow 5-tuple would produce (§4.2).
+		if err := wr.msg.pair(cli, srv, byte(11+ci)); err != nil {
+			return nil, fmt.Errorf("%s: pair sessions for client %d: %w", wr.name, ci, err)
+		}
+		cli.OnMessage(func(d homa.Delivery) {
 			w.checkDelivery(d.Payload)
-			id, respSize, err := rpc.Decode(d.Payload)
+			if id, _, err := rpc.Decode(d.Payload); err == nil {
+				done(ci, id)
+			}
+		})
+		clis[ci] = cli
+	}
+	return func(client, stream int, reqID uint64, size, respSize int) {
+		encBuf = rpc.AppendEncode(encBuf, reqID, uint32(respSize), size)
+		clis[client].Send(server.Addr, ServerPort, encBuf, stream%AppThreads)
+	}, nil
+}
+
+// fabricOverTCP wires the echo service over a bytestream stack: one
+// connection per (client, stream), keyed per connection through the
+// stack's stream record layer (plaintext when it has none).
+func fabricOverTCP(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
+	var encBuf []byte // world-scoped RPC scratch (see fabricOverMsg)
+	tcfg := tcpsim.Config{MTU: cfg.MTU}
+	nextThread := 0
+	tcpsim.Listen(server, serverPortK, tcfg, wr.rec.serverCodecs(w.CM), func() int {
+		t := nextThread
+		nextThread = (nextThread + 1) % AppThreads
+		return t
+	}, func(c *tcpsim.Conn) {
+		c.OnMessage(func(m []byte) {
+			w.checkDelivery(m)
+			id, respSize, err := rpc.Decode(m)
 			if err != nil {
 				return
 			}
-			server.RunApp(d.AppThread, w.CM.AppLogic, func() {
+			server.RunApp(c.AppThread(), w.CM.AppLogic, func() {
 				encBuf = rpc.AppendEncode(encBuf, id, 0, int(respSize))
-				srv.Send(d.Src, d.SrcPort, encBuf, d.AppThread)
+				c.SendMessage(encBuf)
 			})
 		})
-		clis := make([]*homa.Socket, len(clients))
-		for ci, ch := range clients {
-			ci := ci
-			cli := homa.NewSocket(ch, homa.Config{MTU: cfg.MTU, NoTSO: cfg.NoTSO}, nil)
-			cli.OnMessage(func(d homa.Delivery) {
-				w.checkDelivery(d.Payload)
-				if id, _, err := rpc.Decode(d.Payload); err == nil {
-					done(ci, id)
-				}
-			})
-			clis[ci] = cli
-		}
-		return func(client, stream int, reqID uint64, size, respSize int) {
-			encBuf = rpc.AppendEncode(encBuf, reqID, uint32(respSize), size)
-			clis[client].Send(server.Addr, ServerPort, encBuf, stream%AppThreads)
-		}, nil
-	}}
-}
-
-// smtFabric is the transport-integrated record constructor: the homa
-// transport with SMT record protection (software crypto, or NIC offload
-// on transmit when hw is set).
-func smtFabric(name string, hw bool) FabricSystem {
-	return FabricSystem{Name: name, Setup: func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-		var encBuf []byte // world-scoped RPC scratch (see homaFabric)
-		srv := core.NewSocket(server, core.Config{
-			Transport: homa.Config{Port: ServerPort, MTU: cfg.MTU, NoTSO: cfg.NoTSO, AppThreads: serverThreads()},
-			HWOffload: hw,
-		})
-		clis := make([]*core.Socket, len(clients))
-		for ci, ch := range clients {
-			ci := ci
-			cli := core.NewSocket(ch, core.Config{
-				Transport: homa.Config{MTU: cfg.MTU, NoTSO: cfg.NoTSO},
-				HWOffload: hw,
-			})
-			// Each client pair gets its own session keys, as one TLS
-			// handshake per flow 5-tuple would produce (§4.2). Dialed
-			// worlds derive them from a live exchange instead (below).
-			if !cfg.Dialed {
-				if err := core.PairSessions(cli, cli.Port(), srv, ServerPort, byte(11+ci)); err != nil {
-					return nil, fmt.Errorf("%s: pair sessions for client %d: %w", name, ci, err)
-				}
-			}
-			cli.OnMessage(func(d homa.Delivery) {
-				w.checkDelivery(d.Payload)
-				if id, _, err := rpc.Decode(d.Payload); err == nil {
-					done(ci, id)
-				}
-			})
-			clis[ci] = cli
-		}
-		if cfg.Dialed {
-			if err := dialSMTSessions(w, name, srv, server, clis, clients, cfg.MTU); err != nil {
-				return nil, err
-			}
-		}
-		srv.OnMessage(func(d homa.Delivery) {
-			w.checkDelivery(d.Payload)
-			id, respSize, err := rpc.Decode(d.Payload)
-			if err != nil {
-				return
-			}
-			server.RunApp(d.AppThread, w.CM.AppLogic, func() {
-				encBuf = rpc.AppendEncode(encBuf, id, 0, int(respSize))
-				srv.Send(d.Src, d.SrcPort, encBuf, d.AppThread)
-			})
-		})
-		return func(client, stream int, reqID uint64, size, respSize int) {
-			encBuf = rpc.AppendEncode(encBuf, reqID, uint32(respSize), size)
-			clis[client].Send(server.Addr, ServerPort, encBuf, stream%AppThreads)
-		}, nil
-	}}
-}
-
-// --- bytestream wiring (tcp × any stream record layer) ---
-
-// tcpFabricFamily wires one connection per (client, stream) through a
-// stream record layer; nil rec means plain TCP. Each connection derives
-// its own mirrored key material from the record layer's label and the
-// client half of the 4-tuple (ktls.ConnKeys), so no two connections in
-// any world share keys.
-func tcpFabricFamily(name string, rec *streamRecord) FabricSystem {
-	return FabricSystem{Name: name, Setup: func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-		if rec != nil {
-			if err := rec.validate(w.CM); err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-		}
-		var encBuf []byte // world-scoped RPC scratch (see homaFabric)
-		tcfg := tcpsim.Config{MTU: cfg.MTU}
-		nextThread := 0
-		// Dialed worlds start every connection plaintext and install the
-		// negotiated codec when the live exchange completes (below); the
-		// default pre-paired path installs mirrored per-connection keys
-		// at accept/dial time.
-		dialed := cfg.Dialed && rec != nil
-		var srvConns map[hsKey]*tcpsim.Conn
-		if dialed {
-			srvConns = make(map[hsKey]*tcpsim.Conn)
-		}
-		var srvCodec func(peerAddr uint32, peerPort uint16) tcpsim.Codec
-		if rec != nil && !dialed {
-			srvCodec = func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
-				_, sk := ktls.ConnKeys(rec.label, peerAddr, peerPort)
-				return rec.mustCodec(w.CM, sk)
-			}
-		}
-		tcpsim.Listen(server, serverPortK, tcfg, srvCodec, func() int {
-			t := nextThread
-			nextThread = (nextThread + 1) % AppThreads
-			return t
-		}, func(c *tcpsim.Conn) {
-			if dialed {
-				srvConns[hsKey{c.PeerAddr(), c.PeerPort()}] = c
-			}
+	})
+	conns := make([][]*tcpsim.Conn, len(clients))
+	for ci, ch := range clients {
+		cliCodecs := wr.rec.clientCodecs(w.CM, ch.Addr)
+		conns[ci] = make([]*tcpsim.Conn, cfg.StreamsPerClient)
+		for i := range conns[ci] {
+			c := tcpsim.Dial(ch, i%AppThreads, tcfg, cliCodecs, server.Addr, serverPortK, nil)
 			c.OnMessage(func(m []byte) {
 				w.checkDelivery(m)
-				id, respSize, err := rpc.Decode(m)
-				if err != nil {
-					return
+				if id, _, err := rpc.Decode(m); err == nil {
+					done(ci, id)
 				}
-				server.RunApp(c.AppThread(), w.CM.AppLogic, func() {
-					encBuf = rpc.AppendEncode(encBuf, id, 0, int(respSize))
-					c.SendMessage(encBuf)
-				})
 			})
-		})
-		conns := make([][]*tcpsim.Conn, len(clients))
-		for ci, ch := range clients {
-			ci := ci
-			conns[ci] = make([]*tcpsim.Conn, cfg.StreamsPerClient)
-			for i := 0; i < cfg.StreamsPerClient; i++ {
-				var cliCodec func(localPort uint16) tcpsim.Codec
-				if rec != nil && !dialed {
-					addr := ch.Addr
-					cliCodec = func(localPort uint16) tcpsim.Codec {
-						ck, _ := ktls.ConnKeys(rec.label, addr, localPort)
-						return rec.mustCodec(w.CM, ck)
-					}
-				}
-				c := tcpsim.Dial(ch, i%AppThreads, tcfg, cliCodec, server.Addr, serverPortK, nil)
-				c.OnMessage(func(m []byte) {
-					w.checkDelivery(m)
-					if id, _, err := rpc.Decode(m); err == nil {
-						done(ci, id)
-					}
-				})
-				conns[ci][i] = c
-			}
+			conns[ci][i] = c
 		}
-		// Pre-establish all connections before measurement.
-		w.Eng.RunUntil(w.Eng.Now() + 5*sim.Millisecond)
-		if dialed {
-			if err := dialTCPSessions(w, name, rec, conns, srvConns, clients, server); err != nil {
-				return nil, err
-			}
-		}
-		return func(client, stream int, reqID uint64, size, respSize int) {
-			encBuf = rpc.AppendEncode(encBuf, reqID, uint32(respSize), size)
-			conns[client][stream].SendMessage(encBuf)
-		}, nil
-	}}
+	}
+	// Pre-establish all connections before measurement.
+	w.Eng.RunUntil(w.Eng.Now() + 5*sim.Millisecond)
+	return func(client, stream int, reqID uint64, size, respSize int) {
+		encBuf = rpc.AppendEncode(encBuf, reqID, uint32(respSize), size)
+		conns[client][stream].SendMessage(encBuf)
+	}, nil
 }
 
 // mtuOrDefault resolves an MTU argument.
