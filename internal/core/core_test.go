@@ -428,6 +428,22 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestCodecAllocs pins the codec benchmarks' claim: once the segment
+// pool and decode scratch are warm, encoding a full 64 KB segment
+// (software-sealed or in the NIC-offload layout) and releasing it, or
+// decoding one, allocates nothing.
+func TestCodecAllocs(t *testing.T) {
+	ops := newCodecOps(t)
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{{"encode", ops.encode}, {"offload encode", ops.encodeHW}, {"decode", ops.decode}} {
+		if got := testing.AllocsPerRun(100, op.run); got != 0 {
+			t.Errorf("%s of a 64 KB segment allocates %.1f objects/op, want 0", op.name, got)
+		}
+	}
+}
+
 func TestNewCodecValidation(t *testing.T) {
 	cm := cost.Default()
 	if _, err := NewCodec(cm, SessionKeys{}, tlsrec.DefaultAllocation, false, 0, 0); err == nil {

@@ -8,10 +8,9 @@ import (
 	"path/filepath"
 )
 
-// An Artifact is the machine-readable output of one runner invocation —
-// the format behind the BENCH_*.json trajectory: per-experiment,
-// per-point results with coordinates, metric values and wall-clock
-// timings, plus enough metadata to attribute the run.
+// An Artifact is the machine-readable output of one runner invocation:
+// per-experiment, per-point results with coordinates, metric values and
+// wall-clock timings, plus enough metadata to attribute the run.
 
 // ArtifactVersion is bumped on incompatible schema changes.
 const ArtifactVersion = 1

@@ -37,43 +37,83 @@ func auditWorldsOf(t *testing.T, e Experiment, pt Point) []*World {
 	return worlds
 }
 
-// TestAuditorGreenAcrossRegistry sweeps a spread of every registered
-// experiment's points with the auditor attached to every world built,
-// then drains each world and asserts the full invariant set: zero
-// violations (plaintext, nonce/keystream reuse, framing), conservation
-// at quiescence, and an empty packet pool.
-func TestAuditorGreenAcrossRegistry(t *testing.T) {
+// drainSpread is the spread of e's points the two drained-world tests
+// sweep between them — the first and last points, and in full mode the
+// middle one — split so that each point is swept once: the leak test
+// takes the last point and the audit test the rest. A single-point
+// experiment is swept by both.
+func drainSpread(e Experiment) (audited, leak []Point) {
 	maxPts := 3
 	if testing.Short() {
-		maxPts = 1
+		maxPts = 2
 	}
+	pts := spreadPoints(e.Points(), maxPts)
+	if len(pts) == 1 {
+		return pts, pts
+	}
+	return pts[:len(pts)-1], pts[len(pts)-1:]
+}
+
+// checkDrained runs each point with the auditor attached to every world
+// built, then drains each world and asserts the full invariant set: zero
+// violations (plaintext, nonce/keystream reuse, framing), conservation
+// at quiescence, and an empty packet pool.
+func checkDrained(t *testing.T, e Experiment, pts []Point) {
+	t.Helper()
+	for _, pt := range pts {
+		for _, w := range auditWorldsOf(t, e, pt) {
+			if !w.DrainQuiesce(2 * sim.Second) {
+				t.Errorf("%s: world did not quiesce (%d events pending)", pt.Key, w.Eng.Pending())
+				continue
+			}
+			w.Audit.CheckConservation(w.Net)
+			st := w.Audit.Stats()
+			if st.TotalViolations != 0 {
+				for _, v := range w.Audit.Violations() {
+					t.Errorf("%s: %s", pt.Key, v)
+				}
+			}
+			if st.Packets == 0 {
+				t.Errorf("%s: audited world saw no packets — tap not attached?", pt.Key)
+			}
+			if n := w.Net.OutstandingPackets(); n != 0 {
+				t.Errorf("%s: %d pooled packets outstanding at quiescence", pt.Key, n)
+			}
+		}
+	}
+}
+
+// TestAuditorGreenAcrossRegistry runs checkDrained over every registered
+// experiment's share of drainSpread.
+func TestAuditorGreenAcrossRegistry(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.Name(), func(t *testing.T) {
 			if e.Name() == "table2" {
 				t.Skip("table2 measures wall-clock crypto cost; no simulated wire to audit")
 			}
-			for _, pt := range spreadPoints(e.Points(), maxPts) {
-				for _, w := range auditWorldsOf(t, e, pt) {
-					if !w.DrainQuiesce(2 * sim.Second) {
-						t.Errorf("%s: world did not quiesce (%d events pending)", pt.Key, w.Eng.Pending())
-						continue
-					}
-					w.Audit.CheckConservation(w.Net)
-					st := w.Audit.Stats()
-					if st.TotalViolations != 0 {
-						for _, v := range w.Audit.Violations() {
-							t.Errorf("%s: %s", pt.Key, v)
-						}
-					}
-					if st.Packets == 0 {
-						t.Errorf("%s: audited world saw no packets — tap not attached?", pt.Key)
-					}
-					if n := w.Net.OutstandingPackets(); n != 0 {
-						t.Errorf("%s: %d pooled packets outstanding at quiescence", pt.Key, n)
-					}
-				}
+			pts, _ := drainSpread(e)
+			checkDrained(t, e, pts)
+		})
+	}
+}
+
+// TestPacketPoolLeakFreedom asserts, for every registered experiment,
+// that a drained world returns every pooled packet: the zero-allocation
+// data path recycles packets through wire.PacketPool, so any code path
+// that loses a reference (a dropped retransmit, an abandoned
+// reassembly, a dead connection's queue) shows up here as a nonzero
+// outstanding count. It runs checkDrained on the last point of
+// drainSpread, the one TestAuditorGreenAcrossRegistry leaves to it.
+func TestPacketPoolLeakFreedom(t *testing.T) {
+	for _, e := range All() {
+		e := e
+		t.Run(e.Name(), func(t *testing.T) {
+			if e.Name() == "table2" {
+				t.Skip("table2 measures wall-clock crypto cost; no simulated network")
 			}
+			_, pts := drainSpread(e)
+			checkDrained(t, e, pts)
 		})
 	}
 }

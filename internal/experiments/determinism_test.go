@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"smt/internal/sim"
 )
 
 // This file holds the cross-experiment determinism contract: any
@@ -94,35 +92,6 @@ func TestDeterminismCoverage(t *testing.T) {
 		if _, ok := Lookup(name); !ok {
 			t.Errorf("%s not registered; determinism battery no longer covers it", name)
 		}
-	}
-}
-
-// TestPacketPoolLeakFreedom asserts, for every registered experiment,
-// that a drained world returns every pooled packet: the zero-allocation
-// data path (PR 5) recycles packets through wire.PacketPool, so any
-// code path that loses a reference (a dropped retransmit, an abandoned
-// reassembly, a dead connection's queue) shows up here as a nonzero
-// outstanding count. Uses the audit hook only to capture the worlds a
-// point builds; the assertion is about the pool, not the tap.
-func TestPacketPoolLeakFreedom(t *testing.T) {
-	for _, e := range All() {
-		e := e
-		t.Run(e.Name(), func(t *testing.T) {
-			if e.Name() == "table2" {
-				t.Skip("table2 measures wall-clock crypto cost; no simulated network")
-			}
-			for _, pt := range spreadPoints(e.Points(), 2) {
-				for _, w := range auditWorldsOf(t, e, pt) {
-					if !w.DrainQuiesce(2 * sim.Second) {
-						t.Errorf("%s: world did not quiesce (%d events pending)", pt.Key, w.Eng.Pending())
-						continue
-					}
-					if n := w.Net.OutstandingPackets(); n != 0 {
-						t.Errorf("%s: %d pooled packets still outstanding after drain", pt.Key, n)
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -6,8 +6,8 @@
 // is one (configuration, seed) cell that builds its own World. The
 // parallel runner (runner.go) fans any subset of points out across a
 // bounded worker pool with deterministic, canonically ordered results
-// and per-point wall-clock timing; artifact.go serializes a run to the
-// machine-readable JSON consumed by the BENCH_*.json trajectory.
+// and per-point wall-clock timing; artifact.go serializes a run to
+// machine-readable JSON (smtexp -json).
 //
 // Three layers of access, outermost first:
 //

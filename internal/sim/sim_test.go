@@ -298,6 +298,31 @@ func TestSchedulingAllocs(t *testing.T) {
 	}
 }
 
+// deepPendingWindow is the number of churn cycles TestDeepPendingAllocs
+// counts allocations over. At deepPending's 100 ns spacing they span
+// 20 ms of simulated time, more than one level-3 wheel slot (2^24 ns ≈
+// 16.8 ms), so the window crosses a cascade at every level.
+const deepPendingWindow = 200_000
+
+// TestDeepPendingAllocs pins BenchmarkEngineDeepPending's claim at every
+// depth: pop+schedule cycles against a constant backlog reuse pooled
+// events and allocate nothing — not even once per cascade.
+func TestDeepPendingAllocs(t *testing.T) {
+	for _, c := range deepPendingDepths {
+		_, churn := deepPending(c.n)
+		window := func() {
+			for i := 0; i < deepPendingWindow; i++ {
+				churn()
+			}
+		}
+		// A single run, so AllocsPerRun's per-run average is the exact
+		// count over the window (measured after one warm-up window).
+		if got := testing.AllocsPerRun(1, window); got != 0 {
+			t.Errorf("%s pending: %d churn cycles allocated %.0f objects, want 0", c.name, deepPendingWindow, got)
+		}
+	}
+}
+
 func TestRunUntil(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Time
