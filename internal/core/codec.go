@@ -27,15 +27,10 @@ import (
 	"smt/internal/wire"
 )
 
-// Record geometry (§4.3): records are sized so four records fill one TSO
-// segment, and both endpoints derive identical segmentation from the
-// message length alone.
-const (
-	// RecSpan is the plaintext bytes carried per TLS record.
-	RecSpan = 16000
-	// RecordsPerSegment is fixed by SegSpan/RecSpan.
-	RecordsPerSegment = homa.DefaultSegSpan / RecSpan
-)
+// RecSpan is the plaintext bytes carried per TLS record (§4.3): records
+// are sized so four fill one TSO segment (homa.DefaultSegSpan), and both
+// endpoints derive identical segmentation from the message length alone.
+const RecSpan = 16000
 
 // SessionKeys is the keying material registered on a socket after the
 // TLS 1.3 handshake (§4.2): one AEAD per direction.
@@ -345,6 +340,3 @@ func (c *Codec) AcceptMessage(msgID uint64) error {
 	}
 	return nil
 }
-
-// GuardPending exposes the replay guard's memory footprint (tests).
-func (c *Codec) GuardPending() int { return c.guard.Pending() }

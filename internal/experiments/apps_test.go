@@ -172,7 +172,7 @@ func testFig2Scenarios(t *testing.T) {
 	if len(fig2Scenarios) != 3 {
 		t.Fatal("want 3 scenarios")
 	}
-	rows := []Fig2Row{Fig2Scenario(0), Fig2Scenario(1), Fig2Scenario(2)}
+	rows := []Fig2Row{Fig2Scenario(0, 1), Fig2Scenario(1, 1), Fig2Scenario(2, 1)}
 	if !rows[0].Decrypted || rows[0].Corrupted != 0 {
 		t.Errorf("in-seq: %+v", rows[0])
 	}

@@ -19,14 +19,15 @@ import (
 // the control: with nothing to authenticate the payload, tampered bytes
 // reach the application — the exposure the paper's encryption removes.
 
+// chaosReorderDelay is how far a reordered packet is delayed: roughly
+// two unloaded RTTs.
+const chaosReorderDelay = 20 * sim.Microsecond
+
 // Chaos configures a fault storm on a world's network.
 type Chaos struct {
 	// Loss / Dup / Reorder / Corrupt are the per-packet probabilities
 	// for the matching netsim knobs.
 	Loss, Dup, Reorder, Corrupt float64
-	// ReorderDelay is how far a reordered packet is delayed
-	// (0 = 20 µs, roughly two unloaded RTTs).
-	ReorderDelay sim.Time
 	// BurstAt/BurstLen schedule a mid-flight burst during which every
 	// probability is multiplied by BurstFactor (capped at 1). BurstLen 0
 	// disables the burst.
@@ -39,10 +40,6 @@ type Chaos struct {
 // auditor (when attached) switched to fault-injection tolerance.
 func (c Chaos) apply(w *World) {
 	n := w.Net
-	rd := c.ReorderDelay
-	if rd == 0 {
-		rd = 20 * sim.Microsecond
-	}
 	set := func(scale float64) {
 		n.LossProb = capProb(c.Loss * scale)
 		n.DupProb = capProb(c.Dup * scale)
@@ -50,7 +47,7 @@ func (c Chaos) apply(w *World) {
 		n.CorruptProb = capProb(c.Corrupt * scale)
 	}
 	set(1)
-	n.ReorderDelay = rd
+	n.ReorderDelay = chaosReorderDelay
 	if w.Audit != nil {
 		w.Audit.SetFaultInjection(true)
 	}

@@ -2,24 +2,56 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"sort"
+	"strconv"
+	"sync"
 	"testing"
 )
 
 // This file holds the cross-experiment determinism contract: any
 // registry experiment, run twice with the same seeds — serially or
 // across worker pools of any width — must produce byte-identical JSON
-// artifacts. Every point builds its own World with its own engine and
-// RNG stream, so neither scheduling nor worker count may leak into
-// results. The fabric experiments (incast, multiclient) and the
+// artifacts, and every point's Values must match the digest pinned in
+// testdata/golden.json. Every point builds its own World with its own
+// engine and RNG stream, so neither scheduling nor worker count may leak
+// into results. The fabric experiments (incast, multiclient) and the
 // open-loop load sweep (loadsweep, whose Poisson arrival process draws
 // from the per-world seeded RNG) are covered by the same loop as the
 // §5 figures; TestDeterminismCoverage pins that they stay registered.
 
-// artifactJSON runs pts and serializes the results the way a JSON
-// artifact would, with wall-clock timing stripped (the only field
-// allowed to differ between runs).
-func artifactJSON(t *testing.T, e Experiment, pts []Point, workers int) []byte {
+var update = flag.Bool("update", false, "rewrite testdata/golden.json from one pass over every registry point")
+
+// goldenFile pins one Values digest per registry point (experiment →
+// point key → digest). Runs compared only with each other cannot see a
+// change that moves every run the same way; the pinned digests can.
+// table2 is absent: it times real crypto on the host.
+const goldenFile = "testdata/golden.json"
+
+// valuesDigest is the SHA-256 of a point's Values in canonical form:
+// keys sorted, one "key=value" line per key with the value in the
+// shortest round-tripping decimal.
+func valuesDigest(v Values) string {
+	keys := make([]string, 0, len(v))
+	for k := range v {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h := sha256.New()
+	for _, k := range keys {
+		fmt.Fprintf(h, "%s=%s\n", k, strconv.FormatFloat(v[k], 'g', -1, 64))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// pointResults runs pts and fails the test on any point error. Wall-clock
+// timing, the only field allowed to differ between runs, is zeroed.
+func pointResults(t *testing.T, e Experiment, pts []Point, workers int) []Result {
 	t.Helper()
 	res := RunPoints(e, pts, RunOptions{Workers: workers})
 	for i := range res {
@@ -28,7 +60,14 @@ func artifactJSON(t *testing.T, e Experiment, pts []Point, workers int) []byte {
 		}
 		res[i].ElapsedMs = 0
 	}
-	b, err := json.Marshal(res)
+	return res
+}
+
+// artifactJSON runs pts and serializes the results the way a JSON
+// artifact would, with wall-clock timing stripped.
+func artifactJSON(t *testing.T, e Experiment, pts []Point, workers int) []byte {
+	t.Helper()
+	b, err := json.Marshal(pointResults(t, e, pts, workers))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -52,12 +91,83 @@ func spreadPoints(pts []Point, n int) []Point {
 	return out
 }
 
+// otherPoints returns the points of all that are not in some.
+func otherPoints(all, some []Point) []Point {
+	seen := make(map[int]bool, len(some))
+	for _, p := range some {
+		seen[p.Index] = true
+	}
+	var out []Point
+	for _, p := range all {
+		if !seen[p.Index] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// readGolden loads the pinned digests.
+func readGolden(t *testing.T) map[string]map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g map[string]map[string]string
+	if err := json.Unmarshal(b, &g); err != nil {
+		t.Fatalf("%s: %v", goldenFile, err)
+	}
+	return g
+}
+
+// checkGolden compares each result's Values digest with the pinned one
+// and names every point that moved.
+func checkGolden(t *testing.T, want map[string]string, res []Result) {
+	t.Helper()
+	for _, r := range res {
+		got := valuesDigest(r.Values)
+		switch w, ok := want[r.Key]; {
+		case !ok:
+			t.Errorf("%s: no golden digest (rerun with -update)", r.Key)
+		case w != got:
+			t.Errorf("%s: Values moved: digest %.12s, golden %.12s", r.Key, got, w)
+		}
+	}
+}
+
+// TestDeterministicArtifacts runs a spread of each experiment's points
+// serially twice and across worker pools, requires byte-identical
+// artifacts, and checks the spread's digests against the golden file.
+// In full mode it also runs every other point once and checks it, so
+// each registry point is pinned; -update rewrites the golden file from
+// that full pass.
 func TestDeterministicArtifacts(t *testing.T) {
 	maxPts := 6
 	workerCounts := []int{4, 13}
 	if testing.Short() {
 		maxPts = 2
 		workerCounts = []int{4}
+	}
+	full := !testing.Short() || *update
+	golden := map[string]map[string]string{}
+	var mu sync.Mutex
+	if *update {
+		t.Cleanup(func() {
+			b, err := json.MarshalIndent(golden, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(goldenFile, append(b, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	} else {
+		golden = readGolden(t)
+		for name := range golden {
+			if _, ok := Lookup(name); !ok || name == "table2" {
+				t.Errorf("golden file pins %q, which is not a deterministic registry experiment", name)
+			}
+		}
 	}
 	for _, e := range All() {
 		e := e
@@ -66,8 +176,13 @@ func TestDeterministicArtifacts(t *testing.T) {
 				t.Skip("table2 measures wall-clock crypto cost; machine-dependent by design")
 			}
 			t.Parallel()
-			pts := spreadPoints(e.Points(), maxPts)
-			serial := artifactJSON(t, e, pts, 1)
+			all := e.Points()
+			pts := spreadPoints(all, maxPts)
+			res := pointResults(t, e, pts, 1)
+			serial, err := json.Marshal(res)
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
 			again := artifactJSON(t, e, pts, 1)
 			if !bytes.Equal(serial, again) {
 				t.Fatalf("two serial runs differ:\n%s\n%s", serial, again)
@@ -77,6 +192,24 @@ func TestDeterministicArtifacts(t *testing.T) {
 				if !bytes.Equal(serial, par) {
 					t.Errorf("workers=%d differs from serial run:\n%s\n%s", w, par, serial)
 				}
+			}
+			if full {
+				res = append(res, pointResults(t, e, otherPoints(all, pts), 0)...)
+			}
+			if *update {
+				digests := make(map[string]string, len(res))
+				for _, r := range res {
+					digests[r.Key] = valuesDigest(r.Values)
+				}
+				mu.Lock()
+				golden[e.Name()] = digests
+				mu.Unlock()
+				return
+			}
+			want := golden[e.Name()]
+			checkGolden(t, want, res)
+			if full && len(want) != len(all) {
+				t.Errorf("golden file pins %d points, experiment has %d", len(want), len(all))
 			}
 		})
 	}

@@ -362,7 +362,7 @@ func (d *Dialer) serveRPC(appThread int, payload []byte, send func(resp []byte))
 }
 
 func (d *Dialer) setupHomaServer() {
-	srv := d.wr.msg.open(d.w.Server, homa.Config{Port: ServerPort, AppThreads: serverThreads()})
+	srv := d.wr.msg.open(d.w.Server, homa.Config{Port: ServerPort})
 	send := srv.Send
 	srv.OnMessage(func(dv homa.Delivery) {
 		d.serveRPC(dv.AppThread, dv.Payload, func(resp []byte) {
@@ -420,7 +420,6 @@ func (d *Dialer) exchangeOptions(client *cpusim.Host, cliThread int) (handshake.
 		opts.Mode = handshake.Init0RTT
 		opts.Ticket = tk
 		opts.PreGeneratedKeys = true
-		opts.ShortChain = true
 	case HSResume:
 		if prior := d.resumption[client.Addr]; prior != nil {
 			opts.Mode = handshake.Rsmp

@@ -87,8 +87,8 @@ func CPUUsageLineup() []StackSpec {
 // MeasureCPUUsage runs one system of the §5.2 CPU-usage comparison:
 // 1 KB RPCs rate-capped to targetRate req/s via per-stream spacing,
 // reporting busy fractions.
-func MeasureCPUUsage(sys System, targetRate float64) (TputRow, error) {
+func MeasureCPUUsage(sys System, targetRate float64, seed int64) (TputRow, error) {
 	const streams = 150
 	spacing := sim.Time(float64(streams) / targetRate * 1e9)
-	return MeasureThroughput(sys, 1024, streams, 0, spacing, 77)
+	return MeasureThroughput(sys, 1024, streams, 0, spacing, seed)
 }

@@ -30,12 +30,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/size=%d", stack.Name, size),
 					Seed:   42,
 					Labels: Labels{"system": stack.Name, "size": itoa(size)},
-					Run: func() (Values, error) {
+					Run: func(seed int64) (Values, error) {
 						sys, err := BuildSystem(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureRTT(sys, size, 0, false, 42)
+						r, err := MeasureRTT(sys, size, 0, false, seed)
 						if err != nil {
 							return nil, err
 						}
@@ -56,12 +56,12 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/size=%d/conc=%d", stack.Name, size, c),
 						Seed:   1000 + int64(c),
 						Labels: Labels{"system": stack.Name, "size": itoa(size), "concurrency": itoa(c)},
-						Run: func() (Values, error) {
+						Run: func(seed int64) (Values, error) {
 							sys, err := BuildSystem(stack)
 							if err != nil {
 								return nil, err
 							}
-							r, err := MeasureThroughput(sys, size, c, 0, 0, 1000+int64(c))
+							r, err := MeasureThroughput(sys, size, c, 0, 0, seed)
 							if err != nil {
 								return nil, err
 							}
@@ -91,12 +91,12 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/mtu=%d/conc=%d", name, mtu, c),
 						Seed:   2000 + int64(c),
 						Labels: Labels{"system": name, "mtu": itoa(mtu), "concurrency": itoa(c)},
-						Run: func() (Values, error) {
+						Run: func(seed int64) (Values, error) {
 							sys, err := BuildSystem(stack)
 							if err != nil {
 								return nil, err
 							}
-							r, err := MeasureThroughput(sys, 8192, c, mtu, 0, 2000+int64(c))
+							r, err := MeasureThroughput(sys, 8192, c, mtu, 0, seed)
 							if err != nil {
 								return nil, err
 							}
@@ -116,12 +116,12 @@ func init() {
 				Key:    "sys=" + stack.Name,
 				Seed:   77,
 				Labels: Labels{"system": stack.Name, "target_rate": "1.2e6"},
-				Run: func() (Values, error) {
+				Run: func(seed int64) (Values, error) {
 					sys, err := BuildSystem(stack)
 					if err != nil {
 						return nil, err
 					}
-					r, err := MeasureCPUUsage(sys, 1.2e6)
+					r, err := MeasureCPUUsage(sys, 1.2e6, seed)
 					if err != nil {
 						return nil, err
 					}
@@ -141,12 +141,12 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/wl=%s/value=%d", stack.Name, wl, v),
 						Seed:   333,
 						Labels: Labels{"system": stack.Name, "workload": wl.String(), "value": itoa(v)},
-						Run: func() (Values, error) {
+						Run: func(seed int64) (Values, error) {
 							sys, err := BuildRedis(stack)
 							if err != nil {
 								return nil, err
 							}
-							r, err := MeasureRedis(sys, wl, v, 64, 333)
+							r, err := MeasureRedis(sys, wl, v, 64, seed)
 							if err != nil {
 								return nil, err
 							}
@@ -167,12 +167,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/iodepth=%d", stack.Name, d),
 					Seed:   444,
 					Labels: Labels{"system": stack.Name, "iodepth": itoa(d)},
-					Run: func() (Values, error) {
+					Run: func(seed int64) (Values, error) {
 						sys, err := BuildSystem(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureNVMeoF(sys, d, 444)
+						r, err := MeasureNVMeoF(sys, d, seed)
 						if err != nil {
 							return nil, err
 						}
@@ -193,12 +193,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/size=%d", stack.Name, size),
 					Seed:   77,
 					Labels: Labels{"system": stack.Name, "size": itoa(size)},
-					Run: func() (Values, error) {
+					Run: func(seed int64) (Values, error) {
 						sys, err := BuildSystem(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureRTT(sys, size, 0, false, 77)
+						r, err := MeasureRTT(sys, size, 0, false, seed)
 						if err != nil {
 							return nil, err
 						}
@@ -222,12 +222,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/size=%d", name, size),
 					Seed:   88,
 					Labels: Labels{"system": name, "size": itoa(size), "tso": fmt.Sprint(!noTSO)},
-					Run: func() (Values, error) {
+					Run: func(seed int64) (Values, error) {
 						sys, err := BuildSystem(mustStack("SMT-hw"))
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureRTT(sys, size, 0, noTSO, 88)
+						r, err := MeasureRTT(sys, size, 0, noTSO, seed)
 						if err != nil {
 							return nil, err
 						}
@@ -247,8 +247,8 @@ func init() {
 					Key:    fmt.Sprintf("mode=%s/size=%d", m, size),
 					Seed:   5000,
 					Labels: Labels{"mode": m.String(), "size": itoa(size)},
-					Run: func() (Values, error) {
-						r, err := MeasureKeyExchange(m, size, 5000)
+					Run: func(seed int64) (Values, error) {
+						r, err := MeasureKeyExchange(m, size, seed)
 						if err != nil {
 							return nil, err
 						}
@@ -269,12 +269,12 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/clients=%d/size=%d", stack.Name, m, size),
 						Seed:   9000 + int64(m),
 						Labels: Labels{"system": stack.Name, "clients": itoa(m), "size": itoa(size)},
-						Run: func() (Values, error) {
+						Run: func(seed int64) (Values, error) {
 							sys, err := BuildFabric(stack)
 							if err != nil {
 								return nil, err
 							}
-							r, err := MeasureIncast(sys, m, size, 9000+int64(m))
+							r, err := MeasureIncast(sys, m, size, seed)
 							if err != nil {
 								return nil, err
 							}
@@ -295,12 +295,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/clients=%d", stack.Name, m),
 					Seed:   8000 + int64(m),
 					Labels: Labels{"system": stack.Name, "clients": itoa(m)},
-					Run: func() (Values, error) {
+					Run: func(seed int64) (Values, error) {
 						sys, err := BuildFabric(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureMulticlient(sys, m, 8000+int64(m))
+						r, err := MeasureMulticlient(sys, m, seed)
 						if err != nil {
 							return nil, err
 						}
@@ -327,12 +327,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/load=%d", stack.Name, LoadSweepPercent(load)),
 					Seed:   LoadSweepSeed(load),
 					Labels: Labels{"system": stack.Name, "load": fmt.Sprintf("%.2f", load), "dist": LoadSweepDist().Name()},
-					Run: func() (Values, error) {
+					Run: func(seed int64) (Values, error) {
 						sys, err := BuildFabric(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureLoadSweep(sys, load, LoadSweepSeed(load))
+						r, err := MeasureLoadSweep(sys, load, seed)
 						if err != nil {
 							return nil, err
 						}
@@ -356,12 +356,12 @@ func init() {
 					"load":   fmt.Sprintf("%.2f", BigWorldLoad),
 					"dist":   LoadSweepDist().Name(),
 				},
-				Run: func() (Values, error) {
+				Run: func(seed int64) (Values, error) {
 					sys, err := BuildFabric(stack)
 					if err != nil {
 						return nil, err
 					}
-					r, err := MeasureBigWorld(sys, BigWorldSeed)
+					r, err := MeasureBigWorld(sys, seed)
 					if err != nil {
 						return nil, err
 					}
@@ -389,8 +389,8 @@ func init() {
 						"rate":   fmt.Sprintf("%.0f", rate),
 						"hs":     pt.Policy.String(),
 					},
-					Run: func() (Values, error) {
-						r, err := MeasureChurn(pt.Spec, pt.Policy, rate, ChurnSeed(rate))
+					Run: func(seed int64) (Values, error) {
+						r, err := MeasureChurn(pt.Spec, pt.Policy, rate, seed)
 						if err != nil {
 							return nil, err
 						}
@@ -406,14 +406,13 @@ func init() {
 		var specs []pointSpec
 		for li := range ChaosLevels {
 			level := ChaosLevels[li]
-			seed := chaosSeed(li)
 			for _, stack := range Stacks() {
 				stack := stack
 				specs = append(specs, pointSpec{
 					Key:    fmt.Sprintf("sys=%s/fault=%s", stack.Name, level.Name),
-					Seed:   seed,
+					Seed:   chaosSeed(li),
 					Labels: Labels{"system": stack.Name, "fault": level.Name},
-					Run: func() (Values, error) {
+					Run: func(seed int64) (Values, error) {
 						sys, err := BuildFabric(stack)
 						if err != nil {
 							return nil, err
@@ -438,8 +437,8 @@ func init() {
 				Key:    name,
 				Seed:   1,
 				Labels: Labels{"scenario": name},
-				Run: func() (Values, error) {
-					r := Fig2Scenario(i)
+				Run: func(seed int64) (Values, error) {
+					r := Fig2Scenario(i, seed)
 					dec := 0.0
 					if r.Decrypted {
 						dec = 1
@@ -463,7 +462,7 @@ func init() {
 			specs = append(specs, pointSpec{
 				Key:    fmt.Sprintf("size_bits=%d", r.SizeBits),
 				Labels: Labels{"size_bits": itoa(r.SizeBits), "id_bits": itoa(r.IDBits)},
-				Run: func() (Values, error) {
+				Run: func(int64) (Values, error) {
 					return Values{
 						"size_bits":           float64(r.SizeBits),
 						"id_bits":             float64(r.IDBits),
@@ -483,7 +482,7 @@ func init() {
 		for i := range rows {
 			specs = append(specs, pointSpec{
 				Key: "sys=" + rows[i].System,
-				Run: func() (Values, error) {
+				Run: func(int64) (Values, error) {
 					return nil, nil
 				},
 				Labels: Labels{
@@ -504,7 +503,7 @@ func init() {
 		// together; values are wall-clock and so machine-dependent.
 		return []pointSpec{{
 			Key: "all-ops",
-			Run: func() (Values, error) {
+			Run: func(int64) (Values, error) {
 				vals := Values{}
 				for _, r := range handshake.MeasureTable2() {
 					vals["paper_us/"+r.Name] = r.PaperUs

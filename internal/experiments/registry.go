@@ -13,23 +13,6 @@ import (
 // subset of points can run concurrently (see runner.go) and in any
 // order, while results stay deterministic and deterministically ordered.
 
-// Experiment is one named table/figure of the evaluation.
-//
-// Points must be stable: the same experiment always decomposes into the
-// same point list, in the same order, with the same keys and seeds.
-// Run must be safe to call from multiple goroutines on distinct points.
-type Experiment interface {
-	// Name is the registry key, e.g. "fig6".
-	Name() string
-	// Describe is a one-line human description.
-	Describe() string
-	// Points enumerates the independent cells of the sweep.
-	Points() []Point
-	// Run executes one point and returns its result. It must not
-	// depend on any other point having run.
-	Run(Point) Result
-}
-
 // Point identifies one independent cell of an experiment's sweep.
 type Point struct {
 	// Index is the point's position in the experiment's canonical
@@ -65,40 +48,48 @@ type Result struct {
 }
 
 // pointSpec is the in-package building block of registered experiments:
-// one cell's identity plus the closure that measures it. Run reports
-// setup failures (unbuildable stacks, key material) as error returns;
-// panics are still recovered as a last resort.
+// one cell's identity plus the closure that measures it, called with the
+// cell's Seed. Run reports setup failures (unbuildable stacks, key
+// material) as error returns; panics are still recovered as a last
+// resort.
 type pointSpec struct {
 	Key    string
 	Seed   int64
 	Labels Labels
-	Run    func() (Values, error)
+	Run    func(seed int64) (Values, error)
 }
 
-// specExperiment adapts a deterministic []pointSpec builder to the
-// Experiment interface. The builder is re-invoked per call; it must be
-// cheap and must return the same decomposition for the same lineup.
-// Builders of the lineup-driven sweeps decompose over their argument;
-// the rest ignore it.
-type specExperiment struct {
+// Experiment is one named table/figure of the evaluation: a
+// deterministic []pointSpec builder, re-invoked per call, decomposed over
+// a stack lineup. Builders of the lineup-driven sweeps decompose over
+// their argument; the rest ignore it.
+//
+// Points are stable: the same experiment always decomposes into the
+// same point list, in the same order, with the same keys and seeds.
+// Run is safe to call from multiple goroutines on distinct points.
+type Experiment struct {
 	name   string
 	desc   string
 	build  func(lineup []StackSpec) []pointSpec
 	lineup []StackSpec // nil = DefaultLineup()
 }
 
-func (e *specExperiment) Name() string     { return e.name }
-func (e *specExperiment) Describe() string { return e.desc }
+// Name is the registry key, e.g. "fig6".
+func (e Experiment) Name() string { return e.name }
+
+// Describe is a one-line human description.
+func (e Experiment) Describe() string { return e.desc }
 
 // specs decomposes the sweep over the experiment's lineup.
-func (e *specExperiment) specs() []pointSpec {
+func (e Experiment) specs() []pointSpec {
 	if e.lineup == nil {
 		return e.build(DefaultLineup())
 	}
 	return e.build(e.lineup)
 }
 
-func (e *specExperiment) Points() []Point {
+// Points enumerates the independent cells of the sweep.
+func (e Experiment) Points() []Point {
 	specs := e.specs()
 	pts := make([]Point, len(specs))
 	for i, s := range specs {
@@ -107,7 +98,9 @@ func (e *specExperiment) Points() []Point {
 	return pts
 }
 
-func (e *specExperiment) Run(p Point) Result {
+// Run executes one point and returns its result. It does not depend on
+// any other point having run.
+func (e Experiment) Run(p Point) Result {
 	specs := e.specs()
 	res := Result{Experiment: e.name, Index: p.Index, Key: p.Key, Seed: p.Seed}
 	if p.Index < 0 || p.Index >= len(specs) {
@@ -131,7 +124,7 @@ func (e *specExperiment) Run(p Point) Result {
 			}
 		}()
 		var err error
-		res.Values, err = s.Run()
+		res.Values, err = s.Run(s.Seed)
 		if err != nil {
 			res.Err = err.Error()
 		}
@@ -157,7 +150,7 @@ func register(name, desc string, build func(lineup []StackSpec) []pointSpec) {
 		//smt:allow panic -- init-time registration contract; a duplicate would silently shadow an experiment
 		panic("experiments: duplicate register of " + name)
 	}
-	registry[name] = &specExperiment{name: name, desc: desc, build: build}
+	registry[name] = Experiment{name: name, desc: desc, build: build}
 }
 
 // Lookup returns the experiment registered under name, decomposed over

@@ -148,8 +148,8 @@ func TestRunOutOfRangePoint(t *testing.T) {
 // TestRunRecoversPanic checks that a panicking point surfaces as
 // Result.Err rather than killing the worker pool.
 func TestRunRecoversPanic(t *testing.T) {
-	e := &specExperiment{name: "boom", desc: "test", build: func([]StackSpec) []pointSpec {
-		return []pointSpec{{Key: "p0", Run: func() (Values, error) { panic("kaboom") }}}
+	e := Experiment{name: "boom", desc: "test", build: func([]StackSpec) []pointSpec {
+		return []pointSpec{{Key: "p0", Run: func(int64) (Values, error) { panic("kaboom") }}}
 	}}
 	res := Run(e, RunOptions{Workers: 2})
 	if len(res) != 1 || res[0].Err != "kaboom" {

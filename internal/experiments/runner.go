@@ -87,17 +87,13 @@ func ForEach(n, workers int, fn func(i int)) {
 	}
 }
 
-// bind decomposes a registry experiment over o.Lineup. Experiments
-// defined outside the registry, and runs on the default lineup, come
-// back unchanged.
+// bind decomposes e over o.Lineup; runs on the default lineup come back
+// unchanged.
 func (o RunOptions) bind(e Experiment) Experiment {
-	s, ok := e.(*specExperiment)
-	if !ok || len(o.Lineup) == 0 {
-		return e
+	if len(o.Lineup) > 0 {
+		e.lineup = append([]StackSpec(nil), o.Lineup...)
 	}
-	bound := *s
-	bound.lineup = append([]StackSpec(nil), o.Lineup...)
-	return &bound
+	return e
 }
 
 // RunPoints runs the given points of an experiment, decomposed over

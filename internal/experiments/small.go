@@ -42,10 +42,11 @@ var fig2Scenarios = []struct {
 	{"Out-resync (S1,R3,S3)", 3, true},
 }
 
-// Fig2Scenario runs one Figure 2 scenario by index.
-func Fig2Scenario(i int) Fig2Row {
+// Fig2Scenario runs one Figure 2 scenario by index on an engine seeded
+// with seed.
+func Fig2Scenario(i int, seed int64) Fig2Row {
 	run := func(name string, seq uint64, resync bool) Fig2Row {
-		eng := sim.NewEngine(1)
+		eng := sim.NewEngine(seed)
 		cm := cost.Default()
 		net := netsim.New(eng, cm)
 		nic := nicsim.New(eng, cm, net, 1, 1)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"smt/internal/core"
 	"smt/internal/cost"
@@ -15,12 +14,12 @@ import (
 	"smt/internal/tcpsim"
 )
 
-// This file is the composable stack registry: the paper's design-space
+// This file is the composable stack catalogue: the paper's design-space
 // decomposition (Table 1) as an API. A stack under test is not an opaque
 // closure but a StackSpec — a transport crossed with a record layer —
 // and resolve turns it into the sockets and codecs every harness
 // (BuildFabric, BuildRedis, NewDialer) is built from. The runnable
-// matrix is therefore open: every registered spec runs on every World
+// matrix is therefore open: every buildable spec runs on every World
 // shape (two-host and switched fabric), and combinations the
 // decomposition cannot express (a bytestream record layer on a message
 // transport, or SMT's transport-integrated records over TCP) are
@@ -71,7 +70,7 @@ const (
 
 // StackSpec names one cell of the transport × record-layer matrix.
 type StackSpec struct {
-	// Name is the registry key and the System name experiments report
+	// Name is the catalogue key and the System name experiments report
 	// (e.g. "kTLS-sw"). Empty Name defaults to "transport+record".
 	Name      string      `json:"name"`
 	Transport Transport   `json:"transport"`
@@ -298,86 +297,56 @@ func BuildSystem(spec StackSpec) (System, error) {
 	return f.System(), nil
 }
 
-// --- the named-stack registry ---
+// --- the named stacks ---
 
-var (
-	stackMu    sync.RWMutex
-	stackByKey = map[string]StackSpec{} // lower(Name) -> spec
-	stackSeq   []string                 // canonical names in registration order
-)
-
-// RegisterStack adds a named spec to the stack registry. Like register
-// for experiments it panics on an empty or duplicate name, and also on a
-// spec BuildFabric rejects — registration is an init-time contract that
-// every listed stack is runnable.
-func RegisterStack(spec StackSpec) {
-	name := spec.name()
-	if _, err := BuildFabric(spec); err != nil {
-		//smt:allow panic -- init-time registration contract: every registered stack must build
-		panic("experiments: RegisterStack " + name + ": " + err.Error())
-	}
-	key := strings.ToLower(name)
-	stackMu.Lock()
-	defer stackMu.Unlock()
-	if _, dup := stackByKey[key]; dup {
-		//smt:allow panic -- init-time registration contract; a duplicate would silently shadow a stack
-		panic("experiments: duplicate RegisterStack of " + name)
-	}
-	spec.Name = name
-	stackByKey[key] = spec
-	stackSeq = append(stackSeq, name)
+// stacks is the catalogue of named specs, in listing order. Every entry
+// must build (TestStackMatrix) and the names and order are pinned
+// (TestStackCatalogue).
+var stacks = []StackSpec{
+	{Name: "TCP", Transport: TransportTCP, Record: RecordPlain},
+	{Name: "kTLS-sw", Transport: TransportTCP, Record: RecordKTLSSW},
+	{Name: "kTLS-hw", Transport: TransportTCP, Record: RecordKTLSHW},
+	{Name: "TLS", Transport: TransportTCP, Record: RecordUserTLS},
+	{Name: "TCPLS", Transport: TransportTCP, Record: RecordTCPLS},
+	{Name: "Homa", Transport: TransportHoma, Record: RecordPlain},
+	{Name: "SMT-sw", Transport: TransportHoma, Record: RecordSMTSW},
+	{Name: "SMT-hw", Transport: TransportHoma, Record: RecordSMTHW},
 }
 
-// LookupStack resolves a registered stack by name (case-insensitive).
+// LookupStack resolves a named stack (case-insensitive, surrounding
+// space ignored).
 func LookupStack(name string) (StackSpec, bool) {
-	stackMu.RLock()
-	defer stackMu.RUnlock()
-	s, ok := stackByKey[strings.ToLower(strings.TrimSpace(name))]
-	return s, ok
-}
-
-// Stacks returns every registered spec in registration order.
-func Stacks() []StackSpec {
-	stackMu.RLock()
-	defer stackMu.RUnlock()
-	out := make([]StackSpec, len(stackSeq))
-	for i, n := range stackSeq {
-		out[i] = stackByKey[strings.ToLower(n)]
+	name = strings.TrimSpace(name)
+	for _, s := range stacks {
+		if strings.EqualFold(s.Name, name) {
+			return s, true
+		}
 	}
-	return out
+	return StackSpec{}, false
 }
 
-// StackNames returns the registered stack names, sorted.
+// Stacks returns every named spec in listing order.
+func Stacks() []StackSpec {
+	return append([]StackSpec(nil), stacks...)
+}
+
+// StackNames returns the stack names, sorted.
 func StackNames() []string {
-	stackMu.RLock()
-	defer stackMu.RUnlock()
-	names := append([]string(nil), stackSeq...)
+	names := make([]string, len(stacks))
+	for i, s := range stacks {
+		names[i] = s.Name
+	}
 	sort.Strings(names)
 	return names
 }
 
-func init() {
-	for _, s := range []StackSpec{
-		{Name: "TCP", Transport: TransportTCP, Record: RecordPlain},
-		{Name: "kTLS-sw", Transport: TransportTCP, Record: RecordKTLSSW},
-		{Name: "kTLS-hw", Transport: TransportTCP, Record: RecordKTLSHW},
-		{Name: "TLS", Transport: TransportTCP, Record: RecordUserTLS},
-		{Name: "TCPLS", Transport: TransportTCP, Record: RecordTCPLS},
-		{Name: "Homa", Transport: TransportHoma, Record: RecordPlain},
-		{Name: "SMT-sw", Transport: TransportHoma, Record: RecordSMTSW},
-		{Name: "SMT-hw", Transport: TransportHoma, Record: RecordSMTHW},
-	} {
-		RegisterStack(s)
-	}
-}
-
-// mustStack resolves a name that init registered; for lineup
+// mustStack resolves a name from the stacks list; for lineup
 // definitions only.
 func mustStack(name string) StackSpec {
 	s, ok := LookupStack(name)
 	if !ok {
-		//smt:allow panic -- init-time lookup of the built-in lineup; a missing name is a registration bug
-		panic("experiments: stack " + name + " not registered")
+		//smt:allow panic -- lookup of the built-in lineup; a missing name is a bug in the stacks list
+		panic("experiments: stack " + name + " not in the stacks list")
 	}
 	return s
 }
@@ -403,7 +372,7 @@ func RedisLineup() []StackSpec {
 }
 
 // ParseStacks resolves a comma-separated stack-name list ("TCP,
-// TCPLS, SMT-hw", case-insensitive) against the registry. A stack named
+// TCPLS, SMT-hw", case-insensitive) against the stacks list. A stack named
 // twice is an error: it would give two points the same key.
 func ParseStacks(arg string) ([]StackSpec, error) {
 	var specs []StackSpec

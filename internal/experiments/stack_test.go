@@ -180,7 +180,7 @@ func runEchoSmoke(spec StackSpec, w *World) map[int]uint64 {
 // TestStackCrossProductSmoke builds every registered stack on both
 // World shapes — the two-host back-to-back testbed and a switched
 // 2-client fabric — and runs the deterministic 3-size echo on each.
-// This is the contract the stack registry exists for: every listed
+// This is the contract the stack catalogue exists for: every listed
 // stack runs everywhere, including TCPLS and user-space TLS, which the
 // pre-registry harness could only wire on two hosts.
 func TestStackCrossProductSmoke(t *testing.T) {

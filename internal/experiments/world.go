@@ -14,7 +14,7 @@
 //   - cmd/smtexp: list/run experiments by name, per-point rows, JSON
 //     artifacts, lineup selection via -stacks.
 //   - Registry API: Lookup/Names/All, Run/RunPoints/RunNamed with
-//     RunOptions (worker count, stack lineup), and the stack registry
+//     RunOptions (worker count, stack lineup), and the stack catalogue
 //     (stack.go): StackSpec, BuildFabric, DefaultLineup.
 //   - Typed measurement functions (MeasureRTT, MeasureThroughput,
 //     MeasureRedis, MeasureIncast, ...) that measure one cell and return
@@ -184,15 +184,6 @@ func (f FabricSystem) System() System {
 	}}
 }
 
-// serverThreads is the app-thread pool message transports deliver into.
-func serverThreads() []int {
-	threads := make([]int, AppThreads)
-	for i := range threads {
-		threads[i] = i
-	}
-	return threads
-}
-
 // --- the echo wirings BuildFabric chooses between ---
 //
 // Both pre-establish every session before measuring, as the paper's
@@ -208,7 +199,7 @@ func fabricOverMsg(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.H
 	// the payload synchronously in Send, and the whole world runs on
 	// one goroutine, so one buffer serves every send.
 	var encBuf []byte
-	srv := wr.msg.open(server, homa.Config{Port: ServerPort, MTU: cfg.MTU, NoTSO: cfg.NoTSO, AppThreads: serverThreads()})
+	srv := wr.msg.open(server, homa.Config{Port: ServerPort, MTU: cfg.MTU, NoTSO: cfg.NoTSO})
 	// Bound once: capturing the two-word interface in the per-response
 	// closure would move that allocation up a size class.
 	send := srv.Send

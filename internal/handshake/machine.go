@@ -51,7 +51,8 @@ type Options struct {
 	// PreGeneratedKeys removes S2.1/C1.1 (standby key pairs).
 	PreGeneratedKeys bool
 	// ShortChain applies the §4.5.1 short-certificate-chain speedup to
-	// C3.2.
+	// C3.2. Only Init1RTT verifies a certificate chain, so every other
+	// mode charges no C3.2 and is unaffected by it.
 	ShortChain bool
 	// RSA switches the signature rows to 2048-bit RSA costs.
 	RSA bool

@@ -216,7 +216,7 @@ func (s *Socket) newInMsg(p *peer, pkt *wire.Packet, core int) *inMsg {
 		id:      pkt.Overlay.MsgID,
 		pk:      p.key,
 		msgLen:  msgLen,
-		granted: s.cfg.UnschedBytes,
+		granted: unschedBytes,
 		core:    core,
 	}
 	for off := 0; off < msgLen; off += span {
@@ -257,16 +257,16 @@ func (s *Socket) progress(p *peer, m *inMsg, core int) {
 	}
 	// Receiver-driven pacing: grants track *received bytes* continuously
 	// (Homa grants on packet arrival, not segment completion), keeping
-	// RTTBytes of granted-but-unreceived data open. Grants are rounded
+	// rttBytes of granted-but-unreceived data open. Grants are rounded
 	// up to segment boundaries since the sender pushes whole segments.
-	if m.msgLen > s.cfg.UnschedBytes {
+	if m.msgLen > unschedBytes {
 		received := m.plainDone
 		for _, seg := range m.segs {
 			if !seg.complete && seg.got > 0 {
 				received += seg.plainLen * seg.got / len(seg.have)
 			}
 		}
-		want := received + s.cfg.RTTBytes
+		want := received + rttBytes
 		span := p.codec.SegSpan()
 		want = ((want + span - 1) / span) * span
 		if want > m.msgLen {
@@ -415,7 +415,7 @@ func (s *Socket) armResendTimer(p *peer, m *inMsg) {
 			s.armResendTimer(p, m)
 		}
 	}
-	s.host.Eng.ResetAfter(&m.timer, s.cfg.ResendTimeout, m.timerFn)
+	s.host.Eng.ResetAfter(&m.timer, resendTimeout, m.timerFn)
 }
 
 // rxGrant lets the sender push more segments from the pacer (softirq)

@@ -9,41 +9,36 @@ import (
 	"smt/internal/wire"
 )
 
-// Config tunes a Socket. Zero fields take defaults from DefaultConfig.
+// The grant and resend machinery runs at fixed values throughout the
+// evaluation.
+const (
+	// unschedBytes is sent without waiting for grants (first-RTT data).
+	unschedBytes = 60000
+	// rttBytes is the grant window the receiver keeps open per message.
+	rttBytes = 60000
+	// resendTimeout is the receiver's missing-data timer.
+	resendTimeout = 2 * sim.Millisecond
+	// senderTimeout re-pushes the first segment if a message makes no
+	// progress (covers the all-unscheduled-packets-lost case).
+	senderTimeout = 5 * sim.Millisecond
+)
+
+// Config tunes a Socket. Zero fields take defaults.
 type Config struct {
 	// Port is the local port; 0 allocates an ephemeral one.
 	Port uint16
-	// UnschedBytes is sent without waiting for grants (first-RTT data).
-	UnschedBytes int
-	// RTTBytes is the grant window the receiver keeps open per message.
-	RTTBytes int
-	// MTU is the wire MTU (DefaultMTU or JumboMTU in the evaluation).
+	// MTU is the wire MTU (DefaultMTU or JumboMTU in the evaluation);
+	// 0 means wire.DefaultMTU.
 	MTU int
 	// NoTSO makes the stack cut packets in software (Fig. 11 ablation):
 	// each MTU packet is submitted individually at per-packet CPU cost.
 	NoTSO bool
-	// ResendTimeout is the receiver's missing-data timer.
-	ResendTimeout sim.Time
-	// SenderTimeout re-pushes the first segment if a message makes no
-	// progress (covers the all-unscheduled-packets-lost case).
-	SenderTimeout sim.Time
 	// AppThreads lists the application threads eligible to receive
 	// message deliveries; nil means any app core (least loaded).
 	AppThreads []int
-	// Proto is the IP protocol number (ProtoHoma or ProtoSMT).
+	// Proto is the IP protocol number (ProtoHoma or ProtoSMT); 0 means
+	// wire.ProtoHoma.
 	Proto uint8
-}
-
-// DefaultConfig returns the evaluation defaults.
-func DefaultConfig() Config {
-	return Config{
-		UnschedBytes:  60000,
-		RTTBytes:      60000,
-		MTU:           wire.DefaultMTU,
-		ResendTimeout: 2 * sim.Millisecond,
-		SenderTimeout: 5 * sim.Millisecond,
-		Proto:         wire.ProtoHoma,
-	}
 }
 
 // Delivery is a fully reassembled (and, under SMT, decrypted and
@@ -141,24 +136,11 @@ func (p *peer) markDone(id uint64) {
 // NewSocket binds a socket on host. codecFactory builds the per-peer
 // codec (session); pass nil for vanilla Homa.
 func NewSocket(host *cpusim.Host, cfg Config, codecFactory func(peerAddr uint32, peerPort uint16) Codec) *Socket {
-	d := DefaultConfig()
-	if cfg.UnschedBytes == 0 {
-		cfg.UnschedBytes = d.UnschedBytes
-	}
-	if cfg.RTTBytes == 0 {
-		cfg.RTTBytes = d.RTTBytes
-	}
 	if cfg.MTU == 0 {
-		cfg.MTU = d.MTU
-	}
-	if cfg.ResendTimeout == 0 {
-		cfg.ResendTimeout = d.ResendTimeout
-	}
-	if cfg.SenderTimeout == 0 {
-		cfg.SenderTimeout = d.SenderTimeout
+		cfg.MTU = wire.DefaultMTU
 	}
 	if cfg.Proto == 0 {
-		cfg.Proto = d.Proto
+		cfg.Proto = wire.ProtoHoma
 	}
 	s := &Socket{
 		host:    host,
@@ -316,7 +298,7 @@ func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread 
 		payload: append([]byte(nil), payload...),
 		//smt:allow hotalloc -- per-message segment bitmap; freed with the message
 		segSent:   make([]bool, nSegs(len(payload), p.codec.SegSpan())),
-		granted:   s.cfg.UnschedBytes,
+		granted:   unschedBytes,
 		appThread: appThread,
 	}
 	p.out[id] = m
@@ -460,7 +442,7 @@ func (s *Socket) armSenderTimer(p *peer, m *outMsg) {
 			s.armSenderTimer(p, m)
 		}
 	}
-	s.host.Eng.ResetAfter(&m.timer, s.cfg.SenderTimeout, m.timerFn)
+	s.host.Eng.ResetAfter(&m.timer, senderTimeout, m.timerFn)
 }
 
 // ctrl sends a small control packet (GRANT/RESEND/ACK/BUSY) from softirq

@@ -15,8 +15,8 @@ import (
 // run order leaks into another world's reads.
 //
 // Roots are the steady-state dispatch surfaces (shared with hotalloc)
-// plus everything handed to a scheduling call — Engine.At/After/Post/
-// PostAfter/PostAction/PostActionAfter/ResetAt/ResetAfter,
+// plus everything handed to a scheduling call — Engine.At/After/
+// PostAction/PostActionAfter/ResetAt/ResetAfter,
 // Resource.Acquire/AcquireAction, cpusim's RunApp/RunSoftirq and
 // Network.Attach — whether as a func literal or a named function or
 // method value. From those roots the rule follows direct and interface
@@ -34,8 +34,6 @@ var EngineConfineAnalyzer = &Analyzer{
 var schedulingSinks = map[string]bool{
 	"(*smt/internal/sim.Engine).At":              true,
 	"(*smt/internal/sim.Engine).After":           true,
-	"(*smt/internal/sim.Engine).Post":            true,
-	"(*smt/internal/sim.Engine).PostAfter":       true,
 	"(*smt/internal/sim.Engine).PostAction":      true,
 	"(*smt/internal/sim.Engine).PostActionAfter": true,
 	"(*smt/internal/sim.Engine).ResetAt":         true,

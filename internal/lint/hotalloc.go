@@ -35,7 +35,7 @@ import (
 // field-backed or parameter-backed storage), capturing closures, fmt
 // calls, string<->[]byte conversions, and explicit interface boxing of
 // non-pointer values. A capturing closure handed to the alloc-free
-// Engine.Post/PostAfter forms is the common case: that is what the pooled
+// Engine.At/After forms is the common case: that is what the pooled
 // PostAction form or a prebuilt func field is for.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",

@@ -27,7 +27,7 @@
 //     consumption is inferred interprocedurally from call-graph
 //     summaries.
 //   - hotalloc: no heap allocation — capturing closures handed to
-//     Engine.Post/PostAfter included — reachable from a steady-state
+//     Engine.At/After included — reachable from a steady-state
 //     root (event dispatch, delivery, codec, record layer, transport
 //     rx/tx) without an //smt:coldpath -- <reason> annotation.
 //   - keyflow: key material — SessionKeys, handshake secrets, hkdfx

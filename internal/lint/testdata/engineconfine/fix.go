@@ -31,7 +31,7 @@ func bump() {
 func arm(e *sim.Engine) {
 	// arm itself runs outside the engine, but the closure it schedules
 	// runs inside.
-	e.Post(0, func() {
+	e.At(0, func() {
 		posts++ // want "package-level variable"
 	})
 }

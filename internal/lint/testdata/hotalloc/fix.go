@@ -53,10 +53,10 @@ func pump(s *state, m *msg, data []byte) {
 	// The alloc-free scheduling forms allocate one closure per event when
 	// handed a capturing literal; a capture-free literal (a static func
 	// value) and a prebuilt func field do not.
-	s.eng.Post(0, func() { use(m.n) })      // want "capturing closure"
-	s.eng.PostAfter(1, func() { use(m.n) }) // want "capturing closure"
-	s.eng.Post(0, func() { use(0) })
-	s.eng.PostAfter(1, s.fire)
+	s.eng.At(0, func() { use(m.n) })    // want "capturing closure"
+	s.eng.After(1, func() { use(m.n) }) // want "capturing closure"
+	s.eng.At(0, func() { use(0) })
+	s.eng.After(1, s.fire)
 
 	if m.n < 0 {
 		// A guard clause ending in panic or return is cold by

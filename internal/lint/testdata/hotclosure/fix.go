@@ -2,8 +2,8 @@
 // cases hotalloc took over from the retired hotclosure rule (see
 // testdata/determinism for the want-comment convention). Both methods
 // are rooted with //smt:hotroot, the way the stored arrivalFn/deliverFn
-// callbacks are, so a capturing literal handed to Engine.Post/PostAfter
-// is a hot allocation.
+// callbacks are, so a capturing literal handed to Engine.At/After is a
+// hot allocation.
 package hotfix
 
 import "smt/internal/sim"
@@ -18,11 +18,8 @@ func use(int) {}
 
 //smt:hotroot
 func (n *node) capturing(x int) {
-	n.eng.Post(0, func() { use(x) })      // want "capturing closure"
-	n.eng.PostAfter(1, func() { use(x) }) // want "capturing closure"
-	// The handle-returning At/After path was out of the old rule's
-	// scope; on the hot path its capturing literal allocates all the same.
-	n.eng.At(0, func() { use(x) }) // want "capturing closure"
+	n.eng.At(0, func() { use(x) })    // want "capturing closure"
+	n.eng.After(1, func() { use(x) }) // want "capturing closure"
 }
 
 // clean shows every approved scheduling form: a capture-free literal
@@ -31,8 +28,8 @@ func (n *node) capturing(x int) {
 //
 //smt:hotroot
 func (n *node) clean() {
-	n.eng.Post(0, func() { use(0) })
-	n.eng.PostAfter(1, n.fire)
+	n.eng.At(0, func() { use(0) })
+	n.eng.After(1, n.fire)
 	n.eng.PostAction(0, n.act)
 	n.eng.PostActionAfter(1, n.act)
 }

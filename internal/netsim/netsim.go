@@ -26,23 +26,22 @@ import (
 	"smt/internal/wire"
 )
 
-// SwitchConfig models a single output-queued switch: per-egress-port
-// serialization at PortGbps and one shared buffer across all ports.
+// SwitchConfig models a single output-queued switch: a fixed
+// DefaultSwitchLatency per packet, per-egress-port serialization at
+// PortGbps and one shared buffer across all ports.
 // The zero value of each field selects a default.
 type SwitchConfig struct {
 	// PortGbps is the egress port rate; 0 uses the cost model's link rate
 	// (a non-blocking switch whose ports match the hosts' NICs).
 	PortGbps float64
-	// Latency is the fixed switching (pipeline + lookup) delay per
-	// packet; 0 uses DefaultSwitchLatency.
-	Latency sim.Time
 	// BufferBytes is the shared egress buffer; arriving packets that
 	// would push the total queued bytes past it are dropped (shared-
 	// buffer tail drop). 0 means unlimited.
 	BufferBytes int
 }
 
-// DefaultSwitchLatency approximates a cut-through ToR switch hop.
+// DefaultSwitchLatency is the fixed switching (pipeline + lookup) delay
+// per packet; it approximates a cut-through ToR switch hop.
 const DefaultSwitchLatency = 300 * sim.Nanosecond
 
 // DropReason classifies why the network dropped a packet, for observer
@@ -407,14 +406,10 @@ func (n *Network) switchEnqueue(pkt *wire.Packet) {
 		p = &egressPort{}
 		n.ports[pkt.IP.Dst] = p
 	}
-	lat := n.sw.Latency
-	if lat == 0 {
-		lat = DefaultSwitchLatency
-	}
 	// Switching latency before the packet reaches its egress queue.
 	h := n.getHop()
 	h.stage, h.pkt, h.port = hopSwitchIn, pkt, p
-	n.eng.PostActionAfter(lat, h)
+	n.eng.PostActionAfter(DefaultSwitchLatency, h)
 }
 
 // drainPort serializes the head-of-line packet onto the egress link at

@@ -87,18 +87,16 @@ type tlsCtx struct {
 
 // Stats counts NIC-level events of interest to the experiments.
 type Stats struct {
-	TxSegments  uint64
-	TxPackets   uint64
-	TxBytes     uint64
-	RxPackets   uint64
-	SealedRecs  uint64
-	Corrupted   uint64 // records sealed with a mismatched counter (§3.2)
-	Resyncs     uint64
-	CtxAllocs   uint64
-	CtxEvicts   uint64
-	LiveCtx     int
-	MaxLiveCtx  int
-	MetaUpdates uint64
+	TxSegments uint64
+	TxPackets  uint64
+	TxBytes    uint64
+	RxPackets  uint64
+	SealedRecs uint64
+	Corrupted  uint64 // records sealed with a mismatched counter (§3.2)
+	Resyncs    uint64
+	CtxAllocs  uint64
+	CtxEvicts  uint64
+	LiveCtx    int
 }
 
 // pendingPkt is a packet waiting in a queue's transmit FIFO.
@@ -257,9 +255,6 @@ func (n *NIC) installCtx(id uint64, ctx *tlsCtx) {
 	n.ctxLRU = append(n.ctxLRU, id)
 	n.Stats.CtxAllocs++
 	n.Stats.LiveCtx = len(n.ctxs)
-	if n.Stats.LiveCtx > n.Stats.MaxLiveCtx {
-		n.Stats.MaxLiveCtx = n.Stats.LiveCtx
-	}
 }
 
 // seal encrypts the segment's records with the context's counter. A

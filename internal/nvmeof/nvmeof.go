@@ -96,8 +96,6 @@ type Costs struct {
 	TargetFixed sim.Time
 	// ClientFixed is the in-kernel initiator processing per IO.
 	ClientFixed sim.Time
-	// ExtraCopy marks the Homa/SMT port's extra data copy (§5.4).
-	ExtraCopy bool
 }
 
 // DefaultCosts returns the §5.4 model: in-kernel fixed costs well below

@@ -25,7 +25,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.PostAfter(1, fn)
+		e.After(1, fn)
 		e.Run()
 	}
 }
@@ -36,12 +36,12 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 	e := NewEngine(1)
 	fn := func() {}
 	for i := 0; i < 4096; i++ {
-		e.Post(Time(1_000_000_000+i), fn)
+		e.At(Time(1_000_000_000+i), fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.PostAfter(Time(i%1000), fn)
+		e.After(Time(i%1000), fn)
 		e.step()
 	}
 }
@@ -64,11 +64,11 @@ func deepPending(n int) (*Engine, func()) {
 	fn := func() {}
 	horizon := Time(n) * 100
 	for i := 0; i < n; i++ {
-		e.Post(horizon*Time(i)/Time(n), fn)
+		e.At(horizon*Time(i)/Time(n), fn)
 	}
 	churn := func() {
 		e.step()
-		e.PostAfter(horizon, fn)
+		e.After(horizon, fn)
 	}
 	churn()
 	return e, churn

@@ -197,7 +197,8 @@ func FuzzTimerOrder(f *testing.F) {
 			case 0: // schedule into a slot (handle kept for stop/reset)
 				id := nextID
 				nextID++
-				eTimers[slot] = e.After(d, func() { eLog = append(eLog, id) })
+				eTimers[slot] = new(Timer)
+				e.ResetAfter(eTimers[slot], d, func() { eLog = append(eLog, id) })
 				rTimers[slot] = r.schedule(r.now+d, func() { rLog = append(rLog, id) })
 				check("schedule")
 			case 1: // stop

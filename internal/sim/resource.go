@@ -41,7 +41,7 @@ func (r *Resource) reserve(dur Time) Time {
 func (r *Resource) Acquire(dur Time, done func()) Time {
 	end := r.reserve(dur)
 	if done != nil {
-		r.eng.Post(end, done)
+		r.eng.At(end, done)
 	}
 	return end
 }

@@ -10,17 +10,16 @@
 // The kernel is allocation-free at steady state: event structs are pooled
 // on a per-engine free list, cancelled events are unlinked from the
 // timing wheel eagerly (so heavy reschedulers never accumulate dead
-// ballast), and the scheduling API has four flavors so hot paths never
+// ballast), and the scheduling API has three flavors so hot paths never
 // allocate:
 //
-//   - At/After return a heap-allocated *Timer handle (convenient, one
-//     allocation for the handle — the event itself is pooled);
-//   - Post/PostAfter schedule fire-and-forget closures with no handle;
+//   - At/After schedule fire-and-forget closures with no handle;
 //   - PostAction/PostActionAfter schedule an Action interface value, for
 //     callers that pool their own callback state instead of building a
 //     closure per event;
-//   - ResetAt/ResetAfter re-arm a caller-held Timer in place, the
-//     time.AfterFunc-style path per-packet RTO rescheduling uses.
+//   - ResetAt/ResetAfter arm or re-arm a caller-held Timer in place, the
+//     time.AfterFunc-style path for every event that may be cancelled
+//     (per-packet RTO rescheduling among them).
 package sim
 
 import (
@@ -163,7 +162,7 @@ func (e *Engine) recycle(ev *event) {
 // schedule takes an event from the free list (or allocates the pool's
 // next entry), fills it in, and pushes it. Every public scheduling call
 // consumes exactly one sequence number, so the (time, seq) tie-break
-// order is identical across the At/Post/Reset flavors.
+// order is identical across the At/PostAction/Reset flavors.
 func (e *Engine) schedule(at Time, fn func(), act Action) *event {
 	if at < e.now {
 		at = e.now
@@ -186,29 +185,11 @@ func (e *Engine) schedule(at Time, fn func(), act Action) *event {
 	return ev
 }
 
-// At schedules fn to run at absolute virtual time at. Scheduling in the
-// past (or present) runs the event at the current time, after already
-// pending events with the same timestamp.
-func (e *Engine) At(at Time, fn func()) *Timer {
-	if fn == nil {
-		//smt:allow panic -- scheduling a nil callback can only be a programming error; it would fire as a crash later anyway
-		panic("sim: nil event func")
-	}
-	ev := e.schedule(at, fn, nil)
-	return &Timer{eng: e, ev: ev, gen: ev.gen}
-}
-
-// After schedules fn to run d nanoseconds of virtual time from now.
-func (e *Engine) After(d Time, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
-}
-
-// Post schedules fn at absolute time at with no cancellation handle —
-// the allocation-free path for fire-and-forget events.
-func (e *Engine) Post(at Time, fn func()) {
+// At schedules fn to run at absolute virtual time at, with no
+// cancellation handle (arm a caller-held Timer with ResetAt for one).
+// Scheduling in the past (or present) runs the event at the current
+// time, after already pending events with the same timestamp.
+func (e *Engine) At(at Time, fn func()) {
 	if fn == nil {
 		//smt:allow panic -- scheduling a nil callback can only be a programming error; it would fire as a crash later anyway
 		panic("sim: nil event func")
@@ -216,12 +197,12 @@ func (e *Engine) Post(at Time, fn func()) {
 	e.schedule(at, fn, nil)
 }
 
-// PostAfter schedules fn d nanoseconds from now with no handle.
-func (e *Engine) PostAfter(d Time, fn func()) {
+// After schedules fn to run d nanoseconds of virtual time from now.
+func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.Post(e.now+d, fn)
+	e.At(e.now+d, fn)
 }
 
 // PostAction schedules a.Run() at absolute time at with no handle. The
@@ -247,8 +228,9 @@ func (e *Engine) PostActionAfter(d Time, a Action) {
 // cancelling any pending schedule first — the time.AfterFunc-style path.
 // An active timer's pooled event is reused in place (unlink, update,
 // re-place — O(1)), so per-packet rescheduling allocates nothing. Like
-// every scheduling call it consumes one sequence number, so a Stop+At
-// pair and a ResetAt produce identical event ordering.
+// every scheduling call it consumes one sequence number, so a Stop plus
+// a fresh ResetAt and a ResetAt in place produce identical event
+// ordering.
 func (e *Engine) ResetAt(t *Timer, at Time, fn func()) {
 	if fn == nil {
 		//smt:allow panic -- scheduling a nil callback can only be a programming error; it would fire as a crash later anyway

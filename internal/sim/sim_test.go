@@ -66,7 +66,8 @@ func TestEnginePastSchedulingClamped(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	e := NewEngine(1)
 	ran := false
-	tm := e.At(10, func() { ran = true })
+	var tm Timer
+	e.ResetAt(&tm, 10, func() { ran = true })
 	if !tm.Active() {
 		t.Fatal("timer should be active before firing")
 	}
@@ -98,7 +99,8 @@ func TestHeapCompaction(t *testing.T) {
 		e.At(Time(1_000_000_000+i), func() {})
 	}
 	for i := 0; i < 1_000_000; i++ {
-		tm := e.After(Time(1000+i%777), func() { t.Error("cancelled timer fired") })
+		var tm Timer
+		e.ResetAfter(&tm, Time(1000+i%777), func() { t.Error("cancelled timer fired") })
 		if !tm.Stop() {
 			t.Fatal("Stop on fresh timer failed")
 		}
@@ -122,7 +124,8 @@ func TestPendingCounts(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatal("fresh engine has pending events")
 	}
-	a := e.At(10, func() {})
+	var a Timer
+	e.ResetAt(&a, 10, func() {})
 	e.At(20, func() {})
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", e.Pending())
@@ -157,7 +160,9 @@ func TestCompactionPreservesOrder(t *testing.T) {
 			at := at
 			e.At(at, func() { fired = append(fired, at) })
 		} else {
-			cancel = append(cancel, e.At(at, func() { t.Error("cancelled timer fired") }))
+			tm := new(Timer)
+			e.ResetAt(tm, at, func() { t.Error("cancelled timer fired") })
+			cancel = append(cancel, tm)
 		}
 	}
 	for _, tm := range cancel {
@@ -179,7 +184,8 @@ func TestCompactionPreservesOrder(t *testing.T) {
 func TestPooledEventsRecycleSafely(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	stale := e.At(10, func() { fired++ })
+	var stale Timer
+	e.ResetAt(&stale, 10, func() { fired++ })
 	e.Run()
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
@@ -262,7 +268,7 @@ func TestPostAction(t *testing.T) {
 	act := &countAction{n: &n}
 	e.PostAction(10, act)
 	e.PostActionAfter(10, act)
-	e.Post(10, func() {
+	e.At(10, func() {
 		if n != 2 {
 			t.Errorf("closure ran before actions at same time: n=%d", n)
 		}
@@ -274,7 +280,7 @@ func TestPostAction(t *testing.T) {
 }
 
 // TestSchedulingAllocs pins the allocation behavior of the hot scheduling
-// paths: pooled events make Post/PostAction/ResetAfter allocation-free at
+// paths: pooled events make At/PostAction/ResetAfter allocation-free at
 // steady state.
 func TestSchedulingAllocs(t *testing.T) {
 	e := NewEngine(1)
@@ -284,11 +290,11 @@ func TestSchedulingAllocs(t *testing.T) {
 	var tm Timer
 	// Warm the pool.
 	for i := 0; i < 64; i++ {
-		e.Post(e.Now(), fn)
+		e.At(e.Now(), fn)
 	}
 	e.Run()
 	if got := testing.AllocsPerRun(1000, func() {
-		e.Post(e.Now()+1, fn)
+		e.At(e.Now()+1, fn)
 		e.PostAction(e.Now()+1, act)
 		e.ResetAfter(&tm, 2, fn)
 		tm.Stop()

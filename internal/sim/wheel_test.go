@@ -65,11 +65,11 @@ func TestWheelSameSlotFIFO(t *testing.T) {
 	const at = wheelSpan + 4242 // far enough to start life in the overflow
 	var got []int
 	mark := func(i int) func() { return func() { got = append(got, i) } }
-	e.At(at, mark(0))         // overflow resident
-	e.At(at, mark(1))         // overflow resident, later seq
-	e.PostAfter(1, func() {}) // a near event so the probe below has work
-	e.At(at-1, mark(2))       // neighbor timestamp, must run first
-	e.At(at, mark(3))         // same instant again
+	e.At(at, mark(0))     // overflow resident
+	e.At(at, mark(1))     // overflow resident, later seq
+	e.After(1, func() {}) // a near event so the probe below has work
+	e.At(at-1, mark(2))   // neighbor timestamp, must run first
+	e.At(at, mark(3))     // same instant again
 	// Probe just short of the events: drains the overflow window into
 	// the wheel and cascades it down to level 0 without firing anything.
 	e.RunUntil(at - 100)
@@ -121,7 +121,9 @@ func TestWheelChurnMatchesCounter(t *testing.T) {
 	for i := 0; i < 20_000; i++ {
 		switch rng.Intn(4) {
 		case 0:
-			timers = append(timers, e.After(Time(rng.Int63n(int64(wheelSpan)*2)), func() {}))
+			tm := new(Timer)
+			e.ResetAfter(tm, Time(rng.Int63n(int64(wheelSpan)*2)), func() {})
+			timers = append(timers, tm)
 		case 1:
 			if len(timers) > 0 {
 				j := rng.Intn(len(timers))
@@ -158,7 +160,7 @@ func TestFreeListBounded(t *testing.T) {
 	e := NewEngine(1)
 	const burst = 3 * maxFreeEvents
 	for i := 0; i < burst; i++ {
-		e.PostAfter(Time(i%1000), func() {})
+		e.After(Time(i%1000), func() {})
 	}
 	e.Run()
 	if len(e.free) > maxFreeEvents {

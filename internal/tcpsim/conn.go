@@ -22,28 +22,21 @@ const MaxRTOStrikes = 8
 // retransmission timeouts elapse without progress (ETIMEDOUT semantics).
 var ErrTimeout = errors.New("tcpsim: retransmission timeout (peer unresponsive)")
 
+// The evaluation runs every connection at these fixed values.
+const (
+	window      = 1 << 20             // fixed flow-control window (datacenter lab: large)
+	retxTimeout = 5 * sim.Millisecond // RTO: retransmission timeout
+	// ackEvery acknowledges every Nth in-order packet (2 models Linux
+	// delayed acks under load).
+	ackEvery = 2
+	// burstGap: packets arriving within this gap of the previous one are
+	// GRO-coalesced (no per-burst fixed cost).
+	burstGap = 2 * sim.Microsecond
+)
+
 // Config tunes connections.
 type Config struct {
-	MTU    int
-	Window int      // fixed flow-control window (datacenter lab: large)
-	RTO    sim.Time // retransmission timeout
-	// AckEvery acknowledges every Nth in-order packet (2 models Linux
-	// delayed acks under load).
-	AckEvery int
-	// BurstGap: packets arriving within this gap of the previous one are
-	// GRO-coalesced (no per-burst fixed cost).
-	BurstGap sim.Time
-}
-
-// DefaultConfig returns evaluation defaults.
-func DefaultConfig() Config {
-	return Config{
-		MTU:      wire.DefaultMTU,
-		Window:   1 << 20,
-		RTO:      5 * sim.Millisecond,
-		AckEvery: 2,
-		BurstGap: 2 * sim.Microsecond,
-	}
+	MTU int // 0 means wire.DefaultMTU
 }
 
 // Stats counts connection events.
@@ -267,7 +260,7 @@ func (c *Conn) PeerPort() uint16 { return c.peerPort }
 // NIC seals the transmitted copy while the retained chunk keeps its
 // plaintext shell for retransmission.
 func (c *Conn) trySend() {
-	for c.sndNxt < c.sndUna+int64(c.cfg.Window) {
+	for c.sndNxt < c.sndUna+window {
 		var (
 			tb      = c.getTxBuf()
 			seg     = tb.bytes[:0]
@@ -286,7 +279,7 @@ func (c *Conn) trySend() {
 			if len(seg)+len(tc.chunk.Bytes) > wire.MaxTSOSegment {
 				break
 			}
-			if started+int64(len(seg))+int64(len(tc.chunk.Bytes)) > c.sndUna+int64(c.cfg.Window) {
+			if started+int64(len(seg))+int64(len(tc.chunk.Bytes)) > c.sndUna+window {
 				break
 			}
 			for _, r := range tc.chunk.Records {
@@ -303,12 +296,10 @@ func (c *Conn) trySend() {
 			tb.release()
 			return
 		}
-		c.sendSegment(started, seg, recs, keysOf(keys), tb.release, false)
+		c.sendSegment(started, seg, recs, keys, tb.release, false)
 		c.sndNxt = started + int64(len(seg))
 	}
 }
-
-func keysOf(tc *txChunk) *txChunk { return tc }
 
 // sendSegment submits one TSO segment at stream offset seq. release, if
 // non-nil, recycles the payload buffer once the NIC has cut it.
@@ -364,7 +355,7 @@ func (c *Conn) armRTO() {
 			c.armRTO()
 		}
 	}
-	c.host.Eng.ResetAfter(&c.rto, c.cfg.RTO, c.rtoFn)
+	c.host.Eng.ResetAfter(&c.rto, retxTimeout, c.rtoFn)
 }
 
 // retransmitFrom resends the chunk containing stream offset seq (hardware
@@ -477,7 +468,7 @@ func (c *Conn) handleData(pkt *wire.Packet) {
 	}
 	if advanced {
 		c.pktCount++
-		if c.pktCount >= c.cfg.AckEvery {
+		if c.pktCount >= ackEvery {
 			c.sendAck()
 		} else if !c.ackTimer.Active() {
 			// Delayed ACK: a lone packet is acknowledged after a short
@@ -528,7 +519,7 @@ func (c *Conn) scheduleDelivery() {
 	if c.deliverFn == nil {
 		c.deliverFn = c.deliverCycle
 	}
-	c.host.Eng.PostAfter(cm.WakeupLatency, c.deliverFn)
+	c.host.Eng.After(cm.WakeupLatency, c.deliverFn)
 }
 
 //smt:hotroot

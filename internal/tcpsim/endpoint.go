@@ -77,21 +77,8 @@ func Dial(host *cpusim.Host, appThread int, cfg Config, newCodec func(localPort 
 }
 
 func withDefaults(cfg Config) Config {
-	d := DefaultConfig()
 	if cfg.MTU == 0 {
-		cfg.MTU = d.MTU
-	}
-	if cfg.Window == 0 {
-		cfg.Window = d.Window
-	}
-	if cfg.RTO == 0 {
-		cfg.RTO = d.RTO
-	}
-	if cfg.AckEvery == 0 {
-		cfg.AckEvery = d.AckEvery
-	}
-	if cfg.BurstGap == 0 {
-		cfg.BurstGap = d.BurstGap
+		cfg.MTU = wire.DefaultMTU
 	}
 	return cfg
 }
@@ -152,11 +139,11 @@ func (e *Endpoint) RxCost(pkt *wire.Packet) sim.Time {
 	}
 	now := e.host.Eng.Now()
 	var cost sim.Time
-	if now-e.host.GROLastRx > e.cfg.BurstGap {
+	if now-e.host.GROLastRx > burstGap {
 		cost += cm.TCPRxBatch // NAPI wakeup after idle
 	}
 	fh := pkt.Flow().FastHash()
-	if fh == e.host.GROLastFlow && now-e.host.GROLastRx <= e.cfg.BurstGap {
+	if fh == e.host.GROLastFlow && now-e.host.GROLastRx <= burstGap {
 		cost += cm.TCPGROMerge
 	} else {
 		cost += cm.TCPRxPerPacket
@@ -220,12 +207,6 @@ func (e *Endpoint) HandlePacket(pkt *wire.Packet, core int) {
 			c.handleAck(int64(pkt.Overlay.Aux))
 		}
 	}
-}
-
-// Conns returns the endpoint's live connections in peer (addr, port)
-// order (tests index into the result).
-func (e *Endpoint) Conns() []*Conn {
-	return e.sortedConns()
 }
 
 // Close unbinds the endpoint and closes its connections in peer order.

@@ -129,8 +129,10 @@ func (g *MsgIDGuard) Seen(id uint64) bool {
 // (the memory footprint of the reordering window).
 func (g *MsgIDGuard) Pending() int { return len(g.above) }
 
-// Reset clears the guard; SMT calls this when session resumption rotates
-// keys, which resets the message-ID space (§4.5.2).
+// Reset clears the guard, as a key rotation that restarts the message-ID
+// space would (§4.5.2). SMT itself never calls it: resumption registers a
+// new session (core.Socket.RegisterSession), whose fresh codec carries a
+// fresh guard.
 func (g *MsgIDGuard) Reset() {
 	g.floor = 0
 	g.above = make(map[uint64]bool)

@@ -206,7 +206,7 @@ func NewOpenLoop(eng *sim.Engine, dist Dist, clients, streams int, rate float64,
 // cover [warm, stop) only.
 func (o *OpenLoop) Start(warm, stop sim.Time) {
 	o.warm, o.stop = warm, stop
-	o.eng.PostAfter(o.gap(), o.arrivalFn)
+	o.eng.After(o.gap(), o.arrivalFn)
 }
 
 // gap draws one exponential interarrival interval.
@@ -235,7 +235,7 @@ func (o *OpenLoop) arrival() {
 		o.IssuedBytes += uint64(size)
 	}
 	o.issue(client, stream, id, size)
-	o.eng.PostAfter(o.gap(), o.arrivalFn)
+	o.eng.After(o.gap(), o.arrivalFn)
 }
 
 // Done reports the completion of reqID. Only requests both issued and

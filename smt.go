@@ -75,7 +75,7 @@ type (
 	// rate and records latency and slowdown (the loadsweep methodology).
 	OpenLoop = workload.OpenLoop
 	// StackSpec names one transport × record-layer cell of the design
-	// space (Table 1); the stack registry holds the runnable ones.
+	// space (Table 1); the stack catalogue names the runnable ones.
 	StackSpec = experiments.StackSpec
 	// Transport selects the byte/message-moving layer of a StackSpec.
 	Transport = experiments.Transport
@@ -90,11 +90,11 @@ type (
 // (e.g. SMT records over TCP).
 func BuildFabric(spec StackSpec) (FabricSystem, error) { return experiments.BuildFabric(spec) }
 
-// LookupStack resolves a registered stack by name (case-insensitive):
+// LookupStack resolves a named stack (case-insensitive):
 // TCP, kTLS-sw, kTLS-hw, TLS, TCPLS, Homa, SMT-sw, SMT-hw.
 func LookupStack(name string) (StackSpec, bool) { return experiments.LookupStack(name) }
 
-// Stacks returns every registered stack spec in registration order.
+// Stacks returns every named stack spec in listing order.
 func Stacks() []StackSpec { return experiments.Stacks() }
 
 // DefaultLineup is the six-stack lineup of the paper's §5 figures.
