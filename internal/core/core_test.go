@@ -57,7 +57,7 @@ func testEncryptedDelivery(t *testing.T, hw bool) {
 	w := newWorld(1)
 	cli, srv := pair(t, w, hw)
 	var got []byte
-	srv.OnMessage(func(d homa.Delivery) { got = d.Payload })
+	srv.OnMessage(func(d homa.Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(5000)
 	w.eng.At(0, func() { cli.Send(2, 443, msg, 0) })
 	w.eng.Run()
@@ -96,7 +96,7 @@ func TestMultiSegmentLargeMessage(t *testing.T) {
 		w := newWorld(3)
 		cli, srv := pair(t, w, hw)
 		var got []byte
-		srv.OnMessage(func(d homa.Delivery) { got = d.Payload })
+		srv.OnMessage(func(d homa.Delivery) { got = append([]byte(nil), d.Payload...) })
 		msg := pattern(300_000) // 5 segments, 19 records
 		w.eng.At(0, func() { cli.Send(2, 443, msg, 0) })
 		w.eng.Run()
@@ -112,7 +112,7 @@ func TestLossRecoveryEncrypted(t *testing.T) {
 		w.net.LossProb = 0.05
 		cli, srv := pair(t, w, hw)
 		var got []byte
-		srv.OnMessage(func(d homa.Delivery) { got = d.Payload })
+		srv.OnMessage(func(d homa.Delivery) { got = append([]byte(nil), d.Payload...) })
 		msg := pattern(150_000)
 		w.eng.At(0, func() { cli.Send(2, 443, msg, 0) })
 		w.eng.RunUntil(2 * sim.Second)
@@ -206,7 +206,7 @@ func TestHWOffloadProducesValidRecords(t *testing.T) {
 	w := newWorld(8)
 	cli, srv := pair(t, w, true)
 	var got []byte
-	srv.OnMessage(func(d homa.Delivery) { got = d.Payload })
+	srv.OnMessage(func(d homa.Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(40_000) // one segment, 3 records
 	w.eng.At(0, func() { cli.Send(2, 443, msg, 0) })
 	w.eng.Run()
@@ -296,7 +296,7 @@ func TestPaddingConcealsSizes(t *testing.T) {
 		w.b.NIC.OnRx(p)
 	})
 	var got []byte
-	srv.OnMessage(func(d homa.Delivery) { got = d.Payload })
+	srv.OnMessage(func(d homa.Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(100)
 	w.eng.At(0, func() { cli.Send(2, 443, msg, 0) })
 	w.eng.Run()

@@ -7,10 +7,12 @@ import (
 )
 
 // This file pins the steady-state allocation behavior of the data path.
-// PR 5 made the hot path pool-based (sim events, wire packets, codec
-// scratch), so a warmed-up echo allocates only a small constant number
-// of message-level objects (outMsg/inMsg bookkeeping, the app-facing
-// payload copies) — never per-packet, per-event or per-record memory.
+// The hot path is pool-based (sim events, wire packets, codec scratch,
+// and the send copies and delivery buffers of both transports), so a
+// warmed-up echo allocates only a small constant number of
+// message-level objects (outMsg/inMsg bookkeeping, send closures,
+// retained stream chunks) — never per-packet, per-event or per-record
+// memory.
 // A regression that reintroduces per-packet allocation shows up here as
 // hundreds of allocations per echo (a 64 KiB echo crosses ~100 packets
 // and several hundred scheduler events).
@@ -59,23 +61,24 @@ func echoAllocsPerOp(t *testing.T, stack string, size int) float64 {
 // look for a new per-packet allocation on the path.
 func TestSteadyStateAllocs(t *testing.T) {
 	// Budgets per one 4 KiB echo (request + response). Message-level
-	// work (outMsg/inMsg structs, payload copies, delivery buffers and
-	// map churn) legitimately allocates per echo; per-packet costs do
-	// not appear because a 4 KiB echo still crosses multiple packets,
-	// ACKs, grants and dozens of scheduler events.
-	// Measured: TCP 37; kTLS-sw, kTLS-hw, TLS and TCPLS 41; Homa 45;
-	// SMT-sw 43; SMT-hw 45. Budgets add headroom for map-growth variance
-	// while staying far below the hundreds a per-packet regression would
-	// produce.
+	// work (outMsg/inMsg structs, send closures, retained stream chunks
+	// and map churn) legitimately allocates per echo; per-packet costs
+	// do not appear because a 4 KiB echo still crosses multiple packets,
+	// ACKs, grants and dozens of scheduler events. Payload copies and
+	// delivery buffers come from pools, so they do not appear either.
+	// Measured: TCP 23; kTLS-sw, kTLS-hw, TLS and TCPLS 25; Homa 31;
+	// SMT-sw 29; SMT-hw 31. Budgets add ~30% headroom (rounded up) for
+	// map-growth variance while staying far below the hundreds a
+	// per-packet regression would produce.
 	budgets := map[string]float64{
-		"TCP":     48,
-		"kTLS-sw": 58,
-		"kTLS-hw": 58,
-		"TLS":     58,
-		"TCPLS":   58,
-		"Homa":    62,
-		"SMT-sw":  64,
-		"SMT-hw":  66,
+		"TCP":     30,
+		"kTLS-sw": 33,
+		"kTLS-hw": 33,
+		"TLS":     33,
+		"TCPLS":   33,
+		"Homa":    41,
+		"SMT-sw":  38,
+		"SMT-hw":  41,
 	}
 	for _, spec := range Stacks() {
 		spec := spec

@@ -41,7 +41,10 @@ func TestSingleSmallMessage(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100}, nil)
 	cli := NewSocket(w.a, Config{}, nil)
 	var got []Delivery
-	srv.OnMessage(func(d Delivery) { got = append(got, d) })
+	srv.OnMessage(func(d Delivery) {
+		d.Payload = append([]byte(nil), d.Payload...) // borrowed until return
+		got = append(got, d)
+	})
 
 	msg := pattern(64)
 	w.eng.At(0, func() { cli.Send(2, 100, msg, 0) })
@@ -98,7 +101,7 @@ func TestMultiSegmentMessageUsesGrants(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100}, nil)
 	cli := NewSocket(w.a, Config{}, nil)
 	var got []byte
-	srv.OnMessage(func(d Delivery) { got = d.Payload })
+	srv.OnMessage(func(d Delivery) { got = append([]byte(nil), d.Payload...) })
 
 	msg := pattern(500 * 1000) // 500 KB, well beyond unscheduled bytes
 	w.eng.At(0, func() { cli.Send(2, 100, msg, 0) })
@@ -134,7 +137,7 @@ func TestLossRecovery(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100}, nil)
 	cli := NewSocket(w.a, Config{}, nil)
 	var got [][]byte
-	srv.OnMessage(func(d Delivery) { got = append(got, d.Payload) })
+	srv.OnMessage(func(d Delivery) { got = append(got, append([]byte(nil), d.Payload...)) })
 
 	msgs := [][]byte{pattern(64), pattern(20000), pattern(120000)}
 	w.eng.At(0, func() {
@@ -202,7 +205,7 @@ func TestReorderTolerance(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100}, nil)
 	cli := NewSocket(w.a, Config{}, nil)
 	var got []byte
-	srv.OnMessage(func(d Delivery) { got = d.Payload })
+	srv.OnMessage(func(d Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(50000)
 	w.eng.At(0, func() { cli.Send(2, 100, msg, 0) })
 	w.eng.RunUntil(1 * sim.Second)
@@ -216,7 +219,7 @@ func TestNoTSOVariantDelivers(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100}, nil)
 	cli := NewSocket(w.a, Config{NoTSO: true}, nil)
 	var got []byte
-	srv.OnMessage(func(d Delivery) { got = d.Payload })
+	srv.OnMessage(func(d Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(8192)
 	w.eng.At(0, func() { cli.Send(2, 100, msg, 0) })
 	w.eng.Run()
@@ -230,7 +233,7 @@ func TestJumboMTU(t *testing.T) {
 	srv := NewSocket(w.b, Config{Port: 100, MTU: wire.JumboMTU}, nil)
 	cli := NewSocket(w.a, Config{MTU: wire.JumboMTU}, nil)
 	var got []byte
-	srv.OnMessage(func(d Delivery) { got = d.Payload })
+	srv.OnMessage(func(d Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := pattern(8192)
 	w.eng.At(0, func() { cli.Send(2, 100, msg, 0) })
 	w.eng.Run()
@@ -330,5 +333,124 @@ func TestStringer(t *testing.T) {
 	s := NewSocket(w.a, Config{}, nil)
 	if s.String() == "" || s.Host() != w.a || s.Config().MTU == 0 {
 		t.Fatal("accessors broken")
+	}
+}
+
+// fill returns n bytes whose values depend on seed at every position,
+// so two messages with different seeds differ in every byte.
+func fill(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i*31)
+	}
+	return b
+}
+
+// TestBorrowedPayloadDescendingSizes echoes two back-to-back bursts of
+// messages of descending size, each with its own fill, over one socket
+// pair. Larger messages' send copies and delivery buffers come back to
+// the pools before smaller messages take them, and each payload is
+// checked byte for byte inside its own callback, so a recycled buffer
+// that leaked a stale tail or an earlier message's bytes would show.
+func TestBorrowedPayloadDescendingSizes(t *testing.T) {
+	w := newWorld(18)
+	srv := NewSocket(w.b, Config{Port: 100}, nil)
+	cli := NewSocket(w.a, Config{}, nil)
+	sizes := []int{150000, 64000, 20000, 4096, 1500, 64, 1}
+	const rounds = 2
+	// Message k of the run is sizes[k%len(sizes)] bytes with fill seed
+	// k. Request IDs count up in send order; echoes come back in
+	// delivery order, so the client tells them apart by size within the
+	// burst it has outstanding.
+	check := func(side string, got []byte, k int) {
+		if want := fill(sizes[k%len(sizes)], byte(k)); !bytes.Equal(got, want) {
+			t.Errorf("%s of message %d: %d bytes, want %d with fill %d", side, k, len(got), len(want), k)
+		}
+	}
+	srv.OnMessage(func(d Delivery) {
+		check("request", d.Payload, int(d.MsgID))
+		srv.Send(d.Src, d.SrcPort, d.Payload, d.AppThread)
+	})
+	echoed := 0
+	bufs := make(map[*byte]bool)
+	burst := func(r int) {
+		for i, n := range sizes {
+			cli.Send(2, 100, fill(n, byte(r*len(sizes)+i)), i%12)
+		}
+	}
+	cli.OnMessage(func(d Delivery) {
+		k := echoed / len(sizes) * len(sizes)
+		for i, n := range sizes {
+			if n == len(d.Payload) {
+				k += i
+			}
+		}
+		check("echo", d.Payload, k)
+		bufs[&d.Payload[0]] = true
+		if echoed++; echoed == len(sizes) {
+			burst(1)
+		}
+	})
+	w.eng.At(0, func() { burst(0) })
+	w.eng.Run()
+	if echoed != rounds*len(sizes) {
+		t.Fatalf("echoed %d of %d messages", echoed, rounds*len(sizes))
+	}
+	if len(bufs) >= echoed {
+		t.Fatalf("%d deliveries used %d distinct buffers: delivery buffers are not recycled", echoed, len(bufs))
+	}
+}
+
+// TestRepushedSendBufferNotRecycled loses the first ACK of a PlainCodec
+// message, so the sender timer re-pushes a segment that aliases the
+// message's send copy. That copy must never return to the send pool,
+// while the copies of cleanly acknowledged messages are recycled, and
+// every later message must still deliver intact.
+func TestRepushedSendBufferNotRecycled(t *testing.T) {
+	w := newWorld(19)
+	srv := NewSocket(w.b, Config{Port: 100}, nil)
+	cli := NewSocket(w.a, Config{}, nil)
+	lostAcks := 1
+	rx := w.a.NIC.OnRx
+	w.a.NIC.OnRx = func(pkt *wire.Packet) {
+		if pkt.Overlay.Type == wire.TypeAck && lostAcks > 0 {
+			lostAcks--
+			pkt.Release()
+			return
+		}
+		rx(pkt)
+	}
+	const n, size = 4, 4000
+	delivered := 0
+	srv.OnMessage(func(d Delivery) {
+		if !bytes.Equal(d.Payload, fill(size, byte(d.MsgID))) {
+			t.Errorf("message %d delivered corrupted", d.MsgID)
+		}
+		delivered++
+	})
+	// Messages are spaced well past the sender timeout, so each one's
+	// ACK (or the re-push's re-ACK) lands before the next Send.
+	bufs := make([]*byte, n)
+	for i := 0; i < n; i++ {
+		i := i
+		w.eng.At(sim.Time(i)*4*senderTimeout, func() {
+			id := cli.Send(2, 100, fill(size, byte(i)), 0)
+			bufs[i] = &cli.peers[peerKey{2, 100}].out[id].payload[0]
+		})
+	}
+	w.eng.Run()
+	if delivered != n {
+		t.Fatalf("delivered %d of %d", delivered, n)
+	}
+	if cli.Stats.Retransmits == 0 || srv.Stats.SpuriousPkts == 0 {
+		t.Fatal("the lost ACK did not drive a re-push")
+	}
+	for i := 1; i < n; i++ {
+		if bufs[i] == bufs[0] {
+			t.Fatalf("message %d reuses the re-pushed message's send buffer", i)
+		}
+	}
+	if bufs[2] != bufs[1] || bufs[3] != bufs[2] {
+		t.Fatal("send buffers of acknowledged messages are not recycled")
 	}
 }

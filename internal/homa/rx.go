@@ -228,7 +228,7 @@ func (s *Socket) newInMsg(p *peer, pkt *wire.Packet, core int) *inMsg {
 		//smt:allow hotalloc -- per-message reassembly state; counted in the steady-state alloc budget
 		m.segs = append(m.segs, &inSeg{
 			plainOff: off, plainLen: n, wireLen: wl,
-			buf: s.getSegBuf(wl),
+			buf: takeBuf(&s.segBufFree, wl),
 			//smt:allow hotalloc -- per-segment arrival bitmap, sized by wire length; freed with the message
 			have: make([]bool, nPkts(wl, s.cfg.MTU)),
 		})
@@ -301,65 +301,90 @@ func (s *Socket) complete(p *peer, m *inMsg, core int) {
 		s.deliverFree[l-1] = nil
 		s.deliverFree = s.deliverFree[:l-1]
 	} else {
+		//smt:coldpath -- deliverEvent free-list refill; steady state reuses pooled events
 		d = &deliverEvent{s: s}
 	}
 	d.p, d.m, d.thread, d.core = p, m, thread, core
 	s.host.Eng.PostActionAfter(cm.WakeupLatency, d)
 }
 
-// deliverEvent is the pooled wakeup callback for a completed message:
-// the app context decodes (and decrypts) the segments, returns the
-// reassembly buffers and hands the payload to the application.
+// deliverEvent is the pooled two-step delivery of a completed message.
+// Its first Run is the wakeup: the app context decodes (and decrypts)
+// the segments into the event's payload buffer, returns the reassembly
+// buffers and charges the app core. Its second Run is that charge's
+// completion, which ACKs and hands the payload to the application. The
+// buffer stays with the event across reuses, so the payload is only
+// valid until OnMessage returns.
 type deliverEvent struct {
-	s      *Socket
-	p      *peer
-	m      *inMsg
-	thread int
-	core   int
+	s       *Socket
+	p       *peer
+	m       *inMsg
+	thread  int
+	core    int
+	payload []byte
+	decoded bool // the next Run is the app-context completion
 }
 
 // Run implements sim.Action.
 func (d *deliverEvent) Run() {
-	s, p, m, thread, core := d.s, d.p, d.m, d.thread, d.core
-	d.p, d.m = nil, nil
-	s.deliverFree = append(s.deliverFree, d)
+	if d.decoded {
+		d.deliver()
+		return
+	}
+	s, p, m, core := d.s, d.p, d.m, d.core
 	cm := s.host.CM
 	// Decode (and decrypt) each segment, summing the CPU the app
 	// context owes; a corrupted segment re-enters recovery.
 	var cpu sim.Time = cm.Syscall + cm.MsgDeliver + cm.Copy(m.msgLen)
-	//smt:allow hotalloc -- per-delivery payload buffer; ownership passes to the app, so it cannot be pooled
-	payload := make([]byte, 0, m.msgLen)
+	if cap(d.payload) < m.msgLen {
+		//smt:coldpath -- delivery-buffer growth; steady state reuses the event's buffer
+		d.payload = make([]byte, 0, m.msgLen)
+	}
+	d.payload = d.payload[:0]
 	for _, seg := range m.segs {
 		plain, c, err := p.codec.Decode(m.id, m.msgLen, seg.plainOff, seg.buf[:seg.wireLen])
 		cpu += c
 		if err != nil {
 			s.corruptSegment(p, m, seg, core)
+			d.release()
 			return
 		}
-		payload = append(payload, plain...)
+		d.payload = append(d.payload, plain...)
 	}
 	delete(p.in, m.id)
 	delete(s.msgCore, msgKey{m.pk, m.id})
 	p.markDone(m.id)
 	s.activeIn--
-	// Every segment decoded (and its plaintext copied into payload):
-	// the reassembly buffers go back to the pool.
+	// Every segment decoded (and its plaintext copied into the payload
+	// buffer): the reassembly buffers go back to the pool.
 	for _, seg := range m.segs {
 		s.segBufFree = append(s.segBufFree, seg.buf)
 		seg.buf = nil
 	}
-	//smt:allow hotalloc -- per-delivery app completion closure; counted in the steady-state alloc budget
-	s.host.RunApp(thread, cpu, func() {
-		s.ctrl(m.pk, wire.TypeAck, m.id, 0, 0, core)
-		s.Stats.MsgsDelivered++
-		if s.onMessage != nil {
-			s.onMessage(Delivery{
-				Src: m.pk.addr, SrcPort: m.pk.port,
-				MsgID: m.id, Payload: payload,
-				AppThread: thread, Recv: s.host.Eng.Now(),
-			})
-		}
-	})
+	d.decoded = true
+	s.host.App[d.thread%len(s.host.App)].AcquireAction(cpu, d)
+}
+
+// deliver ACKs the message and hands the borrowed payload to the
+// application, then returns the event (and its buffer) to the pool.
+func (d *deliverEvent) deliver() {
+	s, m := d.s, d.m
+	s.ctrl(m.pk, wire.TypeAck, m.id, 0, 0, d.core)
+	s.Stats.MsgsDelivered++
+	if s.onMessage != nil {
+		s.onMessage(Delivery{
+			Src: m.pk.addr, SrcPort: m.pk.port,
+			MsgID: m.id, Payload: d.payload,
+			AppThread: d.thread, Recv: s.host.Eng.Now(),
+		})
+	}
+	d.release()
+}
+
+// release returns the event to the socket's free list.
+func (d *deliverEvent) release() {
+	d.p, d.m, d.decoded = nil, nil, false
+	d.s.deliverFree = append(d.s.deliverFree, d)
 }
 
 // corruptSegment handles an authentication failure (e.g. NIC offload
@@ -462,7 +487,10 @@ func (s *Socket) rxResend(pkt *wire.Packet, core int) {
 	}
 }
 
-// rxAck frees sender-side message state.
+// rxAck frees sender-side message state. The payload copy goes back to
+// sendBufFree unless a segment was ever resubmitted (see outMsg.resent):
+// a first transmission's packets have all been consumed by the time the
+// receiver can ACK, so nothing in flight still aliases the buffer.
 func (s *Socket) rxAck(pkt *wire.Packet) {
 	p, ok := s.peers[peerKey{pkt.IP.Src, pkt.Overlay.SrcPort}]
 	if !ok {
@@ -472,5 +500,9 @@ func (s *Socket) rxAck(pkt *wire.Packet) {
 		m.acked = true
 		m.timer.Stop()
 		delete(p.out, pkt.Overlay.MsgID)
+		if !m.resent {
+			s.sendBufFree = append(s.sendBufFree, m.payload)
+			m.payload = nil
+		}
 	}
 }

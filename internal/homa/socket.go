@@ -44,9 +44,12 @@ type Config struct {
 // Delivery is a fully reassembled (and, under SMT, decrypted and
 // verified) incoming message handed to the application.
 type Delivery struct {
-	Src       uint32
-	SrcPort   uint16
-	MsgID     uint64
+	Src     uint32
+	SrcPort uint16
+	MsgID   uint64
+	// Payload is borrowed: it stays valid until the OnMessage callback
+	// returns, after which the socket reuses the buffer for a later
+	// delivery. A consumer that keeps the bytes copies them.
 	Payload   []byte
 	AppThread int      // thread the delivery ran on
 	Recv      sim.Time // virtual time of delivery to the app
@@ -89,13 +92,16 @@ type Socket struct {
 	// activeIn counts registered-but-undelivered incoming messages,
 	// driving the SRPT bookkeeping cost.
 	activeIn int
-	// rxFree / ctrlFree recycle the pooled softirq callbacks of the
-	// receive path; segBufFree recycles segment reassembly buffers
-	// (returned when a message completes). Single goroutine, no sync.
+	// rxFree / ctrlFree / deliverFree recycle the pooled callbacks of
+	// the receive path (each deliverEvent keeps its delivery buffer);
+	// segBufFree recycles segment reassembly buffers (returned when a
+	// message completes) and sendBufFree Send's payload copies (returned
+	// at ACK). Single goroutine, no sync.
 	rxFree      []*rxEvent
 	ctrlFree    []*ctrlEvent
 	deliverFree []*deliverEvent
 	segBufFree  [][]byte
+	sendBufFree [][]byte
 	// groLastMsg/groLastRx track homa_gro aggregation state.
 	groLastMsg msgKey
 	groLastRx  sim.Time
@@ -117,20 +123,25 @@ type peer struct {
 	// done remembers recently delivered incoming message IDs so late
 	// duplicates of completed messages are discarded; SMT's MsgIDGuard
 	// subsumes this, but vanilla Homa needs its own bounded memory.
+	// doneRing holds the same IDs in completion order: it grows to
+	// doneCap, then turns into a ring whose oldest entry is at doneHead.
 	done     map[uint64]bool
 	doneRing []uint64
+	doneHead int
 }
 
 // doneCap bounds the recently-completed memory per peer.
 const doneCap = 4096
 
 func (p *peer) markDone(id uint64) {
-	if len(p.doneRing) >= doneCap {
-		delete(p.done, p.doneRing[0])
-		p.doneRing = p.doneRing[1:]
+	if len(p.doneRing) < doneCap {
+		p.doneRing = append(p.doneRing, id)
+	} else {
+		delete(p.done, p.doneRing[p.doneHead])
+		p.doneRing[p.doneHead] = id
+		p.doneHead = (p.doneHead + 1) % doneCap
 	}
 	p.done[id] = true
-	p.doneRing = append(p.doneRing, id)
 }
 
 // NewSocket binds a socket on host. codecFactory builds the per-peer
@@ -171,7 +182,8 @@ func (s *Socket) Host() *cpusim.Host { return s.host }
 // Config returns the socket configuration.
 func (s *Socket) Config() Config { return s.cfg }
 
-// OnMessage registers the delivery callback (one per socket).
+// OnMessage registers the delivery callback (one per socket). The
+// Delivery's Payload is borrowed until fn returns.
 func (s *Socket) OnMessage(fn func(Delivery)) { s.onMessage = fn }
 
 // OnHandshake registers a raw handler for TypeHandshake packets; the
@@ -199,19 +211,20 @@ func (s *Socket) Close() {
 	}
 }
 
-// getSegBuf takes an n-byte reassembly buffer from the free list. The
-// contents are unspecified: a segment is only decoded once every packet
-// has landed, at which point every byte has been overwritten.
-func (s *Socket) getSegBuf(n int) []byte {
-	if l := len(s.segBufFree); l > 0 {
-		b := s.segBufFree[l-1]
-		s.segBufFree[l-1] = nil
-		s.segBufFree = s.segBufFree[:l-1]
+// takeBuf takes an n-byte buffer from the free list *free. The contents
+// are unspecified: a reassembly buffer is only decoded once every packet
+// has landed, and Send overwrites its copy whole, so every byte a reader
+// sees has been written.
+func takeBuf(free *[][]byte, n int) []byte {
+	if l := len(*free); l > 0 {
+		b := (*free)[l-1]
+		(*free)[l-1] = nil
+		*free = (*free)[:l-1]
 		if cap(b) >= n {
 			return b[:n]
 		}
 	}
-	//smt:coldpath -- segment-buffer refill or growth; steady state reuses pooled buffers
+	//smt:coldpath -- buffer-pool refill or growth; steady state reuses pooled buffers
 	return make([]byte, n)
 }
 
@@ -256,12 +269,17 @@ func (s *Socket) SetCodec(addr uint32, port uint16, c Codec) {
 // ---- Send path ----
 
 type outMsg struct {
-	id        uint64
-	pk        peerKey
-	payload   []byte
-	segSent   []bool
-	granted   int
-	acked     bool
+	id      uint64
+	pk      peerKey
+	payload []byte
+	segSent []bool
+	granted int
+	acked   bool
+	// resent marks a message with a resubmitted segment. PlainCodec's
+	// segments alias payload, and a re-push may still be queued or on
+	// the wire when the ACK lands, so such a payload is left to the GC
+	// instead of returning to sendBufFree.
+	resent    bool
 	appThread int
 	timer     sim.Timer
 	timerFn   func() // prebuilt sender-timeout callback (one per message)
@@ -276,7 +294,8 @@ func nSegs(n, span int) int { return (n + span - 1) / span }
 // segments from that context; granted segments follow from softirq
 // context as GRANTs arrive (§3.2's multi-context transmission). The
 // returned message ID identifies the message in this socket→peer
-// direction.
+// direction. payload is copied before Send returns, so a borrowed
+// Delivery.Payload can be sent back as is.
 func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread int) uint64 {
 	if len(payload) == 0 {
 		//smt:allow panic -- Send-API misuse by the harness; an empty message has no wire encoding
@@ -291,11 +310,12 @@ func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread 
 	id := p.nextMsgID
 	p.nextMsgID++
 
+	buf := takeBuf(&s.sendBufFree, len(payload))
+	copy(buf, payload)
 	//smt:allow hotalloc -- per-message RPC state; counted in the steady-state alloc budget
 	m := &outMsg{
 		id: id, pk: pk,
-		//smt:allow hotalloc -- per-message payload copy models the send-side syscall copy
-		payload: append([]byte(nil), payload...),
+		payload: buf,
 		//smt:allow hotalloc -- per-message segment bitmap; freed with the message
 		segSent:   make([]bool, nSegs(len(payload), p.codec.SegSpan())),
 		granted:   unschedBytes,
@@ -338,6 +358,7 @@ func (s *Socket) pump(p *peer, m *outMsg, queue int, ctxCore int, onApp bool) {
 // submitSegment encodes one segment and pushes it to the NIC, charging
 // the build cost in the submitting context.
 func (s *Socket) submitSegment(p *peer, m *outMsg, off, n, queue, ctxCore int, onApp, retransmit bool) {
+	m.resent = m.resent || retransmit
 	enc, cpu := p.codec.Encode(m.id, m.payload, off, n, queue, retransmit)
 	cm := s.host.CM
 	if s.cfg.NoTSO && !retransmit {

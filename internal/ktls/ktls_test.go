@@ -164,7 +164,7 @@ func TestEncryptedExchangeAllModes(t *testing.T) {
 		w := newWorld(1)
 		cli, srv, _, _ := connectTLS(t, w, mode)
 		var got []byte
-		srv.OnMessage(func(m []byte) { got = m })
+		srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 		msg := pattern(5000)
 		w.eng.At(w.eng.Now(), func() { cli.SendMessage(msg) })
 		w.eng.Run()
@@ -195,7 +195,7 @@ func TestHWOffloadSealsOnNIC(t *testing.T) {
 	w := newWorld(3)
 	cli, srv, _, _ := connectTLS(t, w, ModeKTLSHW)
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	msg := pattern(40000) // 3 records
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(msg) })
 	w.eng.Run()
@@ -217,7 +217,7 @@ func TestHWRetransmitResync(t *testing.T) {
 	w := newWorld(4)
 	cli, srv, _, _ := connectTLS(t, w, ModeKTLSHW)
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	dropped := false
 	n := 0
 	w.net.Attach(2, func(p *wire.Packet) {

@@ -105,6 +105,36 @@ type pendingPkt struct {
 	onWire func()
 }
 
+// pktFIFO is one queue's transmit FIFO, consumed from a head index and
+// compacted instead of re-sliced, so its backing array is reused even
+// when the queue never fully drains.
+type pktFIFO struct {
+	pkts []pendingPkt
+	head int
+}
+
+func (f *pktFIFO) empty() bool { return f.head == len(f.pkts) }
+
+// push appends p. Once the consumed prefix is at least half of the
+// slice, the live tail moves to the front first: at most one move per
+// packet popped, and no growth while the queue's depth is steady.
+func (f *pktFIFO) push(p pendingPkt) {
+	if f.head > 0 && 2*f.head >= len(f.pkts) {
+		n := copy(f.pkts, f.pkts[f.head:])
+		clear(f.pkts[n:])
+		f.pkts, f.head = f.pkts[:n], 0
+	}
+	f.pkts = append(f.pkts, p)
+}
+
+// pop removes and returns the oldest packet; the FIFO must be non-empty.
+func (f *pktFIFO) pop() pendingPkt {
+	p := f.pkts[f.head]
+	f.pkts[f.head] = pendingPkt{}
+	f.head++
+	return p
+}
+
 // wireEvent is the pooled serialization-done callback of the wire
 // arbiter: one packet leaving the link, handed to the network.
 type wireEvent struct {
@@ -145,7 +175,7 @@ type NIC struct {
 	// merges well at the receiver); with many active queues packets from
 	// different segments interleave on the wire — which is what defeats
 	// receive-side aggregation under multi-queue load.
-	pq       [][]pendingPkt
+	pq       []pktFIFO
 	wireBusy bool
 	rrNext   int
 	wireFree []*wireEvent // pooled serialization-done callbacks
@@ -165,7 +195,7 @@ func New(eng *sim.Engine, cm *cost.Model, net *netsim.Network, addr uint32, nQue
 	n := &NIC{
 		eng: eng, cm: cm, net: net, addr: addr,
 		ctxs: make(map[uint64]*tlsCtx),
-		pq:   make([][]pendingPkt, nQueues),
+		pq:   make([]pktFIFO, nQueues),
 	}
 	for q := 0; q < nQueues; q++ {
 		n.queues = append(n.queues, sim.NewResource(eng, fmt.Sprintf("nic%d-q%d", addr, q)))
@@ -340,7 +370,7 @@ func (n *NIC) emit(q int, seg *TxSegment) {
 // Ownership transfer is inferred by smtlint's call-graph summaries (the
 // packet is bound into the queue on every path), so no annotation.
 func (n *NIC) enqueue(q int, pkt *wire.Packet, onWire func()) {
-	n.pq[q] = append(n.pq[q], pendingPkt{pkt: pkt, onWire: onWire})
+	n.pq[q].push(pendingPkt{pkt: pkt, onWire: onWire})
 	n.kickWire()
 }
 
@@ -353,11 +383,10 @@ func (n *NIC) kickWire() {
 	// Find the next non-empty queue starting from rrNext.
 	for i := 0; i < len(n.pq); i++ {
 		q := (n.rrNext + i) % len(n.pq)
-		if len(n.pq[q]) == 0 {
+		if n.pq[q].empty() {
 			continue
 		}
-		pp := n.pq[q][0]
-		n.pq[q] = n.pq[q][1:]
+		pp := n.pq[q].pop()
 		n.rrNext = q + 1
 		n.wireBusy = true
 		n.Stats.TxPackets++

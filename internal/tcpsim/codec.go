@@ -42,7 +42,9 @@ type Chunk struct {
 type Codec interface {
 	// EncodeStream converts framed plaintext stream bytes into chunks,
 	// returning the transmit-side CPU cost (software crypto or offload
-	// metadata).
+	// metadata). It must not retain data: the connection reuses that
+	// buffer for its next message as soon as EncodeStream returns, so
+	// every chunk owns its Bytes.
 	EncodeStream(data []byte) ([]Chunk, sim.Time)
 	// DecodeStream consumes in-order received stream bytes and returns
 	// any newly available plaintext stream bytes plus the receive-side
@@ -57,7 +59,8 @@ const maxChunk = 64000
 // PlainCodec is raw TCP: the stream is the framed plaintext itself.
 type PlainCodec struct{}
 
-// EncodeStream implements Codec.
+// EncodeStream implements Codec. Each chunk is a copy of its slice of
+// data, the bytes the connection keeps for retransmission.
 func (PlainCodec) EncodeStream(data []byte) ([]Chunk, sim.Time) {
 	var chunks []Chunk
 	for off := 0; off < len(data); off += maxChunk {
@@ -65,7 +68,7 @@ func (PlainCodec) EncodeStream(data []byte) ([]Chunk, sim.Time) {
 		if end > len(data) {
 			end = len(data)
 		}
-		chunks = append(chunks, Chunk{Bytes: data[off:end]})
+		chunks = append(chunks, Chunk{Bytes: append([]byte(nil), data[off:end]...)})
 	}
 	return chunks, 0
 }

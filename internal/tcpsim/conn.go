@@ -80,11 +80,13 @@ type Conn struct {
 	nicNext    uint64 // next record seq the NIC context expects (hw)
 	ctxID      uint64
 	txFree     []*txBuf // recycled TSO-segment assembly buffers
+	frameFree  [][]byte // recycled SendMessage framing copies
 
 	// receiver state. rxPending/appStream are consumed from a head index
-	// (instead of re-slicing) so their capacity is actually reused once
-	// drained — re-slicing forever walks forward through the backing
-	// array and forces a fresh allocation per growth.
+	// and compacted (see compact) instead of re-sliced, so their
+	// capacity is reused even when they never fully drain — re-slicing
+	// forever walks forward through the backing array and forces a
+	// fresh allocation per growth.
 	rcvNxt    int64
 	ooo       map[int64][]byte
 	rxPending []byte // in-order ciphertext awaiting app-context decode
@@ -96,6 +98,7 @@ type Conn struct {
 	ackFn     func() // prebuilt delayed-ack callback
 	sendAckFn func() // prebuilt softirq ack-build callback
 	deliverFn func() // prebuilt app-wakeup callback
+	drainFn   func() // prebuilt app-context completion of a read cycle
 	appStream []byte // decoded plaintext awaiting message framing
 	appHead   int    // consumed prefix of appStream
 
@@ -143,10 +146,21 @@ func (c *Conn) getTxBuf() *txBuf {
 	return tb
 }
 
-// framed prepends the 4-byte length prefix RPC framing.
-func framed(msg []byte) []byte {
-	//smt:allow hotalloc -- per-message framing buffer models the syscall copy
-	out := make([]byte, 4+len(msg))
+// framed copies msg behind the 4-byte length prefix of RPC framing into
+// a buffer from the connection's free list. SendMessage returns the
+// buffer as soon as EncodeStream has consumed it.
+func (c *Conn) framed(msg []byte) []byte {
+	var out []byte
+	if l := len(c.frameFree); l > 0 {
+		out = c.frameFree[l-1]
+		c.frameFree[l-1] = nil
+		c.frameFree = c.frameFree[:l-1]
+	}
+	if cap(out) < 4+len(msg) {
+		//smt:coldpath -- framing-buffer refill or growth; steady state reuses pooled buffers
+		out = make([]byte, 4+len(msg))
+	}
+	out = out[:4+len(msg)]
 	binary.BigEndian.PutUint32(out, uint32(len(msg)))
 	copy(out[4:], msg)
 	return out
@@ -154,6 +168,8 @@ func framed(msg []byte) []byte {
 
 // SendMessage writes one length-prefixed message to the stream. Syscall,
 // copy and codec (crypto) costs charge on the connection's app thread.
+// msg is copied before SendMessage returns, so a borrowed OnMessage
+// slice can be sent back as is.
 func (c *Conn) SendMessage(msg []byte) {
 	if c.closed {
 		//smt:allow panic -- Send-API misuse by the harness; bytes on a closed conn would corrupt the stream accounting
@@ -166,11 +182,12 @@ func (c *Conn) SendMessage(msg []byte) {
 	c.Stats.MsgsSent++
 	c.Stats.BytesSent += uint64(len(msg))
 	cm := c.host.CM
-	data := framed(msg)
+	data := c.framed(msg)
 	sendCost := cm.Syscall + cm.Copy(len(data)) + cm.TCPPerConn*sim.Time(c.host.StreamConns)
 	//smt:allow hotalloc -- per-message send closure; counted in the steady-state alloc budget
 	c.host.RunApp(c.appThread, sendCost, func() {
 		chunks, cpu := c.codec.EncodeStream(data)
+		c.frameFree = append(c.frameFree, data)
 		c.host.RunApp(c.appThread, cpu+cm.TCPTxSegment, func() {
 			for i := range chunks {
 				tc := &txChunk{seq: c.highWater, chunk: chunks[i]}
@@ -186,7 +203,10 @@ func (c *Conn) SendMessage(msg []byte) {
 	})
 }
 
-// OnMessage registers the reassembled-message callback.
+// OnMessage registers the reassembled-message callback. The message
+// slice is borrowed from the connection's receive buffer: it stays
+// valid until fn returns, and a consumer that keeps the bytes copies
+// them.
 func (c *Conn) OnMessage(fn func([]byte)) { c.onMessage = fn }
 
 // OnHandshake registers the receiver for handshake-flight packets
@@ -439,12 +459,9 @@ func (c *Conn) handleData(pkt *wire.Packet) {
 	advanced := false
 	switch {
 	case seq == c.rcvNxt:
-		// Reuse drained capacity; safe only while no delivery cycle is
-		// reading slices of the old region.
-		if !c.rxSched && c.rxHead > 0 && c.rxHead == len(c.rxPending) {
-			c.rxPending = c.rxPending[:0]
-			c.rxHead = 0
-		}
+		// No slice of rxPending outlives deliverCycle, so the consumed
+		// prefix can be reclaimed even while a cycle is scheduled.
+		c.rxPending, c.rxHead = compact(c.rxPending, c.rxHead)
 		c.rxPending = append(c.rxPending, data...)
 		c.rcvNxt += int64(len(data))
 		advanced = true
@@ -522,6 +539,22 @@ func (c *Conn) scheduleDelivery() {
 	c.host.Eng.After(cm.WakeupLatency, c.deliverFn)
 }
 
+// compact drops buf's consumed prefix buf[:head] once it is at least
+// half of buf, moving the unconsumed tail to the front so the capacity
+// is reused. The move costs at most one byte per byte consumed.
+func compact(buf []byte, head int) ([]byte, int) {
+	if head == 0 || 2*head < len(buf) {
+		return buf, head
+	}
+	return buf[:copy(buf, buf[head:])], 0
+}
+
+// deliverCycle is one read() of the application's receive loop: it
+// decodes up to TCPDeliverBatch bytes into appStream (PlainCodec's
+// plaintext aliases rxPending, so the copy happens here, not in the
+// app closure) and charges the app core, whose completion parses
+// messages out of appStream.
+//
 //smt:hotroot
 func (c *Conn) deliverCycle() {
 	cm := c.host.CM
@@ -541,26 +574,35 @@ func (c *Conn) deliverCycle() {
 		c.Close()
 		return
 	}
+	// The previous cycle's messages have all been handed out, so the
+	// parsed prefix of appStream can be reclaimed.
+	c.appStream, c.appHead = compact(c.appStream, c.appHead)
+	c.appStream = append(c.appStream, plain...)
 	total := cm.EpollDispatch + cm.Syscall + cm.TCPDeliver + cm.Copy(len(data)) + cpu +
 		cm.TCPPerConn*sim.Time(c.host.StreamConns)
-	//smt:allow hotalloc -- per-read-cycle app completion closure; counted in the steady-state alloc budget
-	c.host.RunApp(c.appThread, total, func() {
-		if c.appHead > 0 && c.appHead == len(c.appStream) {
-			c.appStream = c.appStream[:0]
-			c.appHead = 0
-		}
-		c.appStream = append(c.appStream, plain...)
-		c.drainMessages()
-		if len(c.rxPending) > c.rxHead {
-			c.deliverCycle() // next read() of the loop
-			return
-		}
-		c.rxSched = false
-	})
+	if c.drainFn == nil {
+		//smt:coldpath -- one read-completion closure per connection, cached on first use
+		c.drainFn = c.drainCycle
+	}
+	c.host.RunApp(c.appThread, total, c.drainFn)
+}
+
+// drainCycle is a read cycle's app-context completion: deliver the
+// messages now complete in appStream, then issue the next read() of
+// the loop while bytes are pending.
+//
+//smt:hotroot
+func (c *Conn) drainCycle() {
+	c.drainMessages()
+	if len(c.rxPending) > c.rxHead {
+		c.deliverCycle()
+		return
+	}
+	c.rxSched = false
 }
 
 // drainMessages parses length-prefixed messages from the plaintext
-// stream.
+// stream and hands each to OnMessage as a borrowed slice of appStream.
 func (c *Conn) drainMessages() {
 	for {
 		buf := c.appStream[c.appHead:]
@@ -571,11 +613,10 @@ func (c *Conn) drainMessages() {
 		if len(buf) < 4+n {
 			return
 		}
-		msg := append([]byte(nil), buf[4:4+n]...)
 		c.appHead += 4 + n
 		c.Stats.MsgsDelivered++
 		if c.onMessage != nil {
-			c.onMessage(msg)
+			c.onMessage(buf[4 : 4+n : 4+n])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"smt/internal/cost"
@@ -52,7 +53,7 @@ func TestConnectAndExchange(t *testing.T) {
 	w := newWorld(1)
 	cli, srv := connect(t, w, Config{})
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	msg := pattern(64)
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(msg) })
 	w.eng.Run()
@@ -87,7 +88,7 @@ func TestLargeTransfer(t *testing.T) {
 	w := newWorld(3)
 	cli, srv := connect(t, w, Config{})
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	msg := pattern(2_000_000) // exceeds window: needs ack clocking
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(msg) })
 	w.eng.Run()
@@ -119,7 +120,7 @@ func TestLossRecoveryFastRetransmit(t *testing.T) {
 	cli, srv := connect(t, w, Config{})
 	w.net.LossProb = 0.03
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	msg := pattern(500_000)
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(msg) })
 	w.eng.RunUntil(3 * sim.Second)
@@ -135,7 +136,7 @@ func TestRTORecoversTotalLoss(t *testing.T) {
 	w := newWorld(6)
 	cli, srv := connect(t, w, Config{})
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	w.net.LossProb = 1.0
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(pattern(100)) })
 	at := w.eng.Now()
@@ -155,7 +156,7 @@ func TestReorderingHandled(t *testing.T) {
 	w.net.ReorderProb = 0.2
 	w.net.ReorderDelay = 30 * sim.Microsecond
 	var got []byte
-	srv.OnMessage(func(m []byte) { got = m })
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
 	msg := pattern(300_000)
 	w.eng.At(w.eng.Now(), func() { cli.SendMessage(msg) })
 	w.eng.RunUntil(2 * sim.Second)
@@ -168,8 +169,8 @@ func TestBidirectional(t *testing.T) {
 	w := newWorld(8)
 	cli, srv := connect(t, w, Config{})
 	var fromCli, fromSrv []byte
-	srv.OnMessage(func(m []byte) { fromCli = m })
-	cli.OnMessage(func(m []byte) { fromSrv = m })
+	srv.OnMessage(func(m []byte) { fromCli = append([]byte(nil), m...) })
+	cli.OnMessage(func(m []byte) { fromSrv = append([]byte(nil), m...) })
 	w.eng.At(w.eng.Now(), func() {
 		cli.SendMessage(pattern(100))
 		srv.SendMessage(pattern(200))
@@ -226,8 +227,85 @@ func TestCloseStopsTraffic(t *testing.T) {
 }
 
 func TestFramingHelper(t *testing.T) {
-	f := framed([]byte("abc"))
+	c := new(Conn)
+	f := c.framed([]byte("abc"))
 	if len(f) != 7 || f[3] != 3 || !bytes.Equal(f[4:], []byte("abc")) {
 		t.Fatalf("framed = %v", f)
+	}
+	// A returned buffer is reused, and a shorter message leaves no
+	// stale tail behind its prefix.
+	c.frameFree = append(c.frameFree, f)
+	g := c.framed([]byte("z"))
+	if &g[0] != &f[0] || len(g) != 5 || g[3] != 1 || g[4] != 'z' {
+		t.Fatalf("framed after reuse = %v", g)
+	}
+}
+
+// fill returns n bytes whose values depend on seed at every position,
+// so two messages with different seeds differ in every byte.
+func fill(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i*31)
+	}
+	return b
+}
+
+// TestBorrowedMessageDescendingSizes echoes two back-to-back bursts of
+// messages of descending size, each with its own fill, over one
+// connection. The bursts span many read cycles, so the receive buffers
+// compact around unconsumed tails and framing buffers are recycled from
+// larger messages to smaller ones; each message is checked byte for
+// byte inside its own callback, so a recycled buffer that leaked a
+// stale tail or an earlier message's bytes would show. The lossy run
+// retransmits retained chunks long after their framing buffers went
+// back to the pool.
+func TestBorrowedMessageDescendingSizes(t *testing.T) {
+	for _, loss := range []float64{0, 0.02} {
+		t.Run(fmt.Sprintf("loss=%v", loss), func(t *testing.T) {
+			testBorrowedMessageDescendingSizes(t, loss)
+		})
+	}
+}
+
+func testBorrowedMessageDescendingSizes(t *testing.T, loss float64) {
+	w := newWorld(13)
+	cli, srv := connect(t, w, Config{})
+	w.net.LossProb = loss
+	sizes := []int{150000, 64000, 20000, 4096, 1500, 64, 1}
+	const rounds = 2
+	// Message k of the run is sizes[k%len(sizes)] bytes with fill seed
+	// k; the stream keeps order, so each side counts.
+	check := func(side string, got []byte, k int) {
+		want := fill(sizes[k%len(sizes)], byte(k))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s of message %d: %d bytes, want %d with fill %d", side, k, len(got), len(want), k)
+		}
+	}
+	requests := 0
+	srv.OnMessage(func(m []byte) {
+		check("request", m, requests)
+		requests++
+		srv.SendMessage(m)
+	})
+	burst := func(r int) {
+		for i, n := range sizes {
+			cli.SendMessage(fill(n, byte(r*len(sizes)+i)))
+		}
+	}
+	echoed := 0
+	cli.OnMessage(func(m []byte) {
+		check("echo", m, echoed)
+		if echoed++; echoed == len(sizes) {
+			burst(1)
+		}
+	})
+	w.eng.At(w.eng.Now(), func() { burst(0) })
+	w.eng.Run()
+	if requests != rounds*len(sizes) || echoed != rounds*len(sizes) {
+		t.Fatalf("requests %d, echoes %d, want %d each", requests, echoed, rounds*len(sizes))
+	}
+	if len(cli.frameFree) == 0 || len(srv.frameFree) == 0 {
+		t.Fatal("framing buffers are not recycled")
 	}
 }

@@ -56,7 +56,8 @@ type (
 	Codec = core.Codec
 	// TransportConfig carries the Homa-level knobs.
 	TransportConfig = homa.Config
-	// Delivery is a verified incoming message.
+	// Delivery is a verified incoming message. Its Payload is borrowed
+	// until the OnMessage callback returns; copy the bytes to keep them.
 	Delivery = homa.Delivery
 	// BitAllocation is the composite sequence-number split (§4.4.1).
 	BitAllocation = tlsrec.BitAllocation

@@ -23,7 +23,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		srv.Send(d.Src, d.SrcPort, d.Payload, d.AppThread)
 	})
 	var got []byte
-	cli.OnMessage(func(d smt.Delivery) { got = d.Payload })
+	cli.OnMessage(func(d smt.Delivery) { got = append([]byte(nil), d.Payload...) })
 	msg := bytes.Repeat([]byte("facade"), 100)
 	world.Eng.At(0, func() { cli.Send(world.Server.Addr, 443, msg, 0) })
 	world.Eng.Run()
