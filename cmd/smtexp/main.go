@@ -15,10 +15,12 @@
 //
 // -audit attaches the wire-compliance auditor (internal/audit) to every
 // world the run builds. The auditor is a pure observer — artifacts are
-// byte-identical with it on — and after the run each world is drained
-// and settled: plaintext/nonce/keystream/framing invariants, byte
-// conservation, and packet-pool leak-freedom. Any violation exits
-// nonzero.
+// byte-identical with it on — and after each experiment its worlds are
+// drained, settled and released: plaintext/nonce/keystream/framing
+// invariants, byte conservation, and packet-pool leak-freedom. Settling
+// per experiment keeps only one experiment's audited worlds in memory,
+// so -run all -audit fits where holding the whole run's would not. One
+// summary line covers the run; any violation exits nonzero.
 //
 // -stacks selects the lineup the lineup-driven experiments (fig6, fig7,
 // fig9, incast, multiclient, loadsweep, churn) sweep in this run: any
@@ -55,7 +57,7 @@ func main() {
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent points")
 		jsonOut = flag.String("json", "", "write a JSON artifact to this path")
 		quiet   = flag.Bool("quiet", false, "suppress per-point rows; print summaries only")
-		audit   = flag.Bool("audit", false, "wire-audit every world; summarize violations after the run (nonzero exit on any)")
+		audit   = flag.Bool("audit", false, "wire-audit every world, settling each experiment's worlds after it runs (nonzero exit on any violation)")
 	)
 	flag.Parse()
 
@@ -107,6 +109,14 @@ func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jso
 	if len(names) == 0 {
 		return fmt.Errorf("no experiment names in %q (try -list)", arg)
 	}
+	// Experiments run one RunNamed call each (below), so resolve every
+	// name before the first one runs; that first call checks the lineup
+	// before it runs anything.
+	for _, n := range names {
+		if _, ok := experiments.Lookup(n); !ok {
+			return fmt.Errorf("unknown experiment %q (have: %v)", n, experiments.Names())
+		}
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -118,18 +128,23 @@ func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jso
 		experiments.SetAuditAll(true)
 		defer experiments.SetAuditAll(false)
 	}
+	opts := experiments.RunOptions{Workers: workers, OnResult: onResult, Lineup: lineup}
 	start := time.Now()
-	runs, err := experiments.RunNamed(names, experiments.RunOptions{
-		Workers:  workers,
-		OnResult: onResult,
-		Lineup:   lineup,
-	})
-	if err != nil {
-		return err
+	var runs []experiments.ExperimentRun
+	var tally auditTally
+	for _, n := range names {
+		r, err := experiments.RunNamed([]string{n}, opts)
+		if err != nil {
+			return err
+		}
+		runs = append(runs, r...)
+		if audit {
+			tally.settle()
+		}
 	}
 	var auditErr error
 	if audit {
-		auditErr = settleAudit()
+		auditErr = tally.report()
 	}
 
 	var points, failed int
@@ -165,32 +180,43 @@ func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jso
 	return auditErr
 }
 
-// settleAudit drains every audited world and settles the wire audit:
-// quiescence, the auditor's invariant set, byte conservation, and
-// packet-pool leak-freedom. Individual violations print to stderr
-// (capped by the auditor's recording bound) above a one-line summary.
-func settleAudit() error {
-	worlds := experiments.TakeAuditedWorlds()
-	var violations, leaked, stuck int
-	var pkts uint64
-	for _, w := range worlds {
+// auditTally accumulates the wire-audit settlement of a run's
+// experiments.
+type auditTally struct {
+	worlds, violations, leaked, stuck int
+	pkts                              uint64
+}
+
+// settle drains every world audited since the last call and settles the
+// wire audit: quiescence, the auditor's invariant set, byte
+// conservation, and packet-pool leak-freedom. Individual violations
+// print to stderr (capped by the auditor's recording bound) as they are
+// found; the worlds are released once counted.
+func (t *auditTally) settle() {
+	for _, w := range experiments.TakeAuditedWorlds() {
+		t.worlds++
 		if !w.DrainQuiesce(2 * sim.Second) {
-			stuck++
+			t.stuck++
 			continue
 		}
 		w.Audit.CheckConservation(w.Net)
 		st := w.Audit.Stats()
-		pkts += st.Packets
-		violations += int(st.TotalViolations)
-		leaked += w.Net.OutstandingPackets()
+		t.pkts += st.Packets
+		t.violations += int(st.TotalViolations)
+		t.leaked += w.Net.OutstandingPackets()
 		for _, v := range w.Audit.Violations() {
 			fmt.Fprintln(os.Stderr, "audit:", v.String())
 		}
 	}
+}
+
+// report prints the run's one-line audit summary and fails on any
+// violation, leaked packet or world that did not quiesce.
+func (t *auditTally) report() error {
 	fmt.Fprintf(os.Stderr, "audit: %d worlds, %d packets observed, %d violations, %d leaked packets, %d worlds failed to quiesce\n",
-		len(worlds), pkts, violations, leaked, stuck)
-	if violations > 0 || leaked > 0 || stuck > 0 {
-		return fmt.Errorf("audit failed: %d violations, %d leaked packets, %d worlds failed to quiesce", violations, leaked, stuck)
+		t.worlds, t.pkts, t.violations, t.leaked, t.stuck)
+	if t.violations > 0 || t.leaked > 0 || t.stuck > 0 {
+		return fmt.Errorf("audit failed: %d violations, %d leaked packets, %d worlds failed to quiesce", t.violations, t.leaked, t.stuck)
 	}
 	return nil
 }

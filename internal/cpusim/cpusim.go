@@ -102,10 +102,10 @@ func NewHost(eng *sim.Engine, cm *cost.Model, net *netsim.Network, addr uint32, 
 		nextPort: 40000,
 	}
 	for i := 0; i < nSoftirq; i++ {
-		h.Softirq = append(h.Softirq, sim.NewResource(eng, fmt.Sprintf("h%d-sirq%d", addr, i)))
+		h.Softirq = append(h.Softirq, sim.NewResource(eng))
 	}
 	for i := 0; i < nApp; i++ {
-		h.App = append(h.App, sim.NewResource(eng, fmt.Sprintf("h%d-app%d", addr, i)))
+		h.App = append(h.App, sim.NewResource(eng))
 	}
 	h.NIC = nicsim.New(eng, cm, net, addr, nApp+nSoftirq)
 	h.NIC.OnRx = h.dispatch

@@ -198,7 +198,7 @@ func New(eng *sim.Engine, cm *cost.Model, net *netsim.Network, addr uint32, nQue
 		pq:   make([]pktFIFO, nQueues),
 	}
 	for q := 0; q < nQueues; q++ {
-		n.queues = append(n.queues, sim.NewResource(eng, fmt.Sprintf("nic%d-q%d", addr, q)))
+		n.queues = append(n.queues, sim.NewResource(eng))
 	}
 	net.Attach(addr, func(pkt *wire.Packet) {
 		n.Stats.RxPackets++

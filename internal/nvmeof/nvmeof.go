@@ -64,7 +64,7 @@ func NewSSD(eng *sim.Engine, channels int, readLatency sim.Time) *SSD {
 	}
 	s := &SSD{ReadLatency: readLatency, blocks: make(map[uint64][]byte)}
 	for i := 0; i < channels; i++ {
-		s.channels = append(s.channels, sim.NewResource(eng, fmt.Sprintf("ssd-ch%d", i)))
+		s.channels = append(s.channels, sim.NewResource(eng))
 	}
 	return s
 }

@@ -120,11 +120,16 @@ func (r *refEngine) runUntil(deadline Time) Time {
 }
 
 // fuzzDelta decodes a 3-byte mantissa + shift into a time delta spanning
-// every wheel level and the overflow horizon: shifts up to 26 bits put
-// timestamps anywhere from the current level-0 window to ~4× past the
-// 2^32 ns wheel span.
-func fuzzDelta(b0, b1, b2, sh byte) Time {
-	return Time(uint64(b0)|uint64(b1)<<8|uint64(b2)<<16) << (sh % 27)
+// every wheel level: shifts up to 39 bits put timestamps anywhere from
+// the current level-0 window to level 7 (bits 56–62). The delta is
+// clamped so now+delta never passes maxTime, keeping both the engine's
+// and the reference's timestamps inside int64.
+func fuzzDelta(b0, b1, b2, sh byte, now Time) Time {
+	d := Time(uint64(b0)|uint64(b1)<<8|uint64(b2)<<16) << (sh % 40)
+	if d > maxTime-now {
+		d = maxTime - now
+	}
+	return d
 }
 
 // FuzzTimerOrder is the wheel's differential fuzzer: it decodes the
@@ -137,11 +142,11 @@ func fuzzDelta(b0, b1, b2, sh byte) Time {
 //	byte 0: opcode (mod 5: schedule, stop, reset, runUntil, drain)
 //	byte 1: timer slot selector (8 caller-held slots)
 //	bytes 2-4: delta mantissa
-//	byte 5: delta shift (exponential, covers all levels + overflow)
+//	byte 5: delta shift (exponential, covers all eight levels)
 func FuzzTimerOrder(f *testing.F) {
 	// Seeds: one op of each kind on slot 0 with a mid-wheel delta, a
-	// stop/reset storm, a far-future overflow program, and bounded
-	// probes interleaved with schedules.
+	// stop/reset storm, a level-7 program near the end of Time, and
+	// bounded probes interleaved with schedules.
 	f.Add([]byte{0, 0, 100, 0, 0, 4})
 	f.Add([]byte{
 		0, 0, 1, 2, 3, 8,
@@ -152,8 +157,8 @@ func FuzzTimerOrder(f *testing.F) {
 		4, 0, 0, 0, 0, 0,
 	})
 	f.Add([]byte{
-		0, 0, 255, 255, 255, 26, // overflow resident
-		0, 1, 255, 255, 255, 26, // second, same far window
+		0, 0, 255, 255, 255, 39, // level-7 resident
+		0, 1, 255, 255, 255, 39, // second, same level-7 slot
 		2, 0, 1, 0, 0, 26, // re-arm slot 0 closer
 		3, 0, 255, 255, 0, 18, // probe partway
 	})
@@ -191,7 +196,7 @@ func FuzzTimerOrder(f *testing.F) {
 
 		for len(data) >= 6 {
 			op, slot := data[0]%5, int(data[1]%8)
-			d := fuzzDelta(data[2], data[3], data[4], data[5])
+			d := fuzzDelta(data[2], data[3], data[4], data[5], e.Now())
 			data = data[6:]
 			switch op {
 			case 0: // schedule into a slot (handle kept for stop/reset)

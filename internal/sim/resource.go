@@ -10,13 +10,11 @@ type Resource struct {
 	freeAt Time
 	// Busy accumulates total occupied time, for utilization accounting.
 	Busy Time
-	// Name identifies the resource in debug output.
-	Name string
 }
 
 // NewResource returns an idle resource bound to eng.
-func NewResource(eng *Engine, name string) *Resource {
-	return &Resource{eng: eng, Name: name}
+func NewResource(eng *Engine) *Resource {
+	return &Resource{eng: eng}
 }
 
 // reserve books dur of work starting no earlier than now and returns the

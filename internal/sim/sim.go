@@ -41,9 +41,6 @@ const (
 	Second           = 1000 * Millisecond
 )
 
-// Duration converts a time.Duration into the simulator's Time scale.
-func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
-
 // Std converts a virtual timestamp or interval back to a time.Duration.
 func (t Time) Std() time.Duration { return time.Duration(t) }
 
@@ -69,19 +66,17 @@ type Action interface {
 // fire, are stopped, or are found dead. gen guards stale Timer handles
 // against acting on a recycled event.
 //
-// A pending event lives in exactly one of two places: threaded into a
-// timing-wheel slot's intrusive list (slot non-nil, prev/next are the
-// links) or parked in the far-future overflow heap (slot nil, idx is
-// its heap position).
+// A pending event is threaded into one timing-wheel slot's intrusive
+// list: prev/next are the links, and level/idx name the slot so an O(1)
+// unlink can find it (and its occupancy bit) again.
 type event struct {
 	at         Time
 	seq        uint64 // tie-break: FIFO among equal timestamps
 	fn         func()
 	act        Action // non-nil alternative to fn
 	prev, next *event // intrusive wheel-slot links
-	slot       *wslot // wheel slot holding this event, nil if in overflow
-	idx        int    // overflow-heap index, -1 once popped
 	gen        uint64 // bumped on every recycle
+	level, idx uint8  // wheel slot coordinates while pending
 }
 
 // Timer is a handle to a scheduled event that can be cancelled or
@@ -114,23 +109,18 @@ func (t *Timer) Active() bool { return t != nil && t.ev != nil && t.ev.gen == t.
 // Engine is the discrete-event executor. It is not safe for concurrent use;
 // the whole simulation runs on one goroutine by design.
 type Engine struct {
-	now     Time
-	seq     uint64
-	q       wheel
-	free    []*event // recycled events; single-goroutine, no sync needed
-	rng     *rand.Rand
-	stopped bool
-	// Executed counts events that have run, a cheap progress/size metric.
-	Executed uint64
+	now  Time
+	seq  uint64
+	q    wheel
+	free []*event // recycled events; single-goroutine, no sync needed
+	rng  *rand.Rand
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose random
 // source is seeded with seed (use a fixed seed for reproducible runs).
 func NewEngine(seed int64) *Engine {
 	//smt:allow determinism -- the engine RNG: seeded by the caller, this IS the deterministic randomness source
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
-	e.q.init()
-	return e
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -268,9 +258,6 @@ func (e *Engine) ResetAfter(t *Timer, d Time, fn func()) {
 	e.ResetAt(t, e.now+d, fn)
 }
 
-// Stop aborts Run / RunUntil at the next event boundary.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Pending reports the number of scheduled (non-cancelled) events, O(1).
 // Cancelled events are removed eagerly, so this is exactly the queue size.
 func (e *Engine) Pending() int { return e.q.count }
@@ -290,7 +277,6 @@ func (e *Engine) fire(ev *event) {
 	} else {
 		fn()
 	}
-	e.Executed++
 }
 
 // step executes the earliest pending event. It reports false when no
@@ -304,11 +290,10 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// the final virtual time.
+// Run executes events until the queue drains. It returns the final
+// virtual time.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.stopped && e.step() {
+	for e.step() {
 	}
 	return e.now
 }
@@ -319,12 +304,7 @@ func (e *Engine) Run() Time {
 // the wheel cursor past the deadline, so events scheduled afterwards
 // always land at or ahead of it.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped {
-		ev := e.q.next(deadline)
-		if ev == nil {
-			break
-		}
+	for ev := e.q.next(deadline); ev != nil; ev = e.q.next(deadline) {
 		e.q.remove(ev)
 		e.fire(ev)
 	}

@@ -91,7 +91,7 @@ func TestTimerStop(t *testing.T) {
 // grow the queue without bound. Stop unlinks the event from its wheel
 // slot eagerly, so 1M schedule+cancel cycles leave exactly the live
 // events — counted both by the public counter and by walking the wheel's
-// internal slots and overflow heap.
+// internal slots.
 func TestHeapCompaction(t *testing.T) {
 	e := NewEngine(1)
 	const live = 16
@@ -307,7 +307,8 @@ func TestSchedulingAllocs(t *testing.T) {
 // deepPendingWindow is the number of churn cycles TestDeepPendingAllocs
 // counts allocations over. At deepPending's 100 ns spacing they span
 // 20 ms of simulated time, more than one level-3 wheel slot (2^24 ns ≈
-// 16.8 ms), so the window crosses a cascade at every level.
+// 16.8 ms), so the window crosses a cascade at every level the backlog
+// occupies (at most 100 ms, inside level 3).
 const deepPendingWindow = 200_000
 
 // TestDeepPendingAllocs pins BenchmarkEngineDeepPending's claim at every
@@ -357,24 +358,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	var rearm func()
-	rearm = func() {
-		n++
-		if n == 5 {
-			e.Stop()
-		}
-		e.After(1, rearm)
-	}
-	e.After(1, rearm)
-	e.Run()
-	if n != 5 {
-		t.Fatalf("ran %d events, want 5", n)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		e := NewEngine(42)
@@ -399,9 +382,6 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestDurationConversions(t *testing.T) {
-	if Duration(3*time.Microsecond) != 3*Microsecond {
-		t.Fatal("Duration conversion wrong")
-	}
 	if (2 * Millisecond).Std() != 2*time.Millisecond {
 		t.Fatal("Std conversion wrong")
 	}
@@ -415,7 +395,7 @@ func TestDurationConversions(t *testing.T) {
 
 func TestResourceSerializes(t *testing.T) {
 	e := NewEngine(1)
-	r := NewResource(e, "core0")
+	r := NewResource(e)
 	var done []Time
 	e.At(0, func() {
 		r.Acquire(100, func() { done = append(done, e.Now()) })
@@ -432,7 +412,7 @@ func TestResourceSerializes(t *testing.T) {
 
 func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine(1)
-	r := NewResource(e, "core0")
+	r := NewResource(e)
 	var second Time
 	e.At(0, func() { r.Acquire(10, nil) })
 	e.At(100, func() { r.Acquire(10, func() { second = e.Now() }) })
@@ -444,7 +424,7 @@ func TestResourceIdleGap(t *testing.T) {
 
 func TestResourceQueueDelayAndUtilization(t *testing.T) {
 	e := NewEngine(1)
-	r := NewResource(e, "c")
+	r := NewResource(e)
 	e.At(0, func() {
 		r.Acquire(100, nil)
 		if r.QueueDelay() != 100 {
@@ -464,7 +444,7 @@ func TestResourceQueueDelayAndUtilization(t *testing.T) {
 func TestResourceBusyConservation(t *testing.T) {
 	f := func(durs []uint16) bool {
 		e := NewEngine(7)
-		r := NewResource(e, "c")
+		r := NewResource(e)
 		var total Time
 		e.At(0, func() {
 			for _, d := range durs {

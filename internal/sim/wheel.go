@@ -3,36 +3,32 @@ package sim
 import "math/bits"
 
 // This file implements the engine's pending-event structure: a
-// Varghese–Lauck hierarchical timing wheel with an overflow heap for
-// far-future events. It replaced the monomorphic binary heap when the
-// RTO-dominated timer load of the fabric sweeps made the heap's
-// O(log n) sift the dominant cost at depth (hundreds of thousands of
-// pending timers at 64+ hosts): schedule, cancel and re-arm are all
-// O(1) here, and pop is O(1) amortized.
+// Varghese–Lauck hierarchical timing wheel. It replaced the monomorphic
+// binary heap when the RTO-dominated timer load of the fabric sweeps
+// made the heap's O(log n) sift the dominant cost at depth (hundreds of
+// thousands of pending timers at 64+ hosts): schedule, cancel and
+// re-arm are all O(1) here, and pop is O(1) amortized.
 //
-// Geometry. Four levels of 256 slots at a 1 ns tick. Level k's slot
+// Geometry. Eight levels of 256 slots at a 1 ns tick. Level k's slot
 // index is bits [8k, 8k+8) of the event's absolute timestamp, so a
-// level-k slot spans 256^k ticks and the whole wheel covers
-// 256^4 ns ≈ 4.29 s beyond the cursor; anything further waits in a
-// small (at, seq)-ordered overflow heap and is drained into the wheel
-// when the cursor enters its 2^32 ns window. The tick is 1 ns — the
-// cost model's finest event spacing is a single nanosecond (Time is
-// ns-granular and cost constants go down to fractions of a µs), and a
-// coarser tick would bucket distinct timestamps into one slot and
-// force a per-slot sort to recover (at, seq) pop order. At 1 ns every
-// event in one level-0 slot shares the same timestamp, so FIFO slot
-// order *is* (at, seq) order and pop needs no comparisons at all.
+// level-k slot spans 256^k ticks and eight levels cover all 64 bits:
+// every non-negative Time lands in a slot, however far past the cursor.
+// The tick is 1 ns — the cost model's finest event spacing is a single
+// nanosecond (Time is ns-granular and cost constants go down to
+// fractions of a µs), and a coarser tick would bucket distinct
+// timestamps into one slot and force a per-slot sort to recover
+// (at, seq) pop order. At 1 ns every event in one level-0 slot shares
+// the same timestamp, so FIFO slot order *is* (at, seq) order and pop
+// needs no comparisons at all.
 //
-// Determinism. Pop order is the exact (at, seq) total order the heap
-// produced, so artifacts are byte-identical across the swap:
+// Determinism. Pop order is the exact (at, seq) total order:
 //
 //   - Every slot list is seq-sorted at all times. Direct inserts
 //     append with a strictly increasing seq; a cascade moves a
 //     seq-sorted list, in order, into slots that are provably empty of
 //     live events (a level-k slot only ever holds events of the
 //     cursor's current level-k+1 window, and the cursor enters a
-//     window exactly once); overflow drains feed the wheel in full
-//     (at, seq) heap order before any same-window insert can occur.
+//     window exactly once).
 //   - A level-0 slot's events all share one timestamp (1 ns tick), so
 //     its head is the (at, seq) minimum of that instant.
 //   - Levels are disjoint in time: level 0 holds only the cursor's
@@ -45,15 +41,11 @@ import "math/bits"
 // timestamps against pos) is stable: at >= pos for every live event.
 
 const (
-	wheelLevels   = 4
+	wheelLevels   = 8
 	wheelSlotBits = 8
 	wheelSlots    = 1 << wheelSlotBits // 256 slots per level
 	wheelMask     = wheelSlots - 1
 	wheelWords    = wheelSlots / 64 // occupancy-bitmap words per level
-	// wheelSpanBits is the horizon in bits: events at least
-	// 2^wheelSpanBits ns beyond the cursor wait in the overflow heap.
-	wheelSpanBits = wheelLevels * wheelSlotBits
-	wheelSpan     = Time(1) << wheelSpanBits
 )
 
 // maxTime is the unbounded limit for next(): pop uses it, RunUntil
@@ -61,41 +53,24 @@ const (
 const maxTime = Time(1<<63 - 1)
 
 // wslot is one wheel slot: an intrusive doubly-linked FIFO of events.
-// level and idx locate the slot's occupancy bit so an O(1) unlink can
-// clear it when the list empties.
+// The zero value is an empty slot.
 type wslot struct {
 	head, tail *event
-	level, idx uint16
 }
 
-// wheel is the engine's pending-event queue. The zero value is not
-// ready; init must run once (NewEngine does).
+// wheel is the engine's pending-event queue. The zero value is an
+// empty wheel with its cursor at time zero.
 type wheel struct {
 	// pos is the cursor: the wheel's notion of "now" for placement.
 	// Invariants: pos never decreases, pos <= every pending event's
 	// timestamp, and pos <= the engine clock whenever user code runs.
 	pos Time
-	// count is the number of pending events across wheel and overflow.
+	// count is the number of pending events.
 	count int
 	// bits[l] is level l's slot-occupancy bitmap; scan() finds the next
 	// occupied slot in a handful of word operations instead of a walk.
 	bits  [wheelLevels][wheelWords]uint64
 	slots [wheelLevels][wheelSlots]wslot
-	// heap is the far-future overflow: events >= wheelSpan beyond pos,
-	// ordered by (at, seq). Cancelling one is O(log h), but only events
-	// more than ~4.3 s of virtual time ahead ever live here (end-of-run
-	// markers, not RTO or pacing timers), so h stays tiny.
-	heap eventHeap
-}
-
-// init stamps each slot with its bitmap coordinates.
-func (q *wheel) init() {
-	for l := range q.slots {
-		for i := range q.slots[l] {
-			s := &q.slots[l][i]
-			s.level, s.idx = uint16(l), uint16(i)
-		}
-	}
 }
 
 // add inserts a filled-in event. O(1).
@@ -105,33 +80,19 @@ func (q *wheel) add(ev *event) {
 }
 
 // place routes ev to the level whose windows distinguish ev.at from the
-// cursor: the XOR picks the highest differing bit, i.e. the coarsest
-// level at which the two timestamps fall in different slots. Requires
+// cursor: the highest bit in which the two timestamps differ names the
+// coarsest level at which they fall in different slots (an event at the
+// cursor itself, with no differing bit, goes to level 0). Requires
 // ev.at >= q.pos.
 func (q *wheel) place(ev *event) {
-	d := uint64(ev.at ^ q.pos)
-	switch {
-	case d < 1<<wheelSlotBits:
-		q.push(0, int(ev.at)&wheelMask, ev)
-	case d < 1<<(2*wheelSlotBits):
-		q.push(1, int(ev.at>>wheelSlotBits)&wheelMask, ev)
-	case d < 1<<(3*wheelSlotBits):
-		q.push(2, int(ev.at>>(2*wheelSlotBits))&wheelMask, ev)
-	case d < 1<<wheelSpanBits:
-		q.push(3, int(ev.at>>(3*wheelSlotBits))&wheelMask, ev)
-	default:
-		ev.slot = nil
-		q.heap.push(ev)
-	}
-}
-
-// push appends ev to a slot's FIFO and sets its occupancy bit.
-func (q *wheel) push(level, idx int, ev *event) {
+	level := (bits.Len64(uint64(ev.at^q.pos)) - 1) / wheelSlotBits
+	idx := int(ev.at>>(level*wheelSlotBits)) & wheelMask
 	s := &q.slots[level][idx]
 	if s.head == nil {
 		q.bits[level][idx>>6] |= 1 << (idx & 63)
 	}
-	ev.slot, ev.prev, ev.next = s, s.tail, nil
+	ev.level, ev.idx = uint8(level), uint8(idx)
+	ev.prev, ev.next = s.tail, nil
 	if s.tail != nil {
 		s.tail.next = ev
 	} else {
@@ -140,28 +101,24 @@ func (q *wheel) push(level, idx int, ev *event) {
 	s.tail = ev
 }
 
-// remove unlinks a pending event: O(1) for wheel-resident events
-// (Timer.Stop's per-packet cancel path), O(log h) for the rare
-// far-future overflow resident.
+// remove unlinks a pending event in O(1) (Timer.Stop's per-packet
+// cancel path) and clears its slot's occupancy bit if the list empties.
 func (q *wheel) remove(ev *event) {
-	if s := ev.slot; s != nil {
-		if ev.prev != nil {
-			ev.prev.next = ev.next
-		} else {
-			s.head = ev.next
-		}
-		if ev.next != nil {
-			ev.next.prev = ev.prev
-		} else {
-			s.tail = ev.prev
-		}
-		if s.head == nil {
-			q.bits[s.level][s.idx>>6] &^= 1 << (s.idx & 63)
-		}
-		ev.slot, ev.prev, ev.next = nil, nil, nil
+	s := &q.slots[ev.level][ev.idx]
+	if ev.prev != nil {
+		ev.prev.next = ev.next
 	} else {
-		q.heap.remove(ev.idx)
+		s.head = ev.next
 	}
+	if ev.next != nil {
+		ev.next.prev = ev.prev
+	} else {
+		s.tail = ev.prev
+	}
+	if s.head == nil {
+		q.bits[ev.level][ev.idx>>6] &^= 1 << (ev.idx & 63)
+	}
+	ev.prev, ev.next = nil, nil
 	q.count--
 }
 
@@ -187,11 +144,11 @@ func (q *wheel) scan(level, from int) int {
 
 // next returns the earliest pending event without removing it, or nil
 // if none has a timestamp <= limit. It advances the cursor toward that
-// event, cascading higher-level slots and draining the overflow window
-// as boundaries are crossed; the cursor never moves past limit, so a
-// bounded probe (RunUntil's deadline) leaves placement sound for
-// events scheduled after it. Amortized O(1): each event cascades at
-// most wheelLevels-1 times over its lifetime.
+// event, cascading higher-level slots as boundaries are crossed; the
+// cursor never moves past limit, so a bounded probe (RunUntil's
+// deadline) leaves placement sound for events scheduled after it.
+// Amortized O(1): each event cascades at most wheelLevels-1 times over
+// its lifetime.
 //
 //smt:hotroot
 func (q *wheel) next(limit Time) *event {
@@ -214,39 +171,25 @@ func (q *wheel) next(limit Time) *event {
 		// finest non-empty level, cascade it down, and rescan. The
 		// current slot (index pos>>shift) is always already empty —
 		// its events were cascaded when the cursor entered it.
-		cascaded := false
-		for l := 1; l < wheelLevels; l++ {
-			shift := l * wheelSlotBits
-			s := q.scan(l, int(pos>>shift)&wheelMask+1)
-			if s < 0 {
-				continue
+		l, s := 1, -1
+		for ; l < wheelLevels; l++ {
+			if s = q.scan(l, int(pos>>(l*wheelSlotBits))&wheelMask+1); s >= 0 {
+				break
 			}
-			w := pos&^(Time(1)<<(shift+wheelSlotBits)-1) | Time(s)<<shift
-			if w > limit {
-				return nil
-			}
-			q.pos = w
-			q.cascade(l, s)
-			cascaded = true
-			break
 		}
-		if cascaded {
-			continue
+		if s < 0 {
+			return nil // unreachable while count > 0: every event is in a slot
 		}
-		// Wheel empty out to the horizon: jump to the overflow heap
-		// minimum's window and pull that whole window in.
-		if len(q.heap) > 0 {
-			w := q.heap[0].at &^ (wheelSpan - 1)
-			if w > limit {
-				return nil
-			}
-			q.pos = w
-			for len(q.heap) > 0 && q.heap[0].at < w+wheelSpan {
-				q.place(q.heap.popMin())
-			}
-			continue
+		// The slot's window start: pos's bits above this level, then s.
+		// At level 7 the mask's shift is 64, which Go defines as 0, so
+		// the mask clears every bit of pos.
+		shift := l * wheelSlotBits
+		w := pos&^(Time(1)<<(shift+wheelSlotBits)-1) | Time(s)<<shift
+		if w > limit {
+			return nil
 		}
-		return nil
+		q.pos = w
+		q.cascade(l, s)
 	}
 }
 
@@ -263,7 +206,6 @@ func (q *wheel) cascade(level, idx int) {
 	q.bits[level][idx>>6] &^= 1 << (idx & 63)
 	for ev != nil {
 		n := ev.next
-		ev.slot, ev.prev, ev.next = nil, nil, nil
 		q.place(ev)
 		ev = n
 	}
@@ -278,102 +220,4 @@ func (q *wheel) pop() *event {
 		q.remove(ev)
 	}
 	return ev
-}
-
-// heapEntry is one far-future event in the overflow heap. The
-// (at, seq) sort key is stored inline so compares never dereference
-// the event; pop order is the same (at, seq) total order the wheel
-// maintains, so draining a window into the wheel preserves it.
-type heapEntry struct {
-	at  Time
-	seq uint64
-	ev  *event
-}
-
-type eventHeap []heapEntry
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].ev.idx = i
-	h[j].ev.idx = j
-}
-
-func (h eventHeap) up(j int) {
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !h.less(j, i) {
-			break
-		}
-		h.swap(i, j)
-		j = i
-	}
-}
-
-// down sifts i toward the leaves; it reports whether i moved.
-func (h eventHeap) down(i0, n int) bool {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h.swap(i, j)
-		i = j
-	}
-	return i > i0
-}
-
-func (h *eventHeap) push(ev *event) {
-	ev.idx = len(*h)
-	*h = append(*h, heapEntry{at: ev.at, seq: ev.seq, ev: ev})
-	h.up(ev.idx)
-}
-
-// popMin removes and returns the earliest event.
-func (h *eventHeap) popMin() *event {
-	old := *h
-	n := len(old) - 1
-	ev := old[0].ev
-	ev.idx = -1
-	if n > 0 {
-		old[0] = old[n]
-		old[0].ev.idx = 0
-	}
-	old[n] = heapEntry{}
-	*h = old[:n]
-	(*h).down(0, n)
-	return ev
-}
-
-// remove deletes the entry at index i (Timer.Stop on an overflow
-// resident).
-func (h *eventHeap) remove(i int) {
-	old := *h
-	n := len(old) - 1
-	old[i].ev.idx = -1
-	if n != i {
-		old[i] = old[n]
-		old[i].ev.idx = i
-	}
-	old[n] = heapEntry{}
-	*h = old[:n]
-	if n != i {
-		if !(*h).down(i, n) {
-			(*h).up(i)
-		}
-	}
 }

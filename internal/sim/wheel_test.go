@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
-// walkCount counts live events the slow way — walking every slot list
-// and the overflow heap — so tests can cross-check the O(1) counter and
-// the occupancy bitmaps against ground truth.
+// walkCount counts live events the slow way — walking every slot list —
+// so tests can cross-check the O(1) counter and the occupancy bitmaps
+// against ground truth.
 func (q *wheel) walkCount() int {
 	n := 0
 	for l := range q.slots {
@@ -22,28 +23,38 @@ func (q *wheel) walkCount() int {
 			}
 		}
 	}
-	return n + len(q.heap)
+	return n
 }
 
-// TestWheelLevelPlacement schedules one event per wheel level plus an
-// overflow resident and checks they pop in timestamp order with the
-// clock landing exactly on each.
+// TestWheelLevelPlacement schedules one event on each of the eight
+// wheel levels, the last 12 µs short of the end of Time, and checks
+// each occupies one slot of its own level and they pop in timestamp
+// order with the clock landing exactly on each.
 func TestWheelLevelPlacement(t *testing.T) {
 	e := NewEngine(1)
 	ats := []Time{
-		3,                  // level 0: same 256 ns window as the cursor
-		1 << 10,            // level 1
-		1 << 20,            // level 2
-		1 << 28,            // level 3
-		wheelSpan + 12_345, // beyond the horizon: overflow heap
+		3,                // level 0: same 256 ns window as the cursor
+		1 << 10,          // level 1
+		1 << 20,          // level 2
+		1 << 28,          // level 3
+		1 << 36,          // level 4
+		1 << 44,          // level 5
+		1 << 52,          // level 6
+		maxTime - 12_345, // level 7: the top bits of the clock
 	}
 	var got []Time
 	for _, at := range ats {
 		at := at
 		e.At(at, func() { got = append(got, e.Now()) })
 	}
-	if len(e.q.heap) != 1 {
-		t.Fatalf("overflow heap holds %d events, want 1", len(e.q.heap))
+	for l := range e.q.bits {
+		occupied := 0
+		for _, w := range e.q.bits[l] {
+			occupied += bits.OnesCount64(w)
+		}
+		if occupied != 1 {
+			t.Fatalf("level %d has %d occupied slots, want 1", l, occupied)
+		}
 	}
 	e.Run()
 	if len(got) != len(ats) {
@@ -59,19 +70,19 @@ func TestWheelLevelPlacement(t *testing.T) {
 // TestWheelSameSlotFIFO pins the determinism contract at its sharpest
 // point: events with the identical timestamp run in scheduling order,
 // including events that reach the level-0 slot via different routes
-// (direct insert vs. cascade from a higher level vs. overflow drain).
+// (direct insert vs. cascade down from level 4).
 func TestWheelSameSlotFIFO(t *testing.T) {
 	e := NewEngine(1)
-	const at = wheelSpan + 4242 // far enough to start life in the overflow
+	const at = 1<<32 + 4242 // far enough to start life on level 4
 	var got []int
 	mark := func(i int) func() { return func() { got = append(got, i) } }
-	e.At(at, mark(0))     // overflow resident
-	e.At(at, mark(1))     // overflow resident, later seq
+	e.At(at, mark(0))     // level-4 resident
+	e.At(at, mark(1))     // level-4 resident, later seq
 	e.After(1, func() {}) // a near event so the probe below has work
 	e.At(at-1, mark(2))   // neighbor timestamp, must run first
 	e.At(at, mark(3))     // same instant again
-	// Probe just short of the events: drains the overflow window into
-	// the wheel and cascades it down to level 0 without firing anything.
+	// Probe just short of the events: cascades them from level 4 down
+	// to level 0 without firing anything.
 	e.RunUntil(at - 100)
 	e.At(at, mark(4)) // direct level-0 insert into the already-filled slot
 	e.Run()
@@ -117,12 +128,15 @@ func TestWheelRunUntilBoundary(t *testing.T) {
 func TestWheelChurnMatchesCounter(t *testing.T) {
 	e := NewEngine(7)
 	rng := rand.New(rand.NewSource(42))
+	// delay spreads a 24-bit mantissa over shifts 0–38, so timestamps
+	// reach every level up to 2^62 ns without nearing the end of Time.
+	delay := func() Time { return Time(rng.Int63n(1<<24)) << rng.Intn(39) }
 	var timers []*Timer
 	for i := 0; i < 20_000; i++ {
 		switch rng.Intn(4) {
 		case 0:
 			tm := new(Timer)
-			e.ResetAfter(tm, Time(rng.Int63n(int64(wheelSpan)*2)), func() {})
+			e.ResetAfter(tm, delay(), func() {})
 			timers = append(timers, tm)
 		case 1:
 			if len(timers) > 0 {
@@ -132,7 +146,7 @@ func TestWheelChurnMatchesCounter(t *testing.T) {
 		case 2:
 			if len(timers) > 0 {
 				j := rng.Intn(len(timers))
-				e.ResetAfter(timers[j], Time(rng.Int63n(int64(wheelSpan)*2)), func() {})
+				e.ResetAfter(timers[j], delay(), func() {})
 			}
 		case 3:
 			e.RunUntil(e.Now() + Time(rng.Int63n(1<<20)))
