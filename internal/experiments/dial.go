@@ -266,8 +266,7 @@ type Dialer struct {
 	w      *World
 	wr     wiring
 	policy HandshakePolicy
-
-	encBuf []byte
+	echo   echoServer
 
 	// Resolver is the dcdns instance serving the server's SMT-ticket
 	// (HS0RTT); exported so the churn experiment reads its counters.
@@ -304,7 +303,11 @@ func NewDialer(w *World, spec StackSpec, cfg DialConfig) (*Dialer, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Dialer{w: w, wr: wr, policy: cfg.Policy, resumption: make(map[uint32][]byte)}
+	d := &Dialer{
+		w: w, wr: wr, policy: cfg.Policy,
+		echo:       echoServer{w: w, host: w.Server},
+		resumption: make(map[uint32][]byte),
+	}
 	if err := d.validatePolicy(); err != nil {
 		return nil, err
 	}
@@ -349,26 +352,10 @@ func (d *Dialer) validatePolicy() error {
 	return nil
 }
 
-func (d *Dialer) serveRPC(appThread int, payload []byte, send func(resp []byte)) {
-	d.w.checkDelivery(payload)
-	id, respSize, err := rpc.Decode(payload)
-	if err != nil {
-		return
-	}
-	d.w.Server.RunApp(appThread, d.w.CM.AppLogic, func() {
-		d.encBuf = rpc.AppendEncode(d.encBuf, id, 0, int(respSize))
-		send(d.encBuf)
-	})
-}
-
 func (d *Dialer) setupHomaServer() {
 	srv := d.wr.msg.open(d.w.Server, homa.Config{Port: ServerPort})
-	send := srv.Send
-	srv.OnMessage(func(dv homa.Delivery) {
-		d.serveRPC(dv.AppThread, dv.Payload, func(resp []byte) {
-			send(dv.Src, dv.SrcPort, resp, dv.AppThread)
-		})
-	})
+	d.echo.sock = srv
+	srv.OnMessage(func(dv homa.Delivery) { d.echo.serve(dv.Payload, dv.AppThread, dv.Src, dv.SrcPort, nil) })
 	if smt, ok := srv.(*core.Socket); ok {
 		d.hs = newSMTHsServer(smt)
 	}
@@ -389,11 +376,7 @@ func (d *Dialer) setupTCPServer() {
 		if d.srvConns != nil {
 			d.srvConns[hsKey{c.PeerAddr(), c.PeerPort()}] = c
 		}
-		c.OnMessage(func(m []byte) {
-			d.serveRPC(c.AppThread(), m, func(resp []byte) {
-				c.SendMessage(resp)
-			})
-		})
+		c.OnMessage(func(m []byte) { d.echo.serve(m, c.AppThread(), 0, 0, c) })
 	})
 }
 
@@ -476,8 +459,8 @@ func (d *Dialer) dialHoma(client *cpusim.Host, thread int, conn *DialedConn, onR
 		}
 	})
 	conn.Issue = func(reqID uint64, size, respSize int) {
-		d.encBuf = rpc.AppendEncode(d.encBuf, reqID, uint32(respSize), size)
-		cli.Send(d.w.Server.Addr, ServerPort, d.encBuf, thread)
+		d.echo.encBuf = rpc.AppendEncode(d.echo.encBuf, reqID, uint32(respSize), size)
+		cli.Send(d.w.Server.Addr, ServerPort, d.echo.encBuf, thread)
 	}
 	conn.Close = cli.Close
 	if d.hs == nil {
@@ -553,8 +536,8 @@ func (d *Dialer) dialTCP(client *cpusim.Host, thread int, conn *DialedConn, onRe
 		}
 	})
 	conn.Issue = func(reqID uint64, size, respSize int) {
-		d.encBuf = rpc.AppendEncode(d.encBuf, reqID, uint32(respSize), size)
-		c.SendMessage(d.encBuf)
+		d.echo.encBuf = rpc.AppendEncode(d.echo.encBuf, reqID, uint32(respSize), size)
+		c.SendMessage(d.echo.encBuf)
 	}
 	conn.Close = c.Close
 }

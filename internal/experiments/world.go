@@ -191,29 +191,75 @@ func (f FabricSystem) System() System {
 // connections, with a live key exchange, are the churn Dialer's
 // (dial.go).
 
+// echoServer is the server side of an echo wiring. Each accepted
+// request charges AppLogic on the app thread it was delivered to; the
+// charge's completion, a pooled echoReply, encodes and sends the
+// response.
+type echoServer struct {
+	w    *World
+	host *cpusim.Host
+	sock msgSock // message-transport stacks: the server socket
+	// encBuf is the world's RPC-payload scratch: the transports copy the
+	// payload synchronously in Send, and the whole world runs on one
+	// goroutine, so one buffer serves every send, the clients' too.
+	encBuf []byte
+	free   []*echoReply
+}
+
+// echoReply is one response waiting for its AppLogic charge: to
+// (dst, dstPort) through the server socket, or on conn for a
+// bytestream stack.
+type echoReply struct {
+	e        *echoServer
+	id       uint64
+	respSize int
+	thread   int
+	dst      uint32
+	dstPort  uint16
+	conn     *tcpsim.Conn
+}
+
+// serve answers the request payload delivered on thread, from
+// (src, srcPort) or on conn.
+func (e *echoServer) serve(payload []byte, thread int, src uint32, srcPort uint16, conn *tcpsim.Conn) {
+	e.w.checkDelivery(payload)
+	id, respSize, err := rpc.Decode(payload)
+	if err != nil {
+		return
+	}
+	var r *echoReply
+	if l := len(e.free); l > 0 {
+		r = e.free[l-1]
+		e.free = e.free[:l-1]
+	} else {
+		//smt:coldpath -- echoReply free-list refill; steady state reuses pooled replies
+		r = &echoReply{e: e}
+	}
+	r.id, r.respSize, r.thread = id, int(respSize), thread
+	r.dst, r.dstPort, r.conn = src, srcPort, conn
+	e.host.App[thread%len(e.host.App)].AcquireAction(e.w.CM.AppLogic, r)
+}
+
+// Run implements sim.Action.
+func (r *echoReply) Run() {
+	e := r.e
+	e.encBuf = rpc.AppendEncode(e.encBuf, r.id, 0, r.respSize)
+	if r.conn != nil {
+		r.conn.SendMessage(e.encBuf)
+	} else {
+		e.sock.Send(r.dst, r.dstPort, e.encBuf, r.thread)
+	}
+	r.conn = nil
+	e.free = append(e.free, r)
+}
+
 // fabricOverMsg wires the echo service over a message-transport stack:
 // one server socket delivering into every app thread, and one socket
 // per client pre-paired with it.
 func fabricOverMsg(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-	// encBuf is the world's RPC-payload scratch: the transports copy
-	// the payload synchronously in Send, and the whole world runs on
-	// one goroutine, so one buffer serves every send.
-	var encBuf []byte
 	srv := wr.msg.open(server, homa.Config{Port: ServerPort, MTU: cfg.MTU, NoTSO: cfg.NoTSO})
-	// Bound once: capturing the two-word interface in the per-response
-	// closure would move that allocation up a size class.
-	send := srv.Send
-	srv.OnMessage(func(d homa.Delivery) {
-		w.checkDelivery(d.Payload)
-		id, respSize, err := rpc.Decode(d.Payload)
-		if err != nil {
-			return
-		}
-		server.RunApp(d.AppThread, w.CM.AppLogic, func() {
-			encBuf = rpc.AppendEncode(encBuf, id, 0, int(respSize))
-			send(d.Src, d.SrcPort, encBuf, d.AppThread)
-		})
-	})
+	e := &echoServer{w: w, host: server, sock: srv}
+	srv.OnMessage(func(d homa.Delivery) { e.serve(d.Payload, d.AppThread, d.Src, d.SrcPort, nil) })
 	clis := make([]msgSock, len(clients))
 	for ci, ch := range clients {
 		cli := wr.msg.open(ch, homa.Config{MTU: cfg.MTU, NoTSO: cfg.NoTSO})
@@ -231,8 +277,8 @@ func fabricOverMsg(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.H
 		clis[ci] = cli
 	}
 	return func(client, stream int, reqID uint64, size, respSize int) {
-		encBuf = rpc.AppendEncode(encBuf, reqID, uint32(respSize), size)
-		clis[client].Send(server.Addr, ServerPort, encBuf, stream%AppThreads)
+		e.encBuf = rpc.AppendEncode(e.encBuf, reqID, uint32(respSize), size)
+		clis[client].Send(server.Addr, ServerPort, e.encBuf, stream%AppThreads)
 	}, nil
 }
 
@@ -240,7 +286,7 @@ func fabricOverMsg(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.H
 // connection per (client, stream), keyed per connection through the
 // stack's stream record layer (plaintext when it has none).
 func fabricOverTCP(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-	var encBuf []byte // world-scoped RPC scratch (see fabricOverMsg)
+	e := &echoServer{w: w, host: server}
 	tcfg := tcpsim.Config{MTU: cfg.MTU}
 	nextThread := 0
 	tcpsim.Listen(server, serverPortK, tcfg, wr.rec.serverCodecs(w.CM), func() int {
@@ -248,17 +294,7 @@ func fabricOverTCP(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.H
 		nextThread = (nextThread + 1) % AppThreads
 		return t
 	}, func(c *tcpsim.Conn) {
-		c.OnMessage(func(m []byte) {
-			w.checkDelivery(m)
-			id, respSize, err := rpc.Decode(m)
-			if err != nil {
-				return
-			}
-			server.RunApp(c.AppThread(), w.CM.AppLogic, func() {
-				encBuf = rpc.AppendEncode(encBuf, id, 0, int(respSize))
-				c.SendMessage(encBuf)
-			})
-		})
+		c.OnMessage(func(m []byte) { e.serve(m, c.AppThread(), 0, 0, c) })
 	})
 	conns := make([][]*tcpsim.Conn, len(clients))
 	for ci, ch := range clients {
@@ -278,8 +314,8 @@ func fabricOverTCP(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.H
 	// Pre-establish all connections before measurement.
 	w.Eng.RunUntil(w.Eng.Now() + 5*sim.Millisecond)
 	return func(client, stream int, reqID uint64, size, respSize int) {
-		encBuf = rpc.AppendEncode(encBuf, reqID, uint32(respSize), size)
-		conns[client][stream].SendMessage(encBuf)
+		e.encBuf = rpc.AppendEncode(e.encBuf, reqID, uint32(respSize), size)
+		conns[client][stream].SendMessage(e.encBuf)
 	}, nil
 }
 

@@ -86,7 +86,7 @@ func (c *PlainCodec) WireLen(off, n int) int { return n }
 // safe because the socket keeps its send copy alive until the ACK, by
 // which time the receiver has consumed every first-transmission packet,
 // and never recycles the copy of a message with a resubmitted segment,
-// whose re-push may still be queued or on the wire when the ACK lands.
+// whose resubmission may still be queued when the ACK lands.
 func (c *PlainCodec) Encode(msgID uint64, msg []byte, off, n, queue int, retransmit bool) (*Segment, sim.Time) {
 	//smt:allow hotalloc -- per-segment descriptor aliasing the message bytes; the plaintext baseline's only per-segment cost
 	return &Segment{Payload: msg[off : off+n]}, 0

@@ -18,19 +18,22 @@ type inSeg struct {
 	complete bool
 }
 
-// inMsg tracks one incoming message.
+// inMsg tracks one incoming message. It is pooled per socket and
+// recycled, with its segments and their arrival bitmaps, once the
+// message has been delivered.
 type inMsg struct {
+	s         *Socket
+	p         *peer
 	id        uint64
-	pk        peerKey
 	msgLen    int
-	segs      []*inSeg
+	segs      []inSeg
 	completed int
 	plainDone int // plaintext bytes in completed segments
 	granted   int
 	delivered bool
 	core      int // softirq core affinity
 	timer     sim.Timer
-	timerFn   func() // prebuilt resend-timeout callback (one per message)
+	timerFn   func() // prebuilt resend-timeout callback, kept across reuses
 }
 
 // rxEvent is the pooled softirq handoff for a DATA packet redistributed
@@ -105,12 +108,8 @@ func (h *handler) HandlePacket(pkt *wire.Packet, core int) {
 			s.msgCore[k] = msgCore
 			cost += cm.HomaRxMsgFixed
 		}
-		var r *rxEvent
-		if l := len(s.rxFree); l > 0 {
-			r = s.rxFree[l-1]
-			s.rxFree[l-1] = nil
-			s.rxFree = s.rxFree[:l-1]
-		} else {
+		r := pop(&s.rxFree)
+		if r == nil {
 			//smt:coldpath -- rxEvent free-list refill; steady state reuses pooled events
 			r = &rxEvent{s: s}
 		}
@@ -166,7 +165,7 @@ func (s *Socket) rxData(pkt *wire.Packet, core int) {
 		s.Stats.SpuriousPkts++
 		return
 	}
-	seg := m.segs[segIdx]
+	seg := &m.segs[segIdx]
 
 	per := s.cfg.MTU - wire.IPv4HeaderLen - wire.OverlayHeaderLen
 	pktIdx := int(pkt.IP.ID)
@@ -196,7 +195,7 @@ func (s *Socket) rxData(pkt *wire.Packet, core int) {
 		m.completed++
 		m.plainDone += seg.plainLen
 	}
-	s.progress(p, m, core)
+	s.progress(m, core)
 }
 
 // newInMsg registers an unseen message, enforcing codec admission
@@ -210,28 +209,27 @@ func (s *Socket) newInMsg(p *peer, pkt *wire.Packet, core int) *inMsg {
 		s.Stats.Replays++
 		return nil
 	}
-	span := p.codec.SegSpan()
-	//smt:allow hotalloc -- per-message RPC state; counted in the steady-state alloc budget
-	m := &inMsg{
-		id:      pkt.Overlay.MsgID,
-		pk:      p.key,
-		msgLen:  msgLen,
-		granted: unschedBytes,
-		core:    core,
+	m := pop(&s.inFree)
+	if m == nil {
+		//smt:coldpath -- inMsg free-list refill; steady state reuses delivered messages
+		m = &inMsg{s: s}
+		//smt:coldpath -- one timer callback per pooled message, bound at refill
+		m.timerFn = m.resendTimeout
 	}
-	for off := 0; off < msgLen; off += span {
-		n := span
-		if off+n > msgLen {
-			n = msgLen - off
-		}
+	m.p, m.id, m.msgLen, m.core = p, pkt.Overlay.MsgID, msgLen, core
+	m.completed, m.plainDone, m.granted, m.delivered = 0, 0, unschedBytes, false
+	span := p.codec.SegSpan()
+	m.segs = resize(m.segs, nSegs(msgLen, span))
+	for i := range m.segs {
+		off := i * span
+		n := min(span, msgLen-off)
 		wl := p.codec.WireLen(off, n)
-		//smt:allow hotalloc -- per-message reassembly state; counted in the steady-state alloc budget
-		m.segs = append(m.segs, &inSeg{
-			plainOff: off, plainLen: n, wireLen: wl,
-			buf: takeBuf(&s.segBufFree, wl),
-			//smt:allow hotalloc -- per-segment arrival bitmap, sized by wire length; freed with the message
-			have: make([]bool, nPkts(wl, s.cfg.MTU)),
-		})
+		seg := &m.segs[i]
+		seg.plainOff, seg.plainLen, seg.wireLen = off, n, wl
+		seg.buf = resize(pop(&s.segBufFree), wl)
+		seg.have = resize(seg.have, nPkts(wl, s.cfg.MTU))
+		clear(seg.have)
+		seg.got, seg.complete = 0, false
 	}
 	p.in[m.id] = m
 	s.activeIn++
@@ -244,15 +242,15 @@ func (s *Socket) newInMsg(p *peer, pkt *wire.Packet, core int) *inMsg {
 		}
 		s.host.RunSoftirq(core, s.host.CM.HomaActiveScan*sim.Time(n), nil)
 	}
-	s.armResendTimer(p, m)
+	s.armResendTimer(m)
 	return m
 }
 
 // progress advances grants and completes the message when everything has
 // arrived.
-func (s *Socket) progress(p *peer, m *inMsg, core int) {
+func (s *Socket) progress(m *inMsg, core int) {
 	if m.completed == len(m.segs) {
-		s.complete(p, m, core)
+		s.complete(m, core)
 		return
 	}
 	// Receiver-driven pacing: grants track *received bytes* continuously
@@ -261,13 +259,13 @@ func (s *Socket) progress(p *peer, m *inMsg, core int) {
 	// up to segment boundaries since the sender pushes whole segments.
 	if m.msgLen > unschedBytes {
 		received := m.plainDone
-		for _, seg := range m.segs {
-			if !seg.complete && seg.got > 0 {
+		for i := range m.segs {
+			if seg := &m.segs[i]; !seg.complete && seg.got > 0 {
 				received += seg.plainLen * seg.got / len(seg.have)
 			}
 		}
 		want := received + rttBytes
-		span := p.codec.SegSpan()
+		span := m.p.codec.SegSpan()
 		want = ((want + span - 1) / span) * span
 		if want > m.msgLen {
 			want = m.msgLen
@@ -275,7 +273,7 @@ func (s *Socket) progress(p *peer, m *inMsg, core int) {
 		if want > m.granted {
 			m.granted = want
 			s.Stats.GrantsSent++
-			s.deferCtrl(s.host.CM.HomaGrant, m.pk, wire.TypeGrant, m.id, 0, uint32(want), core)
+			s.deferCtrl(s.host.CM.HomaGrant, m.p.key, wire.TypeGrant, m.id, 0, uint32(want), core)
 		}
 	}
 }
@@ -285,7 +283,7 @@ func (s *Socket) progress(p *peer, m *inMsg, core int) {
 // context, matching where recvmsg work happens. The ACK that lets the
 // sender free its state is only sent after the message *verifies*:
 // a corrupted message must still be recoverable via RESEND (§6.1).
-func (s *Socket) complete(p *peer, m *inMsg, core int) {
+func (s *Socket) complete(m *inMsg, core int) {
 	if m.delivered {
 		return
 	}
@@ -295,16 +293,12 @@ func (s *Socket) complete(p *peer, m *inMsg, core int) {
 	s.host.RunSoftirq(core, cm.WakeupCPU, nil)
 
 	thread := s.pickAppThread()
-	var d *deliverEvent
-	if l := len(s.deliverFree); l > 0 {
-		d = s.deliverFree[l-1]
-		s.deliverFree[l-1] = nil
-		s.deliverFree = s.deliverFree[:l-1]
-	} else {
+	d := pop(&s.deliverFree)
+	if d == nil {
 		//smt:coldpath -- deliverEvent free-list refill; steady state reuses pooled events
 		d = &deliverEvent{s: s}
 	}
-	d.p, d.m, d.thread, d.core = p, m, thread, core
+	d.m, d.thread, d.core = m, thread, core
 	s.host.Eng.PostActionAfter(cm.WakeupLatency, d)
 }
 
@@ -312,12 +306,11 @@ func (s *Socket) complete(p *peer, m *inMsg, core int) {
 // Its first Run is the wakeup: the app context decodes (and decrypts)
 // the segments into the event's payload buffer, returns the reassembly
 // buffers and charges the app core. Its second Run is that charge's
-// completion, which ACKs and hands the payload to the application. The
-// buffer stays with the event across reuses, so the payload is only
-// valid until OnMessage returns.
+// completion, which ACKs and hands the payload to the application, then
+// recycles the message. The buffer stays with the event across reuses,
+// so the payload is only valid until OnMessage returns.
 type deliverEvent struct {
 	s       *Socket
-	p       *peer
 	m       *inMsg
 	thread  int
 	core    int
@@ -331,7 +324,8 @@ func (d *deliverEvent) Run() {
 		d.deliver()
 		return
 	}
-	s, p, m, core := d.s, d.p, d.m, d.core
+	s, m, core := d.s, d.m, d.core
+	p := m.p
 	cm := s.host.CM
 	// Decode (and decrypt) each segment, summing the CPU the app
 	// context owes; a corrupted segment re-enters recovery.
@@ -341,67 +335,70 @@ func (d *deliverEvent) Run() {
 		d.payload = make([]byte, 0, m.msgLen)
 	}
 	d.payload = d.payload[:0]
-	for _, seg := range m.segs {
+	for i := range m.segs {
+		seg := &m.segs[i]
 		plain, c, err := p.codec.Decode(m.id, m.msgLen, seg.plainOff, seg.buf[:seg.wireLen])
 		cpu += c
 		if err != nil {
-			s.corruptSegment(p, m, seg, core)
+			s.corruptSegment(m, seg, core)
 			d.release()
 			return
 		}
 		d.payload = append(d.payload, plain...)
 	}
 	delete(p.in, m.id)
-	delete(s.msgCore, msgKey{m.pk, m.id})
+	delete(s.msgCore, msgKey{p.key, m.id})
 	p.markDone(m.id)
 	s.activeIn--
 	// Every segment decoded (and its plaintext copied into the payload
 	// buffer): the reassembly buffers go back to the pool.
-	for _, seg := range m.segs {
-		s.segBufFree = append(s.segBufFree, seg.buf)
-		seg.buf = nil
+	for i := range m.segs {
+		s.segBufFree = append(s.segBufFree, m.segs[i].buf)
+		m.segs[i].buf = nil
 	}
 	d.decoded = true
 	s.host.App[d.thread%len(s.host.App)].AcquireAction(cpu, d)
 }
 
 // deliver ACKs the message and hands the borrowed payload to the
-// application, then returns the event (and its buffer) to the pool.
+// application, then returns the message and the event (with its buffer)
+// to their pools.
 func (d *deliverEvent) deliver() {
 	s, m := d.s, d.m
-	s.ctrl(m.pk, wire.TypeAck, m.id, 0, 0, d.core)
+	pk := m.p.key
+	s.ctrl(pk, wire.TypeAck, m.id, 0, 0, d.core)
 	s.Stats.MsgsDelivered++
 	if s.onMessage != nil {
 		s.onMessage(Delivery{
-			Src: m.pk.addr, SrcPort: m.pk.port,
+			Src: pk.addr, SrcPort: pk.port,
 			MsgID: m.id, Payload: d.payload,
 			AppThread: d.thread, Recv: s.host.Eng.Now(),
 		})
 	}
+	m.p = nil
+	s.inFree = append(s.inFree, m)
 	d.release()
 }
 
 // release returns the event to the socket's free list.
 func (d *deliverEvent) release() {
-	d.p, d.m, d.decoded = nil, nil, false
+	d.m, d.decoded = nil, false
 	d.s.deliverFree = append(d.s.deliverFree, d)
 }
 
 // corruptSegment handles an authentication failure (e.g. NIC offload
 // corruption): the segment is reset and re-requested via RESEND.
-func (s *Socket) corruptSegment(p *peer, m *inMsg, seg *inSeg, core int) {
+func (s *Socket) corruptSegment(m *inMsg, seg *inSeg, core int) {
 	s.Stats.CorruptSegs++
 	m.delivered = false
 	seg.complete = false
 	seg.got = 0
-	for i := range seg.have {
-		seg.have[i] = false
-	}
+	clear(seg.have)
 	m.completed--
 	m.plainDone -= seg.plainLen
 	s.Stats.ResendsSent++
-	s.ctrl(m.pk, wire.TypeResend, m.id, uint32(seg.plainOff), uint32(seg.plainLen), core)
-	s.armResendTimer(p, m)
+	s.ctrl(m.p.key, wire.TypeResend, m.id, uint32(seg.plainOff), uint32(seg.plainLen), core)
+	s.armResendTimer(m)
 }
 
 // pickAppThread selects the delivery thread: the configured set (server
@@ -420,27 +417,26 @@ func (s *Socket) pickAppThread() int {
 	return best
 }
 
-// armResendTimer (re)arms the receiver's missing-data timer: if the
-// message is still incomplete when it fires, RESEND the first incomplete
-// segment.
-func (s *Socket) armResendTimer(p *peer, m *inMsg) {
-	if m.timerFn == nil {
-		//smt:allow hotalloc -- one timer closure per message, cached on the message and reused across re-arms
-		m.timerFn = func() {
-			if m.delivered {
-				return
-			}
-			for _, seg := range m.segs {
-				if !seg.complete && seg.plainOff < m.granted {
-					s.Stats.ResendsSent++
-					s.ctrl(m.pk, wire.TypeResend, m.id, uint32(seg.plainOff), uint32(seg.plainLen), m.core)
-					break
-				}
-			}
-			s.armResendTimer(p, m)
+// armResendTimer (re)arms the receiver's missing-data timer.
+func (s *Socket) armResendTimer(m *inMsg) {
+	s.host.Eng.ResetAfter(&m.timer, resendTimeout, m.timerFn)
+}
+
+// resendTimeout is the resend timer's callback: if the message is still
+// incomplete, RESEND the first incomplete granted segment.
+func (m *inMsg) resendTimeout() {
+	if m.delivered {
+		return
+	}
+	s := m.s
+	for i := range m.segs {
+		if seg := &m.segs[i]; !seg.complete && seg.plainOff < m.granted {
+			s.Stats.ResendsSent++
+			s.ctrl(m.p.key, wire.TypeResend, m.id, uint32(seg.plainOff), uint32(seg.plainLen), m.core)
+			break
 		}
 	}
-	s.host.Eng.ResetAfter(&m.timer, resendTimeout, m.timerFn)
+	s.armResendTimer(m)
 }
 
 // rxGrant lets the sender push more segments from the pacer (softirq)
@@ -457,7 +453,7 @@ func (s *Socket) rxGrant(pkt *wire.Packet, core int) {
 	if g := int(pkt.Overlay.Aux); g > m.granted {
 		m.granted = g
 	}
-	s.pump(p, m, s.host.SoftirqQueue(core), core, false)
+	s.pump(m, s.host.SoftirqQueue(core), core, false)
 }
 
 // rxResend retransmits the requested range (whole segments).
@@ -483,14 +479,15 @@ func (s *Socket) rxResend(pkt *wire.Packet, core int) {
 			n = len(m.payload) - start
 		}
 		m.segSent[seg] = true
-		s.submitSegment(p, m, start, n, s.host.SoftirqQueue(core), core, false, true)
+		s.submitSegment(m, start, n, s.host.SoftirqQueue(core), core, false, true)
 	}
 }
 
-// rxAck frees sender-side message state. The payload copy goes back to
-// sendBufFree unless a segment was ever resubmitted (see outMsg.resent):
-// a first transmission's packets have all been consumed by the time the
-// receiver can ACK, so nothing in flight still aliases the buffer.
+// rxAck frees sender-side message state. The message and its payload
+// copy go back to outFree unless a segment was ever resubmitted (see
+// outMsg.resent): a first transmission's packets have all been consumed
+// and its submit events have all run by the time the receiver can ACK,
+// so nothing still refers to either.
 func (s *Socket) rxAck(pkt *wire.Packet) {
 	p, ok := s.peers[peerKey{pkt.IP.Src, pkt.Overlay.SrcPort}]
 	if !ok {
@@ -501,8 +498,8 @@ func (s *Socket) rxAck(pkt *wire.Packet) {
 		m.timer.Stop()
 		delete(p.out, pkt.Overlay.MsgID)
 		if !m.resent {
-			s.sendBufFree = append(s.sendBufFree, m.payload)
-			m.payload = nil
+			m.p = nil
+			s.outFree = append(s.outFree, m)
 		}
 	}
 }

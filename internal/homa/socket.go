@@ -92,16 +92,20 @@ type Socket struct {
 	// activeIn counts registered-but-undelivered incoming messages,
 	// driving the SRPT bookkeeping cost.
 	activeIn int
-	// rxFree / ctrlFree / deliverFree recycle the pooled callbacks of
-	// the receive path (each deliverEvent keeps its delivery buffer);
-	// segBufFree recycles segment reassembly buffers (returned when a
-	// message completes) and sendBufFree Send's payload copies (returned
-	// at ACK). Single goroutine, no sync.
+	// Free lists of the pooled per-message and per-segment state.
+	// outFree holds sent messages, each with its send copy (returned at
+	// ACK); inFree received messages with their segment bitmaps
+	// (returned once delivered); submitFree, rxFree, ctrlFree and
+	// deliverFree the pooled callbacks of both paths (each deliverEvent
+	// keeps its delivery buffer); segBufFree segment reassembly buffers
+	// (returned when a message decodes). Single goroutine, no sync.
+	outFree     []*outMsg
+	inFree      []*inMsg
+	submitFree  []*submitEvent
 	rxFree      []*rxEvent
 	ctrlFree    []*ctrlEvent
 	deliverFree []*deliverEvent
 	segBufFree  [][]byte
-	sendBufFree [][]byte
 	// groLastMsg/groLastRx track homa_gro aggregation state.
 	groLastMsg msgKey
 	groLastRx  sim.Time
@@ -203,29 +207,33 @@ func (s *Socket) SendHandshake(dstAddr uint32, dstPort uint16, payload []byte, c
 	s.host.NIC.SendSegment(s.host.SoftirqQueue(core), &nicsim.TxSegment{Pkt: pkt, MTU: s.cfg.MTU, NoTSO: true})
 }
 
+// pop takes the most recently freed entry of the free list *free, or
+// returns the zero value when the list is empty.
+func pop[T any](free *[]T) (x T) {
+	if l := len(*free); l > 0 {
+		x = (*free)[l-1]
+		clear((*free)[l-1:])
+		*free = (*free)[:l-1]
+	}
+	return x
+}
+
+// resize returns b with length n, reusing its capacity. The contents are
+// unspecified: callers overwrite or clear every entry.
+func resize[T any](b []T, n int) []T {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	//smt:coldpath -- capacity growth; recycled state reuses its buffers
+	return make([]T, n)
+}
+
 // Close unbinds the socket.
 func (s *Socket) Close() {
 	if !s.closed {
 		s.host.Unbind(s.cfg.Proto, s.port)
 		s.closed = true
 	}
-}
-
-// takeBuf takes an n-byte buffer from the free list *free. The contents
-// are unspecified: a reassembly buffer is only decoded once every packet
-// has landed, and Send overwrites its copy whole, so every byte a reader
-// sees has been written.
-func takeBuf(free *[][]byte, n int) []byte {
-	if l := len(*free); l > 0 {
-		b := (*free)[l-1]
-		(*free)[l-1] = nil
-		*free = (*free)[:l-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	//smt:coldpath -- buffer-pool refill or growth; steady state reuses pooled buffers
-	return make([]byte, n)
 }
 
 func (s *Socket) peerFor(pk peerKey) *peer {
@@ -268,21 +276,26 @@ func (s *Socket) SetCodec(addr uint32, port uint16, c Codec) {
 
 // ---- Send path ----
 
+// outMsg is one sent message, pooled per socket. It is recycled at ACK
+// together with its payload copy, unless a segment was resubmitted (see
+// resent). It is also the completion of Send's syscall charge.
 type outMsg struct {
+	s       *Socket
+	p       *peer
 	id      uint64
-	pk      peerKey
 	payload []byte
 	segSent []bool
 	granted int
 	acked   bool
-	// resent marks a message with a resubmitted segment. PlainCodec's
-	// segments alias payload, and a re-push may still be queued or on
-	// the wire when the ACK lands, so such a payload is left to the GC
-	// instead of returning to sendBufFree.
+	// resent marks a message with a resubmitted segment. A resubmission
+	// may still be queued on a core when the ACK lands, its submit event
+	// holding the message and, under PlainCodec, a segment aliasing
+	// payload, so such a message and its payload are left to the GC
+	// instead of returning to outFree.
 	resent    bool
 	appThread int
 	timer     sim.Timer
-	timerFn   func() // prebuilt sender-timeout callback (one per message)
+	timerFn   func() // prebuilt sender-timeout callback, kept across reuses
 }
 
 // nSegs returns the number of TSO segments for a message of n plaintext
@@ -305,22 +318,23 @@ func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread 
 		//smt:allow panic -- Send-API misuse by the harness; a closed socket's packets would leak into the fabric
 		panic("homa: send on closed socket")
 	}
-	pk := peerKey{dstAddr, dstPort}
-	p := s.peerFor(pk)
+	p := s.peerFor(peerKey{dstAddr, dstPort})
 	id := p.nextMsgID
 	p.nextMsgID++
 
-	buf := takeBuf(&s.sendBufFree, len(payload))
-	copy(buf, payload)
-	//smt:allow hotalloc -- per-message RPC state; counted in the steady-state alloc budget
-	m := &outMsg{
-		id: id, pk: pk,
-		payload: buf,
-		//smt:allow hotalloc -- per-message segment bitmap; freed with the message
-		segSent:   make([]bool, nSegs(len(payload), p.codec.SegSpan())),
-		granted:   unschedBytes,
-		appThread: appThread,
+	m := pop(&s.outFree)
+	if m == nil {
+		//smt:coldpath -- outMsg free-list refill; steady state reuses recycled messages
+		m = &outMsg{s: s}
+		//smt:coldpath -- one timer callback per pooled message, bound at refill
+		m.timerFn = m.senderTimeout
 	}
+	m.p, m.id, m.granted, m.appThread = p, id, unschedBytes, appThread
+	m.acked, m.resent = false, false
+	m.payload = resize(m.payload, len(payload))
+	copy(m.payload, payload)
+	m.segSent = resize(m.segSent, nSegs(len(payload), p.codec.SegSpan()))
+	clear(m.segSent)
 	p.out[id] = m
 	s.Stats.MsgsSent++
 	s.Stats.BytesSent += uint64(len(payload))
@@ -328,19 +342,24 @@ func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread 
 	// Syscall + copy in the sending thread's context, then unscheduled
 	// segments, each charging its codec build cost on the same core.
 	cm := s.host.CM
-	//smt:allow hotalloc -- per-message send closure; counted in the steady-state alloc budget
-	s.host.RunApp(appThread, cm.Syscall+cm.Copy(len(payload)), func() {
-		s.pump(p, m, s.host.AppQueue(appThread), appThread, true)
-		s.armSenderTimer(p, m)
-	})
+	s.host.App[appThread%len(s.host.App)].AcquireAction(cm.Syscall+cm.Copy(len(payload)), m)
 	return id
+}
+
+// Run implements sim.Action: Send's syscall charge has completed, so the
+// sending thread submits the unscheduled segments and arms the sender
+// timer.
+func (m *outMsg) Run() {
+	s := m.s
+	s.pump(m, s.host.AppQueue(m.appThread), m.appThread, true)
+	s.armSenderTimer(m)
 }
 
 // pump submits all unsent segments below the grant limit. onApp indicates
 // app-thread (syscall) context; otherwise core identifies the softirq
 // core (pacer context).
-func (s *Socket) pump(p *peer, m *outMsg, queue int, ctxCore int, onApp bool) {
-	span := p.codec.SegSpan()
+func (s *Socket) pump(m *outMsg, queue int, ctxCore int, onApp bool) {
+	span := m.p.codec.SegSpan()
 	for seg := 0; seg < len(m.segSent); seg++ {
 		start := seg * span
 		if m.segSent[seg] || start >= m.granted {
@@ -351,27 +370,49 @@ func (s *Socket) pump(p *peer, m *outMsg, queue int, ctxCore int, onApp bool) {
 		if start+n > len(m.payload) {
 			n = len(m.payload) - start
 		}
-		s.submitSegment(p, m, start, n, queue, ctxCore, onApp, false)
+		s.submitSegment(m, start, n, queue, ctxCore, onApp, false)
 	}
+}
+
+// submitEvent is the pooled completion of a segment's build charge,
+// which hands the encoded segment to the NIC.
+type submitEvent struct {
+	s          *Socket
+	m          *outMsg
+	enc        *Segment
+	off, queue int
+	retransmit bool
+}
+
+// Run implements sim.Action.
+func (e *submitEvent) Run() {
+	s := e.s
+	s.toNIC(e.m, e.enc, e.off, e.queue, e.retransmit)
+	e.m, e.enc = nil, nil
+	s.submitFree = append(s.submitFree, e)
 }
 
 // submitSegment encodes one segment and pushes it to the NIC, charging
 // the build cost in the submitting context.
-func (s *Socket) submitSegment(p *peer, m *outMsg, off, n, queue, ctxCore int, onApp, retransmit bool) {
+func (s *Socket) submitSegment(m *outMsg, off, n, queue, ctxCore int, onApp, retransmit bool) {
 	m.resent = m.resent || retransmit
-	enc, cpu := p.codec.Encode(m.id, m.payload, off, n, queue, retransmit)
+	enc, cpu := m.p.codec.Encode(m.id, m.payload, off, n, queue, retransmit)
 	cm := s.host.CM
 	if s.cfg.NoTSO && !retransmit {
 		cpu += cm.HomaTxPacketNoTSO * sim.Time(nPkts(len(enc.Payload), s.cfg.MTU))
 	} else {
 		cpu += cm.HomaTxSegment
 	}
-	//smt:allow hotalloc -- per-segment submit closure; counted in the steady-state alloc budget
-	submit := func() { s.toNIC(p, m, enc, off, n, queue, retransmit) }
+	e := pop(&s.submitFree)
+	if e == nil {
+		//smt:coldpath -- submitEvent free-list refill; steady state reuses pooled events
+		e = &submitEvent{s: s}
+	}
+	e.m, e.enc, e.off, e.queue, e.retransmit = m, enc, off, queue, retransmit
 	if onApp {
-		s.host.RunApp(ctxCore, cpu, submit)
+		s.host.App[ctxCore%len(s.host.App)].AcquireAction(cpu, e)
 	} else {
-		s.host.RunSoftirq(ctxCore, cm.HomaPacer+cpu, submit)
+		s.host.Softirq[ctxCore%len(s.host.Softirq)].AcquireAction(cm.HomaPacer+cpu, e)
 	}
 }
 
@@ -385,7 +426,8 @@ func nPkts(wireLen, mtu int) int {
 	return n
 }
 
-func (s *Socket) toNIC(p *peer, m *outMsg, enc *Segment, off, n, queue int, retransmit bool) {
+func (s *Socket) toNIC(m *outMsg, enc *Segment, off, queue int, retransmit bool) {
+	p := m.p
 	hdr := wire.OverlayHeader{
 		SrcPort: s.port, DstPort: p.key.port,
 		Type:      wire.TypeData,
@@ -447,23 +489,23 @@ func (s *Socket) toNIC(p *peer, m *outMsg, enc *Segment, off, n, queue int, retr
 	})
 }
 
-func (s *Socket) armSenderTimer(p *peer, m *outMsg) {
-	if m.timerFn == nil {
-		m.timerFn = func() {
-			if m.acked {
-				return
-			}
-			// No ACK: re-push the first segment to re-trigger the receiver.
-			span := p.codec.SegSpan()
-			n := span
-			if n > len(m.payload) {
-				n = len(m.payload)
-			}
-			s.submitSegment(p, m, 0, n, s.host.SoftirqQueue(0), 0, false, true)
-			s.armSenderTimer(p, m)
-		}
-	}
+func (s *Socket) armSenderTimer(m *outMsg) {
 	s.host.Eng.ResetAfter(&m.timer, senderTimeout, m.timerFn)
+}
+
+// senderTimeout is the sender timer's callback: with no ACK yet, re-push
+// the first segment to re-trigger the receiver.
+func (m *outMsg) senderTimeout() {
+	if m.acked {
+		return
+	}
+	s := m.s
+	n := m.p.codec.SegSpan()
+	if n > len(m.payload) {
+		n = len(m.payload)
+	}
+	s.submitSegment(m, 0, n, s.host.SoftirqQueue(0), 0, false, true)
+	s.armSenderTimer(m)
 }
 
 // ctrl sends a small control packet (GRANT/RESEND/ACK/BUSY) from softirq
@@ -475,7 +517,6 @@ func (s *Socket) ctrl(pk peerKey, ty wire.PacketType, msgID uint64, off uint32, 
 		SrcPort: s.port, DstPort: pk.port,
 		Type: ty, MsgID: msgID, TSOOffset: off, Aux: aux,
 	}
-	//smt:allow hotalloc -- per-control-packet TX descriptor; counted in the steady-state alloc budget
 	s.host.NIC.SendSegment(s.host.SoftirqQueue(core), &nicsim.TxSegment{Pkt: pkt, MTU: s.cfg.MTU, NoTSO: true})
 }
 
@@ -501,12 +542,8 @@ func (c *ctrlEvent) Run() {
 // deferCtrl charges cost on the softirq core, then sends the control
 // packet — the pooled equivalent of RunSoftirq with a ctrl closure.
 func (s *Socket) deferCtrl(cost sim.Time, pk peerKey, ty wire.PacketType, msgID uint64, off, aux uint32, core int) {
-	var c *ctrlEvent
-	if l := len(s.ctrlFree); l > 0 {
-		c = s.ctrlFree[l-1]
-		s.ctrlFree[l-1] = nil
-		s.ctrlFree = s.ctrlFree[:l-1]
-	} else {
+	c := pop(&s.ctrlFree)
+	if c == nil {
 		//smt:coldpath -- ctrlEvent free-list refill; steady state reuses pooled events
 		c = &ctrlEvent{s: s}
 	}

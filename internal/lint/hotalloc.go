@@ -36,7 +36,10 @@ import (
 // calls, string<->[]byte conversions, and explicit interface boxing of
 // non-pointer values. A capturing closure handed to the alloc-free
 // Engine.At/After forms is the common case: that is what the pooled
-// PostAction form or a prebuilt func field is for.
+// PostAction form or a prebuilt func field is for. A &composite literal
+// passed straight to a first-party parameter that provably never
+// escapes its callee (see paramStaysLocal) stays in the caller's frame
+// and is not flagged.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "no heap allocation reachable from a steady-state root without //smt:coldpath -- <reason>",
@@ -134,6 +137,7 @@ func (ha *hotAlloc) scan(n *Node, root *Node) {
 		return n.inColdSpan(pos) || ha.graph.coldLine(ha.graph.Prog.Fset.Position(pos))
 	}
 	via := funcDisplayName(root)
+	local := ha.localArgs(n, info)
 	flag := func(pos token.Pos, what string) {
 		if exempt(pos) {
 			return
@@ -153,7 +157,7 @@ func (ha *hotAlloc) scan(n *Node, root *Node) {
 		case *ast.CallExpr:
 			ha.scanCall(e, n, info, scratch, flag)
 		case *ast.UnaryExpr:
-			if _, ok := e.X.(*ast.CompositeLit); ok {
+			if _, ok := e.X.(*ast.CompositeLit); ok && !local[e] {
 				flag(e.Pos(), "heap-escaping composite literal")
 			}
 		case *ast.CompositeLit:
@@ -166,6 +170,149 @@ func (ha *hotAlloc) scan(n *Node, root *Node) {
 		}
 		return true
 	})
+}
+
+// localArgs collects the &T{...} literals in n's own body that are passed
+// straight to a parameter its statically resolved callee never lets
+// escape. Go's escape analysis keeps such a literal in the caller's
+// frame, so it allocates nothing.
+func (ha *hotAlloc) localArgs(n *Node, info *types.Info) map[*ast.UnaryExpr]bool {
+	local := make(map[*ast.UnaryExpr]bool)
+	ast.Inspect(n.Body, func(nd ast.Node) bool {
+		if lit, ok := nd.(*ast.FuncLit); ok && lit != n.Lit {
+			return false
+		}
+		call, ok := nd.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := ha.graph.staticCallee(info, call)
+		for i, arg := range call.Args {
+			u, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+			if !ok || u.Op != token.AND {
+				continue
+			}
+			if _, ok := u.X.(*ast.CompositeLit); ok && callee != nil && paramStaysLocal(callee, i) {
+				local[u] = true
+			}
+		}
+		return true
+	})
+	return local
+}
+
+// staticCallee returns the bodied first-party function a call invokes
+// directly, with call.Args matching its parameters (a function or a
+// concrete method), or nil for calls through interfaces, func values,
+// method expressions and literals.
+func (g *Graph) staticCallee(info *types.Info, call *ast.CallExpr) *Node {
+	var fn *types.Func
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ = info.Uses[f].(*types.Func)
+	case *ast.SelectorExpr:
+		if sel := info.Selections[f]; sel != nil {
+			if sel.Kind() != types.MethodVal || types.IsInterface(sel.Recv()) {
+				return nil
+			}
+			fn, _ = sel.Obj().(*types.Func)
+		} else {
+			fn, _ = info.Uses[f.Sel].(*types.Func)
+		}
+	}
+	if n := g.byFn[fn]; n != nil && n.Decl != nil && n.Body != nil {
+		return n
+	}
+	return nil
+}
+
+// paramStaysLocal reports whether parameter i of fn provably never
+// escapes it: outside nested function literals, every use either
+// compares it, dereferences it into an assignment's value (x = *p), or
+// reads or writes a field through it whose type is neither an array nor
+// a struct (so no pointer into *p can be formed, and &p.f is rejected).
+// That is a conservative subset of the compiler's escape analysis.
+func paramStaysLocal(fn *Node, i int) bool {
+	info := fn.Pkg.Info
+	var param types.Object
+	idx := 0
+	for _, f := range fn.Decl.Type.Params.List {
+		if len(f.Names) == 0 {
+			idx++
+			continue
+		}
+		for _, name := range f.Names {
+			if idx == i {
+				if _, variadic := f.Type.(*ast.Ellipsis); !variadic {
+					param = info.Defs[name]
+				}
+			}
+			idx++
+		}
+	}
+	if param == nil {
+		return false
+	}
+	stays := true
+	var stack []ast.Node // ancestors of the node being visited
+	ast.Inspect(fn.Body, func(nd ast.Node) bool {
+		if nd == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if !stays {
+			return false
+		}
+		if id, ok := nd.(*ast.Ident); ok && info.Uses[id] == param {
+			stays = localUse(info, id, stack)
+			return false
+		}
+		stack = append(stack, nd)
+		return true
+	})
+	return stays
+}
+
+// localUse reports whether one use of a pointer parameter, with its
+// ancestors in stack, is one of paramStaysLocal's non-escaping forms.
+func localUse(info *types.Info, id *ast.Ident, stack []ast.Node) bool {
+	for _, a := range stack {
+		if _, ok := a.(*ast.FuncLit); ok {
+			return false // captured by a closure
+		}
+	}
+	parent := stack[len(stack)-1]
+	var grand ast.Node
+	if len(stack) > 1 {
+		grand = stack[len(stack)-2]
+	}
+	switch p := parent.(type) {
+	case *ast.BinaryExpr:
+		return p.Op == token.EQL || p.Op == token.NEQ
+	case *ast.StarExpr:
+		as, ok := grand.(*ast.AssignStmt)
+		if !ok {
+			return false
+		}
+		for _, r := range as.Rhs {
+			if r == p {
+				return true
+			}
+		}
+		return false
+	case *ast.SelectorExpr:
+		sel := info.Selections[p]
+		if sel == nil || sel.Kind() != types.FieldVal {
+			return false // a method call may keep its receiver
+		}
+		switch sel.Type().Underlying().(type) {
+		case *types.Array, *types.Struct:
+			return false
+		}
+		u, ok := grand.(*ast.UnaryExpr)
+		return !ok || u.Op != token.AND
+	}
+	return false
 }
 
 // scanCall classifies one call expression's allocation behavior.

@@ -71,8 +71,33 @@ func pump(s *state, m *msg, data []byte) {
 	//smt:coldpath // want "needs a reason"
 	Sink = make([]byte, 32) // want "make allocates"
 
+	// A &composite literal handed to a parameter its callee never lets
+	// escape stays in this frame; one the callee stores or captures is
+	// heap-allocated.
+	use(peek(&msg{n: 2}))
+	keep(&msg{n: 3})     // want "heap-escaping composite literal"
+	later(s, &msg{n: 4}) // want "heap-escaping composite literal"
+
 	helper(m)
 	coldHelper(m)
+}
+
+// peek reads and copies its argument without retaining it.
+func peek(m *msg) int {
+	if m == nil {
+		return 0
+	}
+	c := *m
+	m.n++
+	return c.n + m.n
+}
+
+// keep retains its argument.
+func keep(m *msg) { Sink = m }
+
+// later captures its argument in a callback.
+func later(s *state, m *msg) {
+	s.fire = func() { use(m.n) } // want "capturing closure"
 }
 
 // helper is hot only transitively, through its caller.

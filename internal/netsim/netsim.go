@@ -84,8 +84,9 @@ func (r DropReason) String() string {
 //
 //   - A tap must not mutate packets, the network, or anything reachable
 //     from them. Payload slices passed to a tap may alias borrowed
-//     producer memory that is mutated after the callback returns (the
-//     kTLS-style in-place retransmit re-seal); taps copy what they keep.
+//     producer memory that is mutated after the callback returns (a
+//     Homa send copy goes back to its pool at ACK and carries a later
+//     message); taps copy what they keep.
 //   - A tap must not draw from the engine RNG or schedule events: fault
 //     sampling consumes the engine's RNG stream in a fixed order, and
 //     any extra draw or event would perturb every seeded run.

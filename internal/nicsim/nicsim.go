@@ -68,10 +68,11 @@ type TxSegment struct {
 	// written once and never mutated while packets are in flight.
 	//
 	// Nil: the cut packets alias the payload directly (zero copy). The
-	// producer must keep the memory alive until every packet has been
-	// consumed — and note that later in-place mutation (the kTLS-style
-	// retransmit re-seal) is visible to packets still in flight, exactly
-	// as on the pre-pooling data path.
+	// producer must keep the memory alive and unmodified until every
+	// packet has been consumed. Nothing seals in place after submission
+	// (a kTLS-hw retransmission re-seals a pooled copy), so the aliases
+	// left are a software-record retransmission of a retained stream
+	// chunk and Homa PlainCodec's send copy.
 	//
 	// Release is not invoked for NoTSO segments — there the packet
 	// itself carries the payload to the receiver.
@@ -95,8 +96,6 @@ type Stats struct {
 	Corrupted  uint64 // records sealed with a mismatched counter (§3.2)
 	Resyncs    uint64
 	CtxAllocs  uint64
-	CtxEvicts  uint64
-	LiveCtx    int
 }
 
 // pendingPkt is a packet waiting in a queue's transmit FIFO.
@@ -166,8 +165,7 @@ type NIC struct {
 
 	queues []*sim.Resource // per-queue descriptor processing
 	ctxs   map[uint64]*tlsCtx
-	ctxLRU []uint64 // crude FIFO order for eviction accounting
-	CtxCap int      // max live flow contexts (0 = unlimited)
+	jobs   []*txJob // pooled submitted-segment copies
 
 	// Per-queue packet FIFOs and the round-robin wire arbiter: the link
 	// transmits one packet at a time, cycling across non-empty queues.
@@ -235,7 +233,10 @@ func (n *NIC) ContextSeq(id uint64) (uint64, bool) {
 // SendSegment submits seg to transmit queue q. Descriptor processing,
 // optional resync, TLS sealing, TSO splitting and wire serialization all
 // happen in virtual time; packets are handed to the network as their last
-// bit leaves the link.
+// bit leaves the link. The NIC copies *seg before SendSegment returns, so
+// the caller may reuse or overwrite the descriptor at once; the packet,
+// the Records backing array, the payload and the callbacks it names
+// travel by reference.
 func (n *NIC) SendSegment(q int, seg *TxSegment) {
 	if q < 0 || q >= len(n.queues) {
 		//smt:allow panic -- stack/queue wiring bug; charging another queue's arbitration would mislabel measurements
@@ -243,48 +244,69 @@ func (n *NIC) SendSegment(q int, seg *TxSegment) {
 	}
 	qr := n.queues[q]
 	n.Stats.TxSegments++
-
+	j := n.takeJob()
+	j.q, j.seg = q, *seg
 	if len(seg.Records) > 0 {
 		ctx, ok := n.ctxs[seg.CtxID]
 		if !ok {
+			//smt:coldpath -- one flow context per CtxID, installed by its first segment
 			ctx = &tlsCtx{aead: seg.Keys, next: seg.Records[0].Seq}
-			n.installCtx(seg.CtxID, ctx)
+			n.ctxs[seg.CtxID] = ctx
+			n.Stats.CtxAllocs++
 			qr.Acquire(n.cm.NICCtxAlloc, nil)
 		} else if seg.Resync {
 			n.Stats.Resyncs++
-			first := seg.Records[0].Seq
 			// The resync descriptor is a *separate* queue event: between
 			// its completion and the segment's, other queues can touch a
 			// shared context — the non-atomicity of §3.2.
-			qr.Acquire(n.cm.NICResync, func() { ctx.next = first })
+			j.resync, j.resyncSeq = true, seg.Records[0].Seq
+			qr.AcquireAction(n.cm.NICResync, j)
 		}
-		qr.Acquire(n.cm.NICPerSegment, func() {
-			n.seal(seg, ctx)
-			n.emit(q, seg)
-		})
-		return
+		j.ctx = ctx
 	}
-	//smt:allow hotalloc -- per-segment NIC resource closure; counted in the steady-state alloc budget
-	qr.Acquire(n.cm.NICPerSegment, func() { n.emit(q, seg) })
+	qr.AcquireAction(n.cm.NICPerSegment, j)
 }
 
-func (n *NIC) installCtx(id uint64, ctx *tlsCtx) {
-	if n.CtxCap > 0 && len(n.ctxs) >= n.CtxCap {
-		// Evict the oldest context; a later segment for it will re-alloc.
-		for len(n.ctxLRU) > 0 {
-			victim := n.ctxLRU[0]
-			n.ctxLRU = n.ctxLRU[1:]
-			if _, ok := n.ctxs[victim]; ok {
-				delete(n.ctxs, victim)
-				n.Stats.CtxEvicts++
-				break
-			}
-		}
+// txJob is a submitted segment: the NIC's copy of the caller's TxSegment,
+// pooled per NIC. It is the completion of the segment's descriptor
+// processing, which seals and emits it. A resync reserves the same job
+// on the queue just before the segment, so its first Run sets the
+// context's counter and its second seals and emits.
+type txJob struct {
+	n         *NIC
+	q         int
+	seg       TxSegment
+	ctx       *tlsCtx // nil: nothing to seal
+	resync    bool    // the next Run is the resync descriptor's completion
+	resyncSeq uint64
+}
+
+// takeJob takes a job from the NIC's free list.
+func (n *NIC) takeJob() *txJob {
+	if l := len(n.jobs); l > 0 {
+		j := n.jobs[l-1]
+		n.jobs[l-1] = nil
+		n.jobs = n.jobs[:l-1]
+		return j
 	}
-	n.ctxs[id] = ctx
-	n.ctxLRU = append(n.ctxLRU, id)
-	n.Stats.CtxAllocs++
-	n.Stats.LiveCtx = len(n.ctxs)
+	//smt:coldpath -- txJob free-list refill; steady state reuses pooled jobs
+	return &txJob{n: n}
+}
+
+// Run implements sim.Action.
+func (j *txJob) Run() {
+	if j.resync {
+		j.resync = false
+		j.ctx.next = j.resyncSeq
+		return
+	}
+	n := j.n
+	if j.ctx != nil {
+		n.seal(&j.seg, j.ctx)
+	}
+	n.emit(j.q, &j.seg)
+	j.seg, j.ctx = TxSegment{}, nil
+	n.jobs = append(n.jobs, j)
 }
 
 // seal encrypts the segment's records with the context's counter. A

@@ -254,27 +254,6 @@ func TestPerQueueContextsAvoidHazard(t *testing.T) {
 	}
 }
 
-func TestContextEviction(t *testing.T) {
-	r := newRig(t, 1)
-	r.nic.CtxCap = 2
-	aead := testKeys(t)
-	r.eng.At(0, func() {
-		for i := uint64(0); i < 4; i++ {
-			r.nic.SendSegment(0, offloadSeg(t, aead, i, 0, false, []byte("x")))
-		}
-	})
-	r.eng.Run()
-	if r.nic.Stats.CtxEvicts != 2 {
-		t.Fatalf("evicts = %d, want 2", r.nic.Stats.CtxEvicts)
-	}
-	if r.nic.Stats.LiveCtx != 2 {
-		t.Fatalf("live = %d, want 2", r.nic.Stats.LiveCtx)
-	}
-	if r.nic.HasContext(0) || r.nic.HasContext(1) {
-		t.Fatal("oldest contexts should be evicted")
-	}
-}
-
 func TestContextReuseNeedsNoRealloc(t *testing.T) {
 	r := newRig(t, 1)
 	aead := testKeys(t)
@@ -288,5 +267,164 @@ func TestContextReuseNeedsNoRealloc(t *testing.T) {
 	}
 	if r.nic.Stats.Resyncs != 1 || r.nic.Stats.Corrupted != 0 {
 		t.Fatalf("stats = %+v", r.nic.Stats)
+	}
+}
+
+// recordSeg builds a TSO segment of three application-data records
+// shelled in place: plaintext fill seed, records numbered from seq.
+func recordSeg(aead *tlsrec.AEAD, msgID, ctxID, seq uint64, seed byte) (*TxSegment, [][]byte) {
+	var payload []byte
+	var recs []RecordDesc
+	var plains [][]byte
+	for i := 0; i < 3; i++ {
+		plain := bytes.Repeat([]byte{seed + byte(i)}, 1000)
+		off := len(payload)
+		payload = append(payload, make([]byte, tlsrec.RecordWireLen(len(plain), 0))...)
+		tlsrec.WriteRecordShell(payload, off, wire.RecordTypeApplicationData, plain, 0)
+		recs = append(recs, RecordDesc{Off: off, InnerLen: len(plain) + 1, Seq: seq + uint64(i)})
+		plains = append(plains, plain)
+	}
+	return &TxSegment{
+		Pkt: &wire.Packet{
+			IP:      wire.IPv4Header{TTL: 64, Protocol: wire.ProtoSMT, Src: 1, Dst: 2},
+			Overlay: wire.OverlayHeader{SrcPort: 9, DstPort: 10, Type: wire.TypeData, MsgID: msgID, MsgLen: uint32(len(payload))},
+			Payload: payload,
+		},
+		MTU:     wire.DefaultMTU,
+		Records: recs,
+		Keys:    aead,
+		CtxID:   ctxID,
+	}, plains
+}
+
+// TestSendSegmentCopiesDescriptor overwrites the caller's TxSegment with
+// a different segment right after SendSegment returns and submits it
+// again, the way a producer reusing one descriptor does. The first
+// submission's packets must carry its own headers, payload and sealed
+// records: descriptor processing happens later in virtual time, so a NIC
+// that kept the caller's pointer would cut the second segment twice.
+func TestSendSegmentCopiesDescriptor(t *testing.T) {
+	r := newRig(t, 1)
+	aead := testKeys(t)
+	d, plains := recordSeg(aead, 1, 42, 0, 0x10)
+	released := 0
+	d.Release = func() { released++ }
+	second, plains2 := recordSeg(aead, 2, 43, 100, 0x60)
+	second.Pkt.Overlay.SrcPort = 11
+	r.eng.At(0, func() {
+		// Warm context 43 so the second submission's Resync runs.
+		r.nic.SendSegment(0, offloadSeg(t, aead, 43, 7, false, []byte("w")))
+		r.nic.SendSegment(0, d)
+		*d = *second
+		d.Resync = true
+		r.nic.SendSegment(0, d)
+	})
+	r.eng.Run()
+	if released != 1 {
+		t.Fatalf("first submission's Release ran %d times, want 1", released)
+	}
+	check := func(msgID uint64, srcPort uint16, seq uint64, plains [][]byte) {
+		t.Helper()
+		var stream []byte
+		idx := uint16(0)
+		for _, p := range r.got {
+			if p.Overlay.MsgID != msgID {
+				continue
+			}
+			if p.Overlay.SrcPort != srcPort || p.Overlay.DstPort != 10 || p.IP.Src != 1 || p.IP.Dst != 2 || p.IP.ID != idx {
+				t.Fatalf("message %d packet %d headers: %+v %+v", msgID, idx, p.IP, p.Overlay)
+			}
+			stream = append(stream, p.Payload...)
+			idx++
+		}
+		if idx != 3 {
+			t.Fatalf("message %d: %d packets, want 3", msgID, idx)
+		}
+		for i, want := range plains {
+			n := tlsrec.RecordWireLen(len(want), 0)
+			pt, _, err := aead.OpenRecord(seq+uint64(i), stream[:n])
+			if err != nil || !bytes.Equal(pt, want) {
+				t.Fatalf("message %d record %d: %v", msgID, i, err)
+			}
+			stream = stream[n:]
+		}
+	}
+	check(1, 9, 0, plains)
+	check(2, 11, 100, plains2)
+	if r.nic.Stats.Corrupted != 0 || r.nic.Stats.Resyncs != 1 {
+		t.Fatalf("stats = %+v", r.nic.Stats)
+	}
+}
+
+// TestSendSegmentAllocs gates the warmed NIC transmit path at zero
+// allocations per segment for the three kinds of submission the stacks
+// make: a NoTSO control packet, a copying TSO segment (Release set) and
+// an offload segment with a resync descriptor. Each submits a
+// TxSegment literal, which must stay on the caller's stack.
+func TestSendSegmentAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cm := cost.Default()
+	net := netsim.New(eng, cm)
+	nic := New(eng, cm, net, 1, 2)
+	got := 0
+	net.Attach(2, func(p *wire.Packet) { got += len(p.Payload); p.Release() })
+	aead := testKeys(t)
+	hdr := func(pkt *wire.Packet, n int) {
+		pkt.IP = wire.IPv4Header{TTL: 64, Protocol: wire.ProtoSMT, Src: 1, Dst: 2}
+		pkt.Overlay = wire.OverlayHeader{SrcPort: 9, DstPort: 10, Type: wire.TypeData, MsgLen: uint32(n)}
+	}
+	ctrl := []byte("ack")
+	scratch := bytes.Repeat([]byte{0xAB}, 64<<10)
+	plain := bytes.Repeat([]byte{0xCD}, 4000)
+	sealed := make([]byte, tlsrec.RecordWireLen(len(plain), 0))
+	recs := []RecordDesc{{Off: 0, InnerLen: len(plain) + 1, Seq: 9}}
+	release := func() {}
+	kinds := []struct {
+		name string
+		want int
+		send func()
+	}{
+		{"notso-control", len(ctrl), func() {
+			pkt := nic.AcquirePacket()
+			hdr(pkt, len(ctrl))
+			pkt.SetPayload(ctrl)
+			nic.SendSegment(1, &TxSegment{Pkt: pkt, MTU: wire.DefaultMTU, NoTSO: true})
+		}},
+		{"tso-release", len(scratch), func() {
+			pkt := nic.AcquirePacket()
+			hdr(pkt, len(scratch))
+			pkt.Payload = scratch
+			nic.SendSegment(0, &TxSegment{Pkt: pkt, MTU: wire.DefaultMTU, Release: release})
+		}},
+		{"offload-resync", len(sealed), func() {
+			tlsrec.WriteRecordShell(sealed, 0, wire.RecordTypeApplicationData, plain, 0)
+			pkt := nic.AcquirePacket()
+			hdr(pkt, len(sealed))
+			pkt.Payload = sealed
+			nic.SendSegment(0, &TxSegment{
+				Pkt: pkt, MTU: wire.DefaultMTU,
+				Records: recs, Keys: aead, CtxID: 5, Resync: true,
+				Release: release,
+			})
+		}},
+	}
+	for _, k := range kinds {
+		run := func() {
+			got = 0
+			k.send()
+			eng.Run()
+			if got != k.want {
+				t.Fatalf("%s: %d of %d bytes delivered", k.name, got, k.want)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			run()
+		}
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per warmed SendSegment, want 0", k.name, allocs)
+		}
+	}
+	if nic.Stats.Resyncs == 0 || nic.Stats.Corrupted != 0 {
+		t.Fatalf("offload kind did not resync cleanly: %+v", nic.Stats)
 	}
 }

@@ -46,6 +46,7 @@ func AppendEncode(b []byte, reqID uint64, respSize uint32, size int) []byte {
 	if cap(b) >= size {
 		b = b[:size]
 	} else {
+		//smt:coldpath -- scratch growth; steady state reuses the caller's buffer
 		b = make([]byte, size)
 	}
 	binary.BigEndian.PutUint64(b, reqID)

@@ -31,10 +31,12 @@ type Chunk struct {
 	Keys *tlsrec.AEAD
 }
 
-// Chunk buffers are deliberately NOT pooled: a retransmission borrows
-// chunk.Bytes into NIC-deferred work (seal + cut happen later in virtual
-// time), so an ack-time release could recycle a buffer that is still
-// referenced by an in-flight retransmit. They stay GC-managed.
+// Chunk buffers are deliberately NOT pooled: a software-record (or
+// plaintext) retransmission hands chunk.Bytes to the NIC uncopied, and
+// the TSO cut aliases it later in virtual time, so an ack-time release
+// could recycle a buffer an in-flight retransmission still references.
+// They stay GC-managed. (A kTLS-hw retransmission re-seals a pooled copy
+// of the retained plaintext shell and never aliases it.)
 
 // Codec transforms application messages to stream bytes and back. The
 // connection itself handles message framing (4-byte length prefix) above

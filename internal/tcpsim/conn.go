@@ -8,6 +8,7 @@ import (
 	"smt/internal/cpusim"
 	"smt/internal/nicsim"
 	"smt/internal/sim"
+	"smt/internal/tlsrec"
 	"smt/internal/wire"
 )
 
@@ -67,7 +68,7 @@ type Conn struct {
 	core      int // RSS softirq core (fixed by the 5-tuple hash)
 
 	// sender state (byte offsets in the ciphertext stream)
-	chunks     []*txChunk
+	chunks     []txChunk
 	sndUna     int64
 	sndNxt     int64
 	highWater  int64 // total bytes queued
@@ -79,8 +80,8 @@ type Conn struct {
 	rtoStrikes int    // consecutive RTO firings without cumulative-ACK progress
 	nicNext    uint64 // next record seq the NIC context expects (hw)
 	ctxID      uint64
-	txFree     []*txBuf // recycled TSO-segment assembly buffers
-	frameFree  [][]byte // recycled SendMessage framing copies
+	txFree     []*txBuf     // recycled TSO-segment assembly buffers
+	sendFree   []*sendEvent // recycled SendMessage descriptors
 
 	// receiver state. rxPending/appStream are consumed from a head index
 	// and compacted (see compact) instead of re-sliced, so their
@@ -111,13 +112,11 @@ type Conn struct {
 	Stats Stats
 }
 
+// txChunk is a chunk queued for transmission at stream offset seq; it
+// stays in Conn.chunks until cumulatively acknowledged.
 type txChunk struct {
 	seq   int64
 	chunk Chunk
-	// firstSeq/nRecs track the TLS record sequence range for resync
-	// decisions on retransmit.
-	firstSeq uint64
-	nRecs    int
 }
 
 // txBuf is a pooled TSO-segment assembly buffer: trySend packs chunk
@@ -137,7 +136,9 @@ func (c *Conn) getTxBuf() *txBuf {
 		c.txFree = c.txFree[:l-1]
 		return tb
 	}
+	//smt:coldpath -- txBuf free-list refill; steady state reuses pooled buffers
 	tb := &txBuf{}
+	//smt:coldpath -- one Release hook per pooled buffer, bound at refill
 	tb.release = func() {
 		tb.bytes = tb.bytes[:0]
 		tb.recs = tb.recs[:0]
@@ -146,24 +147,28 @@ func (c *Conn) getTxBuf() *txBuf {
 	return tb
 }
 
-// framed copies msg behind the 4-byte length prefix of RPC framing into
-// a buffer from the connection's free list. SendMessage returns the
-// buffer as soon as EncodeStream has consumed it.
-func (c *Conn) framed(msg []byte) []byte {
-	var out []byte
-	if l := len(c.frameFree); l > 0 {
-		out = c.frameFree[l-1]
-		c.frameFree[l-1] = nil
-		c.frameFree = c.frameFree[:l-1]
+// sendEvent is one SendMessage in flight, pooled per connection with
+// its framing buffer. Its first Run completes the syscall and copy
+// charge and encodes the framed message; its second completes the
+// encode charge and queues the chunks for transmission.
+type sendEvent struct {
+	c       *Conn
+	frame   []byte // msg behind the 4-byte length prefix of RPC framing
+	chunks  []Chunk
+	encoded bool // the next Run queues chunks
+}
+
+// framed writes msg behind the 4-byte length prefix of RPC framing into
+// buf, reusing its capacity.
+func framed(buf, msg []byte) []byte {
+	if cap(buf) < 4+len(msg) {
+		//smt:coldpath -- framing-buffer growth; steady state reuses the descriptor's buffer
+		buf = make([]byte, 4+len(msg))
 	}
-	if cap(out) < 4+len(msg) {
-		//smt:coldpath -- framing-buffer refill or growth; steady state reuses pooled buffers
-		out = make([]byte, 4+len(msg))
-	}
-	out = out[:4+len(msg)]
-	binary.BigEndian.PutUint32(out, uint32(len(msg)))
-	copy(out[4:], msg)
-	return out
+	buf = buf[:4+len(msg)]
+	binary.BigEndian.PutUint32(buf, uint32(len(msg)))
+	copy(buf[4:], msg)
+	return buf
 }
 
 // SendMessage writes one length-prefixed message to the stream. Syscall,
@@ -181,26 +186,38 @@ func (c *Conn) SendMessage(msg []byte) {
 	}
 	c.Stats.MsgsSent++
 	c.Stats.BytesSent += uint64(len(msg))
+	var e *sendEvent
+	if l := len(c.sendFree); l > 0 {
+		e = c.sendFree[l-1]
+		c.sendFree[l-1] = nil
+		c.sendFree = c.sendFree[:l-1]
+	} else {
+		//smt:coldpath -- sendEvent free-list refill; steady state reuses pooled descriptors
+		e = &sendEvent{c: c}
+	}
+	e.frame = framed(e.frame, msg)
 	cm := c.host.CM
-	data := c.framed(msg)
-	sendCost := cm.Syscall + cm.Copy(len(data)) + cm.TCPPerConn*sim.Time(c.host.StreamConns)
-	//smt:allow hotalloc -- per-message send closure; counted in the steady-state alloc budget
-	c.host.RunApp(c.appThread, sendCost, func() {
-		chunks, cpu := c.codec.EncodeStream(data)
-		c.frameFree = append(c.frameFree, data)
-		c.host.RunApp(c.appThread, cpu+cm.TCPTxSegment, func() {
-			for i := range chunks {
-				tc := &txChunk{seq: c.highWater, chunk: chunks[i]}
-				if len(chunks[i].Records) > 0 {
-					tc.firstSeq = chunks[i].Records[0].Seq
-					tc.nRecs = len(chunks[i].Records)
-				}
-				c.highWater += int64(len(chunks[i].Bytes))
-				c.chunks = append(c.chunks, tc)
-			}
-			c.trySend()
-		})
-	})
+	sendCost := cm.Syscall + cm.Copy(len(e.frame)) + cm.TCPPerConn*sim.Time(c.host.StreamConns)
+	c.host.App[c.appThread%len(c.host.App)].AcquireAction(sendCost, e)
+}
+
+// Run implements sim.Action. The codec does not retain the framing
+// buffer (see Codec.EncodeStream), so a later SendMessage reuses it.
+func (e *sendEvent) Run() {
+	c := e.c
+	if !e.encoded {
+		chunks, cpu := c.codec.EncodeStream(e.frame)
+		e.chunks, e.encoded = chunks, true
+		c.host.App[c.appThread%len(c.host.App)].AcquireAction(cpu+c.host.CM.TCPTxSegment, e)
+		return
+	}
+	for _, ch := range e.chunks {
+		c.chunks = append(c.chunks, txChunk{seq: c.highWater, chunk: ch})
+		c.highWater += int64(len(ch.Bytes))
+	}
+	e.chunks, e.encoded = nil, false
+	c.sendFree = append(c.sendFree, e)
+	c.trySend()
 }
 
 // OnMessage registers the reassembled-message callback. The message
@@ -285,10 +302,11 @@ func (c *Conn) trySend() {
 			tb      = c.getTxBuf()
 			seg     = tb.bytes[:0]
 			recs    = tb.recs[:0]
-			keys    = (*txChunk)(nil)
+			keys    *tlsrec.AEAD
 			started = c.sndNxt
 		)
-		for _, tc := range c.chunks {
+		for i := range c.chunks {
+			tc := &c.chunks[i]
 			end := tc.seq + int64(len(tc.chunk.Bytes))
 			if end <= c.sndNxt {
 				continue // already sent
@@ -307,7 +325,7 @@ func (c *Conn) trySend() {
 				recs = append(recs, r)
 			}
 			if tc.chunk.Keys != nil {
-				keys = tc
+				keys = tc.chunk.Keys
 			}
 			seg = append(seg, tc.chunk.Bytes...)
 		}
@@ -321,9 +339,10 @@ func (c *Conn) trySend() {
 	}
 }
 
-// sendSegment submits one TSO segment at stream offset seq. release, if
-// non-nil, recycles the payload buffer once the NIC has cut it.
-func (c *Conn) sendSegment(seq int64, payload []byte, recs []nicsim.RecordDesc, keyChunk *txChunk, release func(), retx bool) {
+// sendSegment submits one TSO segment at stream offset seq, for NIC
+// sealing of recs under keys when both are set. release, if non-nil,
+// recycles the payload buffer once the NIC has cut it.
+func (c *Conn) sendSegment(seq int64, payload []byte, recs []nicsim.RecordDesc, keys *tlsrec.AEAD, release func(), retx bool) {
 	pkt := c.host.NIC.AcquirePacket()
 	pkt.IP = wire.IPv4Header{TTL: 64, Protocol: wire.ProtoTCP, Src: c.host.Addr, Dst: c.peerAddr}
 	pkt.Overlay = wire.OverlayHeader{
@@ -333,10 +352,10 @@ func (c *Conn) sendSegment(seq int64, payload []byte, recs []nicsim.RecordDesc, 
 		MsgLen:    uint32(len(payload)),
 	}
 	pkt.Payload = payload // borrowed until the NIC cuts; release recycles
-	seg := &nicsim.TxSegment{Pkt: pkt, MTU: c.cfg.MTU, Release: release}
-	if len(recs) > 0 && keyChunk != nil && keyChunk.chunk.Keys != nil {
+	seg := nicsim.TxSegment{Pkt: pkt, MTU: c.cfg.MTU, Release: release}
+	if len(recs) > 0 && keys != nil {
 		seg.Records = recs
-		seg.Keys = keyChunk.chunk.Keys
+		seg.Keys = keys
 		seg.CtxID = c.ctxID
 		first := recs[0].Seq
 		if c.nicNext != first {
@@ -344,12 +363,13 @@ func (c *Conn) sendSegment(seq int64, payload []byte, recs []nicsim.RecordDesc, 
 		}
 		c.nicNext = first + uint64(len(recs))
 	}
-	c.host.NIC.SendSegment(c.queue, seg)
+	c.host.NIC.SendSegment(c.queue, &seg)
 	c.armRTO()
 }
 
 func (c *Conn) armRTO() {
 	if c.rtoFn == nil {
+		//smt:coldpath -- one RTO closure per connection, cached on first use
 		c.rtoFn = func() {
 			if c.closed || c.sndUna >= c.highWater {
 				return
@@ -399,7 +419,7 @@ func (c *Conn) retransmitFrom(seq int64) {
 				tb := c.getTxBuf()
 				tb.bytes = append(tb.bytes[:0], tc.chunk.Bytes...)
 				tb.recs = append(tb.recs[:0], tc.chunk.Records...)
-				c.sendSegment(tc.seq, tb.bytes, tb.recs, tc, tb.release, true)
+				c.sendSegment(tc.seq, tb.bytes, tb.recs, tc.chunk.Keys, tb.release, true)
 				return
 			}
 			c.sendSegment(tc.seq, tc.chunk.Bytes, nil, nil, nil, true)
@@ -423,9 +443,7 @@ func (c *Conn) handleAck(ack int64) {
 				keep = append(keep, tc)
 			}
 		}
-		for i := len(keep); i < len(c.chunks); i++ {
-			c.chunks[i] = nil
-		}
+		clear(c.chunks[len(keep):])
 		c.chunks = keep
 		if c.inRecovery {
 			if ack >= c.recover {

@@ -227,15 +227,13 @@ func TestCloseStopsTraffic(t *testing.T) {
 }
 
 func TestFramingHelper(t *testing.T) {
-	c := new(Conn)
-	f := c.framed([]byte("abc"))
+	f := framed(nil, []byte("abc"))
 	if len(f) != 7 || f[3] != 3 || !bytes.Equal(f[4:], []byte("abc")) {
 		t.Fatalf("framed = %v", f)
 	}
-	// A returned buffer is reused, and a shorter message leaves no
-	// stale tail behind its prefix.
-	c.frameFree = append(c.frameFree, f)
-	g := c.framed([]byte("z"))
+	// A buffer is reused, and a shorter message leaves no stale tail
+	// behind its prefix.
+	g := framed(f, []byte("z"))
 	if &g[0] != &f[0] || len(g) != 5 || g[3] != 1 || g[4] != 'z' {
 		t.Fatalf("framed after reuse = %v", g)
 	}
@@ -305,7 +303,7 @@ func testBorrowedMessageDescendingSizes(t *testing.T, loss float64) {
 	if requests != rounds*len(sizes) || echoed != rounds*len(sizes) {
 		t.Fatalf("requests %d, echoes %d, want %d each", requests, echoed, rounds*len(sizes))
 	}
-	if len(cli.frameFree) == 0 || len(srv.frameFree) == 0 {
-		t.Fatal("framing buffers are not recycled")
+	if len(cli.sendFree) == 0 || len(srv.sendFree) == 0 {
+		t.Fatal("send descriptors and their framing buffers are not recycled")
 	}
 }
