@@ -194,7 +194,7 @@ func (c *Codec) WireLen(off, n int) int {
 // Encode implements homa.Codec: Figure 3's segment layout. Each record is
 // framed, sequenced with the composite (msgID ‖ recIdx) number, and either
 // sealed in software or described for the NIC crypto engine.
-func (c *Codec) Encode(msgID uint64, msg []byte, off, n, queue int, retransmit bool) (*homa.Segment, sim.Time) {
+func (c *Codec) Encode(msgID uint64, msg []byte, off, n, queue int, retransmit bool) (homa.Segment, sim.Time) {
 	seg := c.getSeg()
 	payload := grow(seg.Payload, c.WireLen(off, n))
 	var (
@@ -259,7 +259,7 @@ func (c *Codec) Encode(msgID uint64, msg []byte, off, n, queue int, retransmit b
 		}
 		c.nicNext[queue] = nextSeq
 	}
-	return seg, cpu
+	return *seg, cpu
 }
 
 // Decode implements homa.Codec: reassembled TSO segment payload → verified

@@ -54,7 +54,7 @@ func (unregistered) WireLen(off, n int) int { return n }
 func (unregistered) AcceptMessage(uint64) error {
 	return fmt.Errorf("core: no session registered for peer")
 }
-func (unregistered) Encode(uint64, []byte, int, int, int, bool) (*homa.Segment, sim.Time) {
+func (unregistered) Encode(uint64, []byte, int, int, int, bool) (homa.Segment, sim.Time) {
 	//smt:allow panic -- harness wiring bug: a session must be paired or handshaken before Send
 	panic("core: Send before RegisterSession")
 }

@@ -31,7 +31,7 @@ type Codec interface {
 	// of message msgID destined for queue. It returns the encoded
 	// segment and the CPU cost of building it (framing, software crypto
 	// or offload metadata).
-	Encode(msgID uint64, msg []byte, off, n, queue int, retransmit bool) (*Segment, sim.Time)
+	Encode(msgID uint64, msg []byte, off, n, queue int, retransmit bool) (Segment, sim.Time)
 	// Decode converts a reassembled segment payload back to plaintext
 	// message bytes, returning the CPU cost (software decryption). An
 	// error marks the segment corrupted; the transport recovers it via
@@ -87,9 +87,8 @@ func (c *PlainCodec) WireLen(off, n int) int { return n }
 // which time the receiver has consumed every first-transmission packet,
 // and never recycles the copy of a message with a resubmitted segment,
 // whose resubmission may still be queued when the ACK lands.
-func (c *PlainCodec) Encode(msgID uint64, msg []byte, off, n, queue int, retransmit bool) (*Segment, sim.Time) {
-	//smt:allow hotalloc -- per-segment descriptor aliasing the message bytes; the plaintext baseline's only per-segment cost
-	return &Segment{Payload: msg[off : off+n]}, 0
+func (c *PlainCodec) Encode(msgID uint64, msg []byte, off, n, queue int, retransmit bool) (Segment, sim.Time) {
+	return Segment{Payload: msg[off : off+n]}, 0
 }
 
 // Decode implements Codec: identity, zero extra cost.

@@ -379,7 +379,7 @@ func (s *Socket) pump(m *outMsg, queue int, ctxCore int, onApp bool) {
 type submitEvent struct {
 	s          *Socket
 	m          *outMsg
-	enc        *Segment
+	enc        Segment
 	off, queue int
 	retransmit bool
 }
@@ -387,8 +387,8 @@ type submitEvent struct {
 // Run implements sim.Action.
 func (e *submitEvent) Run() {
 	s := e.s
-	s.toNIC(e.m, e.enc, e.off, e.queue, e.retransmit)
-	e.m, e.enc = nil, nil
+	s.toNIC(e.m, &e.enc, e.off, e.queue, e.retransmit)
+	e.m, e.enc = nil, Segment{}
 	s.submitFree = append(s.submitFree, e)
 }
 

@@ -75,6 +75,9 @@ type Codec struct {
 	rxBuf  []byte // partial record accumulation
 	outBuf []byte // DecodeStream scratch, valid until the next call
 
+	pool   tcpsim.ChunkPool // released records (and kTLS-hw descriptors)
+	chunks []tcpsim.Chunk   // EncodeStream scratch, valid until the next call
+
 	// Stats
 	RecordsSealed uint64
 	RecordsOpened uint64
@@ -110,10 +113,10 @@ func (c *Codec) perRecordCost() sim.Time {
 }
 
 // EncodeStream implements tcpsim.Codec: cut the framed plaintext into
-// records; one chunk per record.
+// records; one chunk per record, taken from the codec's chunk pool.
 func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 	var (
-		chunks []tcpsim.Chunk
+		chunks = c.chunks[:0]
 		cpu    sim.Time
 	)
 	for off := 0; off < len(data); off += RecPlain {
@@ -126,21 +129,18 @@ func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 		recLen := tlsrec.RecordWireLen(n, 0)
 		cpu += c.perRecordCost()
 		c.RecordsSealed++
+		ch := c.pool.Get(recLen)
 		if c.mode == ModeKTLSHW {
-			//smt:allow hotalloc -- per-record ciphertext shell; the HW-offload copy being modelled
-			buf := make([]byte, recLen)
-			tlsrec.WriteRecordShell(buf, 0, wire.RecordTypeApplicationData, plain, 0)
+			// The plaintext shell the NIC seals on transmit, and its one
+			// record descriptor.
+			tlsrec.WriteRecordShell(ch.Bytes, 0, wire.RecordTypeApplicationData, plain, 0)
 			cpu += c.cm.OffloadMetaPerSeg
-			//smt:allow hotalloc -- per-record chunk list handed to the stream; the comparison stack's measured cost
-			chunks = append(chunks, tcpsim.Chunk{
-				Bytes: buf,
-				//smt:allow hotalloc -- per-record offload descriptor handed to the NIC
-				Records: []nicsim.RecordDesc{{Off: 0, InnerLen: n + 1, Seq: seq}},
-				Keys:    c.tx,
-			})
+			ch.Records = append(ch.Records, nicsim.RecordDesc{Off: 0, InnerLen: n + 1, Seq: seq})
+			ch.Keys = c.tx
+			chunks = append(chunks, ch)
 			continue
 		}
-		sealed, err := c.tx.SealRecord(nil, seq, wire.RecordTypeApplicationData, plain, 0)
+		sealed, err := c.tx.SealRecord(ch.Bytes[:0], seq, wire.RecordTypeApplicationData, plain, 0)
 		if err != nil {
 			//smt:allow panic -- sealing with session keys over validated sizes cannot fail; an error means corrupted key state
 			panic(fmt.Sprintf("ktls: seal: %v", err))
@@ -151,11 +151,15 @@ func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 			// write(2): one more pass over the data.
 			cpu += c.cm.Copy(recLen) + c.cm.Syscall
 		}
-		//smt:allow hotalloc -- per-record chunk list handed to the stream; the comparison stack's measured cost
-		chunks = append(chunks, tcpsim.Chunk{Bytes: sealed})
+		ch.Bytes = sealed
+		chunks = append(chunks, ch)
 	}
+	c.chunks = chunks
 	return chunks, cpu
 }
+
+// Release implements tcpsim.Codec.
+func (c *Codec) Release(ch tcpsim.Chunk) { c.pool.Put(ch) }
 
 // DecodeStream implements tcpsim.Codec: accumulate ciphertext, open
 // complete records in order. The returned slice is codec-owned scratch,

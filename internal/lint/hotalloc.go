@@ -56,10 +56,9 @@ var hotRootSpecs = []string{
 	"(smt/internal/homa.Codec).Decode",
 	"(*smt/internal/homa.Socket).Send",
 	"(*smt/internal/tcpsim.Conn).SendMessage",
-	"(*smt/internal/ktls.Codec).EncodeStream",
-	"(*smt/internal/ktls.Codec).DecodeStream",
-	"(*smt/internal/tcpls.Codec).EncodeStream",
-	"(*smt/internal/tcpls.Codec).DecodeStream",
+	"(smt/internal/tcpsim.Codec).EncodeStream",
+	"(smt/internal/tcpsim.Codec).DecodeStream",
+	"(smt/internal/tcpsim.Codec).Release",
 	"(*smt/internal/tlsrec.AEAD).SealRecord",
 	"(*smt/internal/tlsrec.AEAD).OpenRecord",
 	"(*smt/internal/tlsrec.AEAD).OpenRecordTo",

@@ -69,10 +69,8 @@ type TxSegment struct {
 	//
 	// Nil: the cut packets alias the payload directly (zero copy). The
 	// producer must keep the memory alive and unmodified until every
-	// packet has been consumed. Nothing seals in place after submission
-	// (a kTLS-hw retransmission re-seals a pooled copy), so the aliases
-	// left are a software-record retransmission of a retained stream
-	// chunk and Homa PlainCodec's send copy.
+	// packet has been consumed. Homa PlainCodec's send copy is the only
+	// producer left that does.
 	//
 	// Release is not invoked for NoTSO segments — there the packet
 	// itself carries the payload to the receiver.

@@ -42,8 +42,10 @@ type Codec struct {
 	rxSeq tlsrec.StreamSeq
 	rxBuf []byte
 
-	innerBuf []byte // EncodeStream scratch: stream header ‖ app bytes
-	outBuf   []byte // DecodeStream scratch, valid until the next call
+	innerBuf []byte           // EncodeStream scratch: stream header ‖ app bytes
+	outBuf   []byte           // DecodeStream scratch, valid until the next call
+	pool     tcpsim.ChunkPool // released records
+	chunks   []tcpsim.Chunk   // EncodeStream scratch, valid until the next call
 
 	RecordsSealed uint64
 	RecordsOpened uint64
@@ -63,10 +65,11 @@ func New(cm *cost.Model, keys ktls.Keys) (*Codec, error) {
 	return &Codec{cm: cm, tx: tx, rx: rx}, nil
 }
 
-// EncodeStream implements tcpsim.Codec.
+// EncodeStream implements tcpsim.Codec: one record per chunk, taken
+// from the codec's chunk pool.
 func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 	var (
-		chunks []tcpsim.Chunk
+		chunks = c.chunks[:0]
 		cpu    sim.Time
 	)
 	for off := 0; off < len(data); off += RecPlain {
@@ -86,18 +89,23 @@ func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 		copy(inner[streamHeaderLen:], data[off:off+n])
 
 		seq := c.txSeq.Next()
-		sealed, err := c.tx.SealRecord(nil, seq, wire.RecordTypeApplicationData, inner, 0)
+		ch := c.pool.Get(tlsrec.RecordWireLen(len(inner), 0))
+		sealed, err := c.tx.SealRecord(ch.Bytes[:0], seq, wire.RecordTypeApplicationData, inner, 0)
 		if err != nil {
 			//smt:allow panic -- sealing with session keys over validated sizes cannot fail; an error means corrupted key state
 			panic(fmt.Sprintf("tcpls: seal: %v", err))
 		}
 		cpu += c.cm.CryptoSW(len(sealed)) + c.cm.TCPLSRecord
 		c.RecordsSealed++
-		//smt:allow hotalloc -- per-record chunk list handed to the stream; the comparison stack's measured cost
-		chunks = append(chunks, tcpsim.Chunk{Bytes: sealed})
+		ch.Bytes = sealed
+		chunks = append(chunks, ch)
 	}
+	c.chunks = chunks
 	return chunks, cpu
 }
+
+// Release implements tcpsim.Codec.
+func (c *Codec) Release(ch tcpsim.Chunk) { c.pool.Put(ch) }
 
 // DecodeStream implements tcpsim.Codec. The returned slice is codec-owned
 // scratch, valid until the next DecodeStream call.

@@ -31,51 +31,94 @@ type Chunk struct {
 	Keys *tlsrec.AEAD
 }
 
-// Chunk buffers are deliberately NOT pooled: a software-record (or
-// plaintext) retransmission hands chunk.Bytes to the NIC uncopied, and
-// the TSO cut aliases it later in virtual time, so an ack-time release
-// could recycle a buffer an in-flight retransmission still references.
-// They stay GC-managed. (A kTLS-hw retransmission re-seals a pooled copy
-// of the retained plaintext shell and never aliases it.)
-
 // Codec transforms application messages to stream bytes and back. The
 // connection itself handles message framing (4-byte length prefix) above
 // the codec, mirroring how RPC protocols frame over TLS/TCP.
+//
+// A chunk has the lifetime the kernel gives a kTLS record: the
+// connection queues it until the cumulative ACK covers every byte of
+// it, then hands it back through Release. Nothing else aliases a queued
+// chunk (transmissions and retransmissions copy it), so the codec may
+// reuse its Bytes and Records as soon as Release returns.
 type Codec interface {
 	// EncodeStream converts framed plaintext stream bytes into chunks,
 	// returning the transmit-side CPU cost (software crypto or offload
 	// metadata). It must not retain data: the connection reuses that
-	// buffer for its next message as soon as EncodeStream returns, so
-	// every chunk owns its Bytes.
+	// buffer for its next message as soon as EncodeStream returns. The
+	// returned list is codec scratch, valid until the next call; the
+	// chunks in it are the connection's until it releases them.
 	EncodeStream(data []byte) ([]Chunk, sim.Time)
 	// DecodeStream consumes in-order received stream bytes and returns
 	// any newly available plaintext stream bytes plus the receive-side
 	// CPU cost (decryption happens here — in recvmsg context).
 	DecodeStream(data []byte) ([]byte, sim.Time, error)
+	// Release returns a chunk EncodeStream produced, once and only once
+	// the cumulative ACK covers all of it. A partly acknowledged chunk
+	// may still be retransmitted, so it is never released.
+	Release(Chunk)
 }
 
 // maxChunk bounds a chunk to one TSO segment so the packing loop in the
 // connection always makes progress.
 const maxChunk = 64000
 
-// PlainCodec is raw TCP: the stream is the framed plaintext itself.
-type PlainCodec struct{}
+// ChunkPool is a codec's free list of released chunks. Get searches it
+// from the most recently released chunk for the first whose Bytes can
+// hold n bytes; fresh chunks are allocated at their exact size, so a
+// connection that never releases allocates nothing beyond its chunks.
+// The zero value is an empty pool.
+type ChunkPool struct {
+	free []Chunk
+}
+
+// Get returns a chunk whose Bytes has length n (contents unspecified;
+// the caller overwrites every byte) and whose Records is empty.
+func (p *ChunkPool) Get(n int) Chunk {
+	for i := len(p.free) - 1; i >= 0; i-- {
+		if ch := p.free[i]; cap(ch.Bytes) >= n {
+			last := len(p.free) - 1
+			copy(p.free[i:], p.free[i+1:])
+			p.free[last] = Chunk{}
+			p.free = p.free[:last]
+			ch.Bytes = ch.Bytes[:n]
+			return ch
+		}
+	}
+	//smt:coldpath -- chunk free-list refill; steady state reuses released chunks
+	return Chunk{Bytes: make([]byte, n)}
+}
+
+// Put adds a released chunk to the pool, keeping its Bytes and Records
+// capacity.
+func (p *ChunkPool) Put(ch Chunk) {
+	p.free = append(p.free, Chunk{Bytes: ch.Bytes[:0], Records: ch.Records[:0]})
+}
+
+// PlainCodec is raw TCP: the stream is the framed plaintext itself. The
+// zero value is ready to use.
+type PlainCodec struct {
+	pool   ChunkPool
+	chunks []Chunk // EncodeStream scratch
+}
 
 // EncodeStream implements Codec. Each chunk is a copy of its slice of
 // data, the bytes the connection keeps for retransmission.
-func (PlainCodec) EncodeStream(data []byte) ([]Chunk, sim.Time) {
-	var chunks []Chunk
+func (c *PlainCodec) EncodeStream(data []byte) ([]Chunk, sim.Time) {
+	chunks := c.chunks[:0]
 	for off := 0; off < len(data); off += maxChunk {
-		end := off + maxChunk
-		if end > len(data) {
-			end = len(data)
-		}
-		chunks = append(chunks, Chunk{Bytes: append([]byte(nil), data[off:end]...)})
+		end := min(off+maxChunk, len(data))
+		ch := c.pool.Get(end - off)
+		copy(ch.Bytes, data[off:end])
+		chunks = append(chunks, ch)
 	}
+	c.chunks = chunks
 	return chunks, 0
 }
 
 // DecodeStream implements Codec.
-func (PlainCodec) DecodeStream(data []byte) ([]byte, sim.Time, error) {
+func (c *PlainCodec) DecodeStream(data []byte) ([]byte, sim.Time, error) {
 	return data, 0, nil
 }
+
+// Release implements Codec.
+func (c *PlainCodec) Release(ch Chunk) { c.pool.Put(ch) }

@@ -50,6 +50,7 @@ type Stats struct {
 	FastRetx      uint64
 	RTORetx       uint64
 	DecodeErrors  uint64
+	OutOfOrder    uint64 // segments held until the hole before them filled
 }
 
 // Conn is one TCP connection endpoint. Message semantics are layered on
@@ -80,7 +81,7 @@ type Conn struct {
 	rtoStrikes int    // consecutive RTO firings without cumulative-ACK progress
 	nicNext    uint64 // next record seq the NIC context expects (hw)
 	ctxID      uint64
-	txFree     []*txBuf     // recycled TSO-segment assembly buffers
+	txFree     []*txBuf     // recycled segment buffers
 	sendFree   []*sendEvent // recycled SendMessage descriptors
 
 	// receiver state. rxPending/appStream are consumed from a head index
@@ -89,9 +90,10 @@ type Conn struct {
 	// forever walks forward through the backing array and forces a
 	// fresh allocation per growth.
 	rcvNxt    int64
-	ooo       map[int64][]byte
-	rxPending []byte // in-order ciphertext awaiting app-context decode
-	rxHead    int    // consumed prefix of rxPending
+	ooo       map[int64][]byte // out-of-order segments by stream offset
+	oooFree   [][]byte         // recycled ooo buffers, returned once merged
+	rxPending []byte           // in-order ciphertext awaiting app-context decode
+	rxHead    int              // consumed prefix of rxPending
 	rxSched   bool
 	lastRx    sim.Time
 	pktCount  int
@@ -113,22 +115,33 @@ type Conn struct {
 }
 
 // txChunk is a chunk queued for transmission at stream offset seq; it
-// stays in Conn.chunks until cumulatively acknowledged.
+// stays in Conn.chunks until cumulatively acknowledged, then goes back
+// to the codec.
 type txChunk struct {
 	seq   int64
 	chunk Chunk
 }
 
-// txBuf is a pooled TSO-segment assembly buffer: trySend packs chunk
-// ciphertext and record descriptors into it, and the NIC's Release
-// returns it once the payload has been cut into wire packets.
+// txBuf is a pooled segment buffer: trySend packs chunk bytes and record
+// descriptors into it, and retransmitFrom copies one chunk into it. The
+// NIC's Release returns it once the payload has been cut into wire
+// packets, so no NIC job or packet ever aliases a queued chunk.
 type txBuf struct {
+	c       *Conn
 	bytes   []byte
 	recs    []nicsim.RecordDesc
+	seq     int64        // stream offset of a retransmission
+	keys    *tlsrec.AEAD // AEAD of a retransmission's recs
 	release func()
 }
 
-// getTxBuf takes an assembly buffer from the connection's free list.
+// Run implements sim.Action: the softirq completion of a
+// retransmission submits the copied chunk.
+func (tb *txBuf) Run() {
+	tb.c.sendSegment(tb.seq, tb.bytes, tb.recs, tb.keys, tb.release)
+}
+
+// getTxBuf takes a segment buffer from the connection's free list.
 func (c *Conn) getTxBuf() *txBuf {
 	if l := len(c.txFree); l > 0 {
 		tb := c.txFree[l-1]
@@ -137,25 +150,26 @@ func (c *Conn) getTxBuf() *txBuf {
 		return tb
 	}
 	//smt:coldpath -- txBuf free-list refill; steady state reuses pooled buffers
-	tb := &txBuf{}
+	tb := &txBuf{c: c}
 	//smt:coldpath -- one Release hook per pooled buffer, bound at refill
 	tb.release = func() {
 		tb.bytes = tb.bytes[:0]
 		tb.recs = tb.recs[:0]
+		tb.keys = nil
 		c.txFree = append(c.txFree, tb)
 	}
 	return tb
 }
 
 // sendEvent is one SendMessage in flight, pooled per connection with
-// its framing buffer. Its first Run completes the syscall and copy
-// charge and encodes the framed message; its second completes the
-// encode charge and queues the chunks for transmission.
+// its framing buffer and chunk list. Its first Run completes the
+// syscall and copy charge and encodes the framed message; its second
+// completes the encode charge and queues the chunks for transmission.
 type sendEvent struct {
 	c       *Conn
-	frame   []byte // msg behind the 4-byte length prefix of RPC framing
-	chunks  []Chunk
-	encoded bool // the next Run queues chunks
+	frame   []byte  // msg behind the 4-byte length prefix of RPC framing
+	chunks  []Chunk // the encoded message, copied out of codec scratch
+	encoded bool    // the next Run queues chunks
 }
 
 // framed writes msg behind the 4-byte length prefix of RPC framing into
@@ -203,19 +217,29 @@ func (c *Conn) SendMessage(msg []byte) {
 
 // Run implements sim.Action. The codec does not retain the framing
 // buffer (see Codec.EncodeStream), so a later SendMessage reuses it.
+// The codec's chunk list is scratch that the next EncodeStream
+// overwrites, and a second SendMessage on the same app thread encodes
+// before this one queues, so the list is copied here.
 func (e *sendEvent) Run() {
 	c := e.c
 	if !e.encoded {
 		chunks, cpu := c.codec.EncodeStream(e.frame)
-		e.chunks, e.encoded = chunks, true
+		e.chunks, e.encoded = append(e.chunks[:0], chunks...), true
 		c.host.App[c.appThread%len(c.host.App)].AcquireAction(cpu+c.host.CM.TCPTxSegment, e)
-		return
+	} else {
+		e.queue()
 	}
+}
+
+// queue appends the encoded chunks to the send queue, recycles the
+// descriptor and transmits what the window allows.
+func (e *sendEvent) queue() {
+	c := e.c
 	for _, ch := range e.chunks {
 		c.chunks = append(c.chunks, txChunk{seq: c.highWater, chunk: ch})
 		c.highWater += int64(len(ch.Bytes))
 	}
-	e.chunks, e.encoded = nil, false
+	e.chunks, e.encoded = e.chunks[:0], false
 	c.sendFree = append(c.sendFree, e)
 	c.trySend()
 }
@@ -294,7 +318,7 @@ func (c *Conn) PeerPort() uint16 { return c.peerPort }
 // whole chunks (records never straddle segments, the kTLS-hw layout).
 // Segments are assembled into pooled buffers the NIC hands back after
 // cutting; the copy is semantically load-bearing for kTLS-hw, where the
-// NIC seals the transmitted copy while the retained chunk keeps its
+// NIC seals the transmitted copy while the queued chunk keeps its
 // plaintext shell for retransmission.
 func (c *Conn) trySend() {
 	for c.sndNxt < c.sndUna+window {
@@ -334,15 +358,15 @@ func (c *Conn) trySend() {
 			tb.release()
 			return
 		}
-		c.sendSegment(started, seg, recs, keys, tb.release, false)
+		c.sendSegment(started, seg, recs, keys, tb.release)
 		c.sndNxt = started + int64(len(seg))
 	}
 }
 
 // sendSegment submits one TSO segment at stream offset seq, for NIC
-// sealing of recs under keys when both are set. release, if non-nil,
-// recycles the payload buffer once the NIC has cut it.
-func (c *Conn) sendSegment(seq int64, payload []byte, recs []nicsim.RecordDesc, keys *tlsrec.AEAD, release func(), retx bool) {
+// sealing of recs under keys when both are set. release recycles the
+// payload buffer once the NIC has cut it.
+func (c *Conn) sendSegment(seq int64, payload []byte, recs []nicsim.RecordDesc, keys *tlsrec.AEAD, release func()) {
 	pkt := c.host.NIC.AcquirePacket()
 	pkt.IP = wire.IPv4Header{TTL: 64, Protocol: wire.ProtoTCP, Src: c.host.Addr, Dst: c.peerAddr}
 	pkt.Overlay = wire.OverlayHeader{
@@ -398,32 +422,25 @@ func (c *Conn) armRTO() {
 	c.host.Eng.ResetAfter(&c.rto, retxTimeout, c.rtoFn)
 }
 
-// retransmitFrom resends the chunk containing stream offset seq (hardware
-// records get a resync; software ciphertext is resent verbatim).
+// retransmitFrom resends the chunk containing stream offset seq
+// (hardware records get a resync; software ciphertext is resent
+// verbatim). The chunk is copied now, because an ACK may release it
+// before the softirq completion submits the copy. Offloaded records
+// re-seal that copy, never the queued shell: sealing the shell in place
+// would destroy it, and a second in-place seal under the same record
+// sequence XORs the GCM keystream back out, so the retransmission would
+// carry plaintext on the wire.
 func (c *Conn) retransmitFrom(seq int64) {
-	for _, tc := range c.chunks {
-		end := tc.seq + int64(len(tc.chunk.Bytes))
-		if seq < tc.seq || seq >= end {
+	for i := range c.chunks {
+		tc := &c.chunks[i]
+		if seq < tc.seq || seq >= tc.seq+int64(len(tc.chunk.Bytes)) {
 			continue
 		}
-		cm := c.host.CM
-		//smt:allow hotalloc -- per-retransmission closure; loss recovery is off the lossless steady-state path
-		c.host.RunSoftirq(c.core, cm.TCPTxSegment, func() {
-			if len(tc.chunk.Records) > 0 {
-				// Offloaded records re-seal from the retained plaintext
-				// shell into a pooled copy, like first transmission — never
-				// the shell itself. Sealing the retained bytes in place
-				// would destroy the shell, and a second in-place seal under
-				// the same record sequence XORs the GCM keystream back out:
-				// the retransmission would carry plaintext on the wire.
-				tb := c.getTxBuf()
-				tb.bytes = append(tb.bytes[:0], tc.chunk.Bytes...)
-				tb.recs = append(tb.recs[:0], tc.chunk.Records...)
-				c.sendSegment(tc.seq, tb.bytes, tb.recs, tc.chunk.Keys, tb.release, true)
-				return
-			}
-			c.sendSegment(tc.seq, tc.chunk.Bytes, nil, nil, nil, true)
-		})
+		tb := c.getTxBuf()
+		tb.bytes = append(tb.bytes[:0], tc.chunk.Bytes...)
+		tb.recs = append(tb.recs[:0], tc.chunk.Records...)
+		tb.seq, tb.keys = tc.seq, tc.chunk.Keys
+		c.host.Softirq[c.core%len(c.host.Softirq)].AcquireAction(c.host.CM.TCPTxSegment, tb)
 		return
 	}
 }
@@ -436,11 +453,14 @@ func (c *Conn) handleAck(ack int64) {
 		c.sndUna = ack
 		c.dupAcks = 0
 		c.rtoStrikes = 0
-		// Release fully acked chunks.
+		// Fully acked chunks go back to the codec; a partly acked one
+		// may still be retransmitted, so it stays queued.
 		keep := c.chunks[:0]
 		for _, tc := range c.chunks {
 			if tc.seq+int64(len(tc.chunk.Bytes)) > ack {
 				keep = append(keep, tc)
+			} else {
+				c.codec.Release(tc.chunk)
 			}
 		}
 		clear(c.chunks[len(keep):])
@@ -491,11 +511,12 @@ func (c *Conn) handleData(pkt *wire.Packet) {
 			delete(c.ooo, c.rcvNxt)
 			c.rxPending = append(c.rxPending, d...)
 			c.rcvNxt += int64(len(d))
+			c.oooFree = append(c.oooFree, d[:0])
 		}
 	case seq > c.rcvNxt:
 		if _, dup := c.ooo[seq]; !dup {
-			//smt:allow hotalloc -- out-of-order segment copy; runs only under loss or reordering
-			c.ooo[seq] = append([]byte(nil), data...)
+			c.Stats.OutOfOrder++
+			c.holdOOO(seq, data)
 		}
 		c.sendAck() // immediate dupack
 	default:
@@ -516,6 +537,22 @@ func (c *Conn) handleData(pkt *wire.Packet) {
 		c.scheduleDelivery()
 	}
 	c.Stats.BytesRecv += uint64(len(data))
+}
+
+// holdOOO keeps a copy of an out-of-order segment at stream offset seq
+// until the hole before it is filled, in a buffer from oooFree.
+func (c *Conn) holdOOO(seq int64, data []byte) {
+	if c.ooo == nil {
+		//smt:coldpath -- created on the first out-of-order segment; lossless connections never hold one
+		c.ooo = make(map[int64][]byte)
+	}
+	var buf []byte
+	if l := len(c.oooFree); l > 0 {
+		buf = c.oooFree[l-1]
+		c.oooFree[l-1] = nil
+		c.oooFree = c.oooFree[:l-1]
+	}
+	c.ooo[seq] = append(buf, data...)
 }
 
 func (c *Conn) sendAck() {

@@ -36,7 +36,7 @@ type Endpoint struct {
 func Listen(host *cpusim.Host, port uint16, cfg Config, newCodec func(peerAddr uint32, peerPort uint16) Codec, pickThread func() int, onAccept func(*Conn)) *Endpoint {
 	cfg = withDefaults(cfg)
 	if newCodec == nil {
-		newCodec = func(uint32, uint16) Codec { return PlainCodec{} }
+		newCodec = func(uint32, uint16) Codec { return &PlainCodec{} }
 	}
 	e := &Endpoint{
 		host: host, port: port, cfg: cfg,
@@ -55,15 +55,14 @@ func Listen(host *cpusim.Host, port uint16, cfg Config, newCodec func(peerAddr u
 func Dial(host *cpusim.Host, appThread int, cfg Config, newCodec func(localPort uint16) Codec, dstAddr uint32, dstPort uint16, established func(*Conn)) *Conn {
 	cfg = withDefaults(cfg)
 	local := host.AllocPort()
-	var codec Codec = PlainCodec{}
-	if newCodec != nil {
-		codec = newCodec(local)
-		if codec == nil {
-			// A non-nil factory returning nil is a wiring bug; running the
-			// connection in plaintext would silently mislabel measurements.
-			//smt:allow panic -- see above: fail loudly rather than mislabel an encrypted stack as plaintext
-			panic("tcpsim: Dial codec factory returned nil")
-		}
+	var codec Codec
+	if newCodec == nil {
+		codec = &PlainCodec{}
+	} else if codec = newCodec(local); codec == nil {
+		// A non-nil factory returning nil is a wiring bug; running the
+		// connection in plaintext would silently mislabel measurements.
+		//smt:allow panic -- see above: fail loudly rather than mislabel an encrypted stack as plaintext
+		panic("tcpsim: Dial codec factory returned nil")
 	}
 	conn := newConn(host, cfg, codec, local, dstAddr, dstPort, appThread)
 	e := &Endpoint{host: host, port: local, cfg: cfg, conns: map[connKey]*Conn{{dstAddr, dstPort}: conn}}
@@ -93,7 +92,6 @@ func newConn(host *cpusim.Host, cfg Config, codec Codec, localPort uint16, peerA
 		localPort: localPort, peerAddr: peerAddr, peerPort: peerPort,
 		appThread: appThread,
 		queue:     host.AppQueue(appThread),
-		ooo:       make(map[int64][]byte),
 		// The NIC crypto context must be unique per connection on this
 		// NIC. Ephemeral port counters are per-host, so (localPort,
 		// peerPort) alone collides when two hosts dial the same server;
