@@ -32,9 +32,13 @@ type Handler interface {
 	HandlePacket(pkt *wire.Packet, core int)
 }
 
-type bindKey struct {
-	proto uint8
-	port  uint16
+// bindKey packs a binding's (proto, port) into one word, proto<<16 |
+// port, so the per-packet handler lookup takes the runtime's 32-bit map
+// fast path instead of hashing a padded struct.
+type bindKey uint32
+
+func makeBindKey(proto uint8, port uint16) bindKey {
+	return bindKey(proto)<<16 | bindKey(port)
 }
 
 // Host is one machine: NIC, softirq core pool, application core pool.
@@ -123,7 +127,7 @@ func (h *Host) SoftirqQueue(c int) int { return len(h.App) + c%len(h.Softirq) }
 // Bind registers a handler for (proto, port). Binding an in-use pair
 // panics: it is a harness bug, not a runtime condition.
 func (h *Host) Bind(proto uint8, port uint16, hd Handler) {
-	k := bindKey{proto, port}
+	k := makeBindKey(proto, port)
 	if _, dup := h.handlers[k]; dup {
 		//smt:allow panic -- wiring-time bind conflict; silently replacing a handler would misroute packets between stacks
 		panic(fmt.Sprintf("cpusim: port %d/%d already bound", proto, port))
@@ -133,7 +137,7 @@ func (h *Host) Bind(proto uint8, port uint16, hd Handler) {
 
 // Unbind removes a binding.
 func (h *Host) Unbind(proto uint8, port uint16) {
-	delete(h.handlers, bindKey{proto, port})
+	delete(h.handlers, makeBindKey(proto, port))
 }
 
 // AllocPort returns a fresh ephemeral port.
@@ -149,8 +153,10 @@ func (h *Host) AllocPort() uint16 {
 // dispatch is the NIC RX entry point: steer, charge, deliver. The packet
 // is owned by the handler from here on: HandlePacket (or work it runs
 // synchronously) must Release it once the payload has been consumed.
+//
+//smt:hotroot
 func (h *Host) dispatch(pkt *wire.Packet) {
-	hd, ok := h.handlers[bindKey{pkt.IP.Protocol, pkt.Overlay.DstPort}]
+	hd, ok := h.handlers[makeBindKey(pkt.IP.Protocol, pkt.Overlay.DstPort)]
 	if !ok {
 		h.DroppedNoHandler++
 		pkt.Release()
@@ -166,6 +172,7 @@ func (h *Host) dispatch(pkt *wire.Packet) {
 		h.dispFree[l-1] = nil
 		h.dispFree = h.dispFree[:l-1]
 	} else {
+		//smt:coldpath -- dispatchEvent free-list refill; steady state reuses pooled events
 		d = &dispatchEvent{h: h}
 	}
 	d.hd, d.pkt, d.core = hd, pkt, core

@@ -32,23 +32,10 @@ type TputRow struct {
 // one size (response size = request size) and reports the completion
 // rate. spacing, when non-zero, rate-caps each stream (§5.2 CPU test).
 func MeasureThroughput(sys System, size, streams, mtu int, spacing sim.Time, seed int64) (TputRow, error) {
-	w := NewWorld(seed)
-	var cl *rpc.ClosedLoop
-	issue, err := sys.Setup(w, streams, mtuOrDefault(mtu), false, func(id uint64) { cl.Done(id) })
+	w, cl, warm, stop, err := startClosedLoop(sys, size, streams, mtu, spacing, seed)
 	if err != nil {
 		return TputRow{}, err
 	}
-	cl = rpc.NewClosedLoop(w.Eng, func(stream int, reqID uint64) {
-		issue(stream, reqID, size, size)
-	})
-	cl.StreamSpacing = spacing
-
-	// Warm 5 ms, measure 25 ms — long enough for tens of thousands of
-	// RPCs in virtual time, deterministic by construction.
-	start := w.Eng.Now()
-	warm := start + 5*sim.Millisecond
-	stop := start + 30*sim.Millisecond
-	cl.Start(streams, warm, stop)
 
 	// Track CPU busy over the measurement window only.
 	var cliApp0, cliSirq0, srvApp0, srvSirq0 sim.Time
@@ -74,6 +61,28 @@ func MeasureThroughput(sys System, size, streams, mtu int, spacing sim.Time, see
 		ClientCPU:  cliBusy,
 		ServerCPU:  srvBusy,
 	}, nil
+}
+
+// startClosedLoop builds sys's world with `streams` closed-loop RPC
+// streams of one size and starts the loop, without running the engine.
+// It warms 5 ms and measures 25 ms — long enough for tens of thousands
+// of RPCs in virtual time, deterministic by construction — and returns
+// the warm mark and the stop time with the world and the loop.
+func startClosedLoop(sys System, size, streams, mtu int, spacing sim.Time, seed int64) (w *World, cl *rpc.ClosedLoop, warm, stop sim.Time, err error) {
+	w = NewWorld(seed)
+	issue, err := sys.Setup(w, streams, mtuOrDefault(mtu), false, func(id uint64) { cl.Done(id) })
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	cl = rpc.NewClosedLoop(w.Eng, func(stream int, reqID uint64) {
+		issue(stream, reqID, size, size)
+	})
+	cl.StreamSpacing = spacing
+	start := w.Eng.Now()
+	warm = start + 5*sim.Millisecond
+	stop = start + 30*sim.Millisecond
+	cl.Start(streams, warm, stop)
+	return w, cl, warm, stop, nil
 }
 
 // CPUUsageLineup is the §5.2 fixed-rate comparison lineup as specs.

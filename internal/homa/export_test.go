@@ -8,7 +8,7 @@ func ReceivedFree(s *Socket) int { return len(s.inFree) }
 // as an identity the recycled-state tests compare, or nil once the
 // message has been acknowledged.
 func SentState(s *Socket, dst uint32, port uint16, id uint64) any {
-	if m, ok := s.peers[peerKey{dst, port}].out[id]; ok {
+	if m, ok := s.peers[makePeerKey(dst, port)].out[id]; ok {
 		return m
 	}
 	return nil

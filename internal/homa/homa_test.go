@@ -435,7 +435,7 @@ func TestRepushedSendBufferNotRecycled(t *testing.T) {
 		i := i
 		w.eng.At(sim.Time(i)*4*senderTimeout, func() {
 			id := cli.Send(2, 100, fill(size, byte(i)), 0)
-			bufs[i] = &cli.peers[peerKey{2, 100}].out[id].payload[0]
+			bufs[i] = &cli.peers[makePeerKey(2, 100)].out[id].payload[0]
 		})
 	}
 	w.eng.Run()

@@ -79,7 +79,7 @@ func (h *handler) RxCost(pkt *wire.Packet) sim.Time {
 		return cm.HomaGrant
 	}
 	now := s.host.Eng.Now()
-	k := msgKey{peerKey{pkt.IP.Src, pkt.Overlay.SrcPort}, pkt.Overlay.MsgID}
+	k := msgKey{makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort), pkt.Overlay.MsgID}
 	var c sim.Time
 	if k == s.groLastMsg && now-s.groLastRx <= 2*sim.Microsecond {
 		c = cm.HomaNAPIMerged
@@ -100,7 +100,7 @@ func (h *handler) HandlePacket(pkt *wire.Packet, core int) {
 	switch pkt.Overlay.Type {
 	case wire.TypeData:
 		cm := s.host.CM
-		k := msgKey{peerKey{pkt.IP.Src, pkt.Overlay.SrcPort}, pkt.Overlay.MsgID}
+		k := msgKey{makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort), pkt.Overlay.MsgID}
 		msgCore, ok := s.msgCore[k]
 		cost := cm.HomaRxPerPacket
 		if !ok {
@@ -136,7 +136,7 @@ func (h *handler) HandlePacket(pkt *wire.Packet, core int) {
 }
 
 func (s *Socket) rxData(pkt *wire.Packet, core int) {
-	pk := peerKey{pkt.IP.Src, pkt.Overlay.SrcPort}
+	pk := makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)
 	p := s.peerFor(pk)
 	id := pkt.Overlay.MsgID
 	m, ok := p.in[id]
@@ -370,7 +370,7 @@ func (d *deliverEvent) deliver() {
 	s.Stats.MsgsDelivered++
 	if s.onMessage != nil {
 		s.onMessage(Delivery{
-			Src: pk.addr, SrcPort: pk.port,
+			Src: pk.addr(), SrcPort: pk.port(),
 			MsgID: m.id, Payload: d.payload,
 			AppThread: d.thread, Recv: s.host.Eng.Now(),
 		})
@@ -442,7 +442,7 @@ func (m *inMsg) resendTimeout() {
 // rxGrant lets the sender push more segments from the pacer (softirq)
 // context.
 func (s *Socket) rxGrant(pkt *wire.Packet, core int) {
-	p, ok := s.peers[peerKey{pkt.IP.Src, pkt.Overlay.SrcPort}]
+	p, ok := s.peers[makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)]
 	if !ok {
 		return
 	}
@@ -458,7 +458,7 @@ func (s *Socket) rxGrant(pkt *wire.Packet, core int) {
 
 // rxResend retransmits the requested range (whole segments).
 func (s *Socket) rxResend(pkt *wire.Packet, core int) {
-	p, ok := s.peers[peerKey{pkt.IP.Src, pkt.Overlay.SrcPort}]
+	p, ok := s.peers[makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)]
 	if !ok {
 		return
 	}
@@ -489,7 +489,7 @@ func (s *Socket) rxResend(pkt *wire.Packet, core int) {
 // and its submit events have all run by the time the receiver can ACK,
 // so nothing still refers to either.
 func (s *Socket) rxAck(pkt *wire.Packet) {
-	p, ok := s.peers[peerKey{pkt.IP.Src, pkt.Overlay.SrcPort}]
+	p, ok := s.peers[makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)]
 	if !ok {
 		return
 	}

@@ -69,10 +69,17 @@ type Stats struct {
 	SpuriousPkts  uint64
 }
 
-type peerKey struct {
-	addr uint32
-	port uint16
+// peerKey packs a peer's (addr, port) into one word, addr<<16 | port,
+// so the per-packet peer lookups take the runtime's 64-bit map fast
+// path instead of hashing a padded struct.
+type peerKey uint64
+
+func makePeerKey(addr uint32, port uint16) peerKey {
+	return peerKey(addr)<<16 | peerKey(port)
 }
+
+func (k peerKey) addr() uint32 { return uint32(k >> 16) }
+func (k peerKey) port() uint16 { return uint16(k) }
 
 // Socket is one endpoint of the message transport bound to (proto, port)
 // on a host. It can exchange messages with many peers; per-peer state
@@ -167,7 +174,7 @@ func NewSocket(host *cpusim.Host, cfg Config, codecFactory func(peerAddr uint32,
 		shared := &PlainCodec{}
 		codecFactory = func(uint32, uint16) Codec { return shared }
 	}
-	s.newCo = func(pk peerKey) Codec { return codecFactory(pk.addr, pk.port) }
+	s.newCo = func(pk peerKey) Codec { return codecFactory(pk.addr(), pk.port()) }
 	if cfg.Port == 0 {
 		cfg.Port = host.AllocPort()
 	}
@@ -262,7 +269,7 @@ func (s *Socket) newPeer(pk peerKey) *peer {
 // Peer returns the codec associated with a peer, creating the peer state
 // if needed (used by SMT to register session keys ahead of traffic).
 func (s *Socket) Peer(addr uint32, port uint16) Codec {
-	return s.peerFor(peerKey{addr, port}).codec
+	return s.peerFor(makePeerKey(addr, port)).codec
 }
 
 // SetCodec installs (or replaces) the codec for a peer — the transport
@@ -271,7 +278,7 @@ func (s *Socket) Peer(addr uint32, port uint16) Codec {
 // session; in-flight messages of the old session will fail decode and be
 // recovered or dropped, exactly as a rekey behaves.
 func (s *Socket) SetCodec(addr uint32, port uint16, c Codec) {
-	s.peerFor(peerKey{addr, port}).codec = c
+	s.peerFor(makePeerKey(addr, port)).codec = c
 }
 
 // ---- Send path ----
@@ -318,7 +325,7 @@ func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread 
 		//smt:allow panic -- Send-API misuse by the harness; a closed socket's packets would leak into the fabric
 		panic("homa: send on closed socket")
 	}
-	p := s.peerFor(peerKey{dstAddr, dstPort})
+	p := s.peerFor(makePeerKey(dstAddr, dstPort))
 	id := p.nextMsgID
 	p.nextMsgID++
 
@@ -429,13 +436,13 @@ func nPkts(wireLen, mtu int) int {
 func (s *Socket) toNIC(m *outMsg, enc *Segment, off, queue int, retransmit bool) {
 	p := m.p
 	hdr := wire.OverlayHeader{
-		SrcPort: s.port, DstPort: p.key.port,
+		SrcPort: s.port, DstPort: p.key.port(),
 		Type:      wire.TypeData,
 		MsgID:     m.id,
 		MsgLen:    uint32(len(m.payload)),
 		TSOOffset: uint32(off),
 	}
-	ip := wire.IPv4Header{TTL: 64, Protocol: s.cfg.Proto, Src: s.host.Addr, Dst: p.key.addr}
+	ip := wire.IPv4Header{TTL: 64, Protocol: s.cfg.Proto, Src: s.host.Addr, Dst: p.key.addr()}
 
 	if retransmit {
 		s.Stats.Retransmits++
@@ -512,9 +519,9 @@ func (m *outMsg) senderTimeout() {
 // core context.
 func (s *Socket) ctrl(pk peerKey, ty wire.PacketType, msgID uint64, off uint32, aux uint32, core int) {
 	pkt := s.host.NIC.AcquirePacket()
-	pkt.IP = wire.IPv4Header{TTL: 64, Protocol: s.cfg.Proto, Src: s.host.Addr, Dst: pk.addr}
+	pkt.IP = wire.IPv4Header{TTL: 64, Protocol: s.cfg.Proto, Src: s.host.Addr, Dst: pk.addr()}
 	pkt.Overlay = wire.OverlayHeader{
-		SrcPort: s.port, DstPort: pk.port,
+		SrcPort: s.port, DstPort: pk.port(),
 		Type: ty, MsgID: msgID, TSOOffset: off, Aux: aux,
 	}
 	s.host.NIC.SendSegment(s.host.SoftirqQueue(core), &nicsim.TxSegment{Pkt: pkt, MTU: s.cfg.MTU, NoTSO: true})

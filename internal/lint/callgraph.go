@@ -382,12 +382,14 @@ func (g *Graph) addEdge(caller, callee *Node, site token.Pos) {
 }
 
 // resolveCall adds the edges of one statically resolvable call; calls
-// through func values, builtins and conversions add none.
+// through func values, builtins and conversions add none. A call to an
+// instantiated generic function or method edges to its generic
+// declaration, the one body there is.
 func (g *Graph) resolveCall(n *Node, info *types.Info, call *ast.CallExpr) {
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if o, ok := info.Uses[f].(*types.Func); ok {
-			g.addEdge(n, g.byFn[o], call.Pos())
+			g.addEdge(n, g.byFn[o.Origin()], call.Pos())
 		}
 	case *ast.SelectorExpr:
 		if sel := info.Selections[f]; sel != nil {
@@ -397,13 +399,13 @@ func (g *Graph) resolveCall(n *Node, info *types.Info, call *ast.CallExpr) {
 			case sel.Kind() == types.MethodVal && types.IsInterface(sel.Recv()):
 				g.interfaceEdges(n, call, sel.Recv(), callee.Name())
 			default: // a concrete method value or a method expression
-				g.addEdge(n, g.byFn[callee], call.Pos())
+				g.addEdge(n, g.byFn[callee.Origin()], call.Pos())
 			}
 			return
 		}
 		// Package-qualified reference.
 		if o, ok := info.Uses[f.Sel].(*types.Func); ok {
-			g.addEdge(n, g.byFn[o], call.Pos())
+			g.addEdge(n, g.byFn[o.Origin()], call.Pos())
 		}
 	case *ast.FuncLit:
 		g.addEdge(n, g.byLit[f], call.Pos())

@@ -9,8 +9,9 @@ import (
 // TestCallGraphEdges pins the call-graph builder's resolution rules on
 // the testdata/callgraph fixture: direct calls edge to their target,
 // interface dispatch edges conservatively to every implementing type's
-// method (and only those), and calls through func-typed variables get
-// no edge at all.
+// method (and only those), calls into generic code edge to the generic
+// declaration, and calls through func-typed variables get no edge at
+// all.
 func TestCallGraphEdges(t *testing.T) {
 	prog := repoProg(t)
 	pkg, err := prog.LoadFixture(filepath.Join("testdata", "callgraph"), "smt/internal/lintfix/callgraph")
@@ -56,6 +57,9 @@ func TestCallGraphEdges(t *testing.T) {
 		// receiver alike.
 		{"viaInterface", "Bell).Ring"},
 		{"viaInterface", "Horn).Ring"},
+		// Instantiated generic method and function: their declarations.
+		{"viaGeneric", "Box[T]).Put"},
+		{"viaGeneric", "identity"},
 	}
 	for _, m := range must {
 		if !hasEdge(node(m.from), node(m.to)) {

@@ -137,8 +137,42 @@ func (t Topology) Build(eng *sim.Engine, cm *cost.Model) *Network {
 // egressPort is one switch output port: a FIFO of queued packets
 // draining at port rate.
 type egressPort struct {
-	queue []*wire.Packet
+	queue FIFO[*wire.Packet]
 	busy  bool
+}
+
+// FIFO is a first-in first-out queue — a switch egress port's, or a NIC
+// transmit queue's — consumed from a head index and compacted instead
+// of re-sliced, so its backing array is reused even when the queue never
+// fully drains. Pop clears the slot it empties, so the queue keeps no
+// reference to an item it has handed out. The zero value is empty.
+type FIFO[T any] struct {
+	items []T
+	head  int
+}
+
+// Len reports the number of queued items.
+func (f *FIFO[T]) Len() int { return len(f.items) - f.head }
+
+// Push appends x. Once the consumed prefix is at least half of the
+// slice, the live tail moves to the front first: at most one move per
+// item popped, and no growth while the queue's depth is steady.
+func (f *FIFO[T]) Push(x T) {
+	if f.head > 0 && 2*f.head >= len(f.items) {
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items, f.head = f.items[:n], 0
+	}
+	f.items = append(f.items, x)
+}
+
+// Pop removes and returns the oldest item; the FIFO must be non-empty.
+func (f *FIFO[T]) Pop() T {
+	x := f.items[f.head]
+	var zero T
+	f.items[f.head] = zero
+	f.head++
+	return x
 }
 
 // hop stages for the pooled hopEvent.
@@ -171,7 +205,7 @@ func (h *hopEvent) Run() {
 	case hopSwitchIn:
 		p, pkt := h.port, h.pkt
 		n.putHop(h)
-		p.queue = append(p.queue, pkt)
+		p.queue.Push(pkt)
 		n.drainPort(p)
 	case hopDrain:
 		p, pkt := h.port, h.pkt
@@ -416,11 +450,10 @@ func (n *Network) switchEnqueue(pkt *wire.Packet) {
 // drainPort serializes the head-of-line packet onto the egress link at
 // port rate, then hands it to the final hop.
 func (n *Network) drainPort(p *egressPort) {
-	if p.busy || len(p.queue) == 0 {
+	if p.busy || p.queue.Len() == 0 {
 		return
 	}
-	pkt := p.queue[0]
-	p.queue = p.queue[1:]
+	pkt := p.queue.Pop()
 	p.busy = true
 	rate := n.sw.PortGbps
 	if rate == 0 {

@@ -345,3 +345,37 @@ func TestCombinedFaultInjection(t *testing.T) {
 		})
 	}
 }
+
+// TestSwitchedBurstAllocs gates a warmed switched port at zero
+// allocations per 64-packet burst: the egress FIFO reuses its backing
+// array (a re-sliced queue regrows on every burst), and pooled packets
+// and hop events carry each packet through.
+func TestSwitchedBurstAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	n := Topology{Hosts: 2, Switch: &SwitchConfig{}}.Build(eng, cost.Default())
+	got := 0
+	n.Attach(2, func(p *wire.Packet) { got++; p.Release() })
+	body := make([]byte, 1000)
+	burst := func() {
+		got = 0
+		for i := 0; i < 64; i++ {
+			p := n.AcquirePacket()
+			p.IP = wire.IPv4Header{TTL: 64, Protocol: wire.ProtoHoma, Src: 1, Dst: 2}
+			p.SetPayload(body)
+			n.Deliver(p)
+		}
+		eng.Run()
+		if got != 64 {
+			t.Fatalf("%d of 64 packets delivered", got)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		burst()
+	}
+	if allocs := testing.AllocsPerRun(50, burst); allocs != 0 {
+		t.Fatalf("%.1f allocs per warmed 64-packet switched burst, want 0", allocs)
+	}
+	if n.OutstandingPackets() != 0 || n.BufferUsed() != 0 {
+		t.Fatalf("after the bursts: %d packets outstanding, %d buffer bytes used", n.OutstandingPackets(), n.BufferUsed())
+	}
+}

@@ -15,6 +15,7 @@ package nicsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smt/internal/cost"
 	"smt/internal/netsim"
@@ -102,36 +103,6 @@ type pendingPkt struct {
 	onWire func()
 }
 
-// pktFIFO is one queue's transmit FIFO, consumed from a head index and
-// compacted instead of re-sliced, so its backing array is reused even
-// when the queue never fully drains.
-type pktFIFO struct {
-	pkts []pendingPkt
-	head int
-}
-
-func (f *pktFIFO) empty() bool { return f.head == len(f.pkts) }
-
-// push appends p. Once the consumed prefix is at least half of the
-// slice, the live tail moves to the front first: at most one move per
-// packet popped, and no growth while the queue's depth is steady.
-func (f *pktFIFO) push(p pendingPkt) {
-	if f.head > 0 && 2*f.head >= len(f.pkts) {
-		n := copy(f.pkts, f.pkts[f.head:])
-		clear(f.pkts[n:])
-		f.pkts, f.head = f.pkts[:n], 0
-	}
-	f.pkts = append(f.pkts, p)
-}
-
-// pop removes and returns the oldest packet; the FIFO must be non-empty.
-func (f *pktFIFO) pop() pendingPkt {
-	p := f.pkts[f.head]
-	f.pkts[f.head] = pendingPkt{}
-	f.head++
-	return p
-}
-
 // wireEvent is the pooled serialization-done callback of the wire
 // arbiter: one packet leaving the link, handed to the network.
 type wireEvent struct {
@@ -170,10 +141,13 @@ type NIC struct {
 	// With one active queue a segment's packets leave back to back (GRO
 	// merges well at the receiver); with many active queues packets from
 	// different segments interleave on the wire — which is what defeats
-	// receive-side aggregation under multi-queue load.
-	pq       []pktFIFO
+	// receive-side aggregation under multi-queue load. Bit q of ready is
+	// set while pq[q] is non-empty, so the arbiter finds the next queue
+	// in one bit scan instead of testing every FIFO.
+	pq       []netsim.FIFO[pendingPkt]
+	ready    uint64
 	wireBusy bool
-	rrNext   int
+	rrNext   uint
 	wireFree []*wireEvent // pooled serialization-done callbacks
 
 	// OnRx is the host's packet dispatch entry point.
@@ -182,27 +156,37 @@ type NIC struct {
 	Stats Stats
 }
 
+// maxQueues is the most transmit queues a NIC has: one bit each in the
+// wire arbiter's ready mask.
+const maxQueues = 64
+
 // New creates a NIC with nQueues transmit queues, attached to net at addr.
 func New(eng *sim.Engine, cm *cost.Model, net *netsim.Network, addr uint32, nQueues int) *NIC {
-	if nQueues < 1 {
-		//smt:allow panic -- construction-time config contract; a queueless NIC is a harness bug
-		panic("nicsim: need at least one queue")
+	if nQueues < 1 || nQueues > maxQueues {
+		//smt:allow panic -- construction-time config contract; a queueless NIC, or one wider than the arbiter's mask, is a harness bug
+		panic(fmt.Sprintf("nicsim: %d queues, need 1 to %d", nQueues, maxQueues))
 	}
 	n := &NIC{
 		eng: eng, cm: cm, net: net, addr: addr,
 		ctxs: make(map[uint64]*tlsCtx),
-		pq:   make([]pktFIFO, nQueues),
+		pq:   make([]netsim.FIFO[pendingPkt], nQueues),
 	}
 	for q := 0; q < nQueues; q++ {
 		n.queues = append(n.queues, sim.NewResource(eng))
 	}
-	net.Attach(addr, func(pkt *wire.Packet) {
-		n.Stats.RxPackets++
-		if n.OnRx != nil {
-			n.OnRx(pkt)
-		}
-	})
+	net.Attach(addr, n.receive)
 	return n
+}
+
+// receive is the NIC's attachment to the network: every packet
+// addressed to this host enters here, then the host's dispatch.
+//
+//smt:hotroot
+func (n *NIC) receive(pkt *wire.Packet) {
+	n.Stats.RxPackets++
+	if n.OnRx != nil {
+		n.OnRx(pkt)
+	}
 }
 
 // Queues reports the number of transmit queues.
@@ -390,38 +374,41 @@ func (n *NIC) emit(q int, seg *TxSegment) {
 // Ownership transfer is inferred by smtlint's call-graph summaries (the
 // packet is bound into the queue on every path), so no annotation.
 func (n *NIC) enqueue(q int, pkt *wire.Packet, onWire func()) {
-	n.pq[q].push(pendingPkt{pkt: pkt, onWire: onWire})
+	n.pq[q].Push(pendingPkt{pkt: pkt, onWire: onWire})
+	n.ready |= 1 << q
 	n.kickWire()
 }
 
 // kickWire transmits the next packet, round-robining across non-empty
-// queues, one packet per serialization slot.
+// queues, one packet per serialization slot: the next queue is the
+// lowest ready bit at or after rrNext, wrapping to the lowest ready bit.
 func (n *NIC) kickWire() {
-	if n.wireBusy {
+	if n.wireBusy || n.ready == 0 {
 		return
 	}
-	// Find the next non-empty queue starting from rrNext.
-	for i := 0; i < len(n.pq); i++ {
-		q := (n.rrNext + i) % len(n.pq)
-		if n.pq[q].empty() {
-			continue
-		}
-		pp := n.pq[q].pop()
-		n.rrNext = q + 1
-		n.wireBusy = true
-		n.Stats.TxPackets++
-		n.Stats.TxBytes += uint64(pp.pkt.WireLen())
-		var we *wireEvent
-		if l := len(n.wireFree); l > 0 {
-			we = n.wireFree[l-1]
-			n.wireFree[l-1] = nil
-			n.wireFree = n.wireFree[:l-1]
-		} else {
-			//smt:coldpath -- wireEvent free-list refill; steady state reuses pooled events
-			we = &wireEvent{n: n}
-		}
-		we.pkt, we.onWire = pp.pkt, pp.onWire
-		n.eng.PostActionAfter(n.cm.Serialize(pp.pkt.WireLen()), we)
-		return
+	next := n.ready >> n.rrNext << n.rrNext
+	if next == 0 {
+		next = n.ready
 	}
+	q := bits.TrailingZeros64(next)
+	f := &n.pq[q]
+	pp := f.Pop()
+	if f.Len() == 0 {
+		n.ready &^= 1 << q
+	}
+	n.rrNext = uint(q) + 1
+	n.wireBusy = true
+	n.Stats.TxPackets++
+	n.Stats.TxBytes += uint64(pp.pkt.WireLen())
+	var we *wireEvent
+	if l := len(n.wireFree); l > 0 {
+		we = n.wireFree[l-1]
+		n.wireFree[l-1] = nil
+		n.wireFree = n.wireFree[:l-1]
+	} else {
+		//smt:coldpath -- wireEvent free-list refill; steady state reuses pooled events
+		we = &wireEvent{n: n}
+	}
+	we.pkt, we.onWire = pp.pkt, pp.onWire
+	n.eng.PostActionAfter(n.cm.Serialize(pp.pkt.WireLen()), we)
 }

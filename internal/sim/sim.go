@@ -258,6 +258,12 @@ func (e *Engine) ResetAfter(t *Timer, d Time, fn func()) {
 	e.ResetAt(t, e.now+d, fn)
 }
 
+// Scheduled reports how many scheduling calls the engine has taken:
+// one per At, After, PostAction, PostActionAfter, ResetAt and
+// ResetAfter, timer re-arms included. It is the (time, seq) tie-break's
+// sequence counter, so it costs no state of its own.
+func (e *Engine) Scheduled() uint64 { return e.seq }
+
 // Pending reports the number of scheduled (non-cancelled) events, O(1).
 // Cancelled events are removed eagerly, so this is exactly the queue size.
 func (e *Engine) Pending() int { return e.q.count }

@@ -279,6 +279,31 @@ func TestPostAction(t *testing.T) {
 	}
 }
 
+// TestScheduledCountsCalls pins Scheduled to one per scheduling call:
+// every flavor counts, a timer re-arm included, and neither Stop nor
+// firing does.
+func TestScheduledCountsCalls(t *testing.T) {
+	e := NewEngine(1)
+	n := 0
+	act := &countAction{n: &n}
+	fn := func() {}
+	var tm Timer
+	e.At(10, fn)
+	e.After(10, fn)
+	e.PostAction(10, act)
+	e.PostActionAfter(10, act)
+	e.ResetAt(&tm, 20, fn)
+	e.ResetAfter(&tm, 30, fn) // re-arm in place
+	if got := e.Scheduled(); got != 6 {
+		t.Fatalf("Scheduled after six calls = %d", got)
+	}
+	tm.Stop()
+	e.Run()
+	if got := e.Scheduled(); got != 6 {
+		t.Fatalf("Scheduled after Stop and Run = %d, want 6", got)
+	}
+}
+
 // TestSchedulingAllocs pins the allocation behavior of the hot scheduling
 // paths: pooled events make At/PostAction/ResetAfter allocation-free at
 // steady state.

@@ -82,11 +82,16 @@ func (q *wheel) add(ev *event) {
 // place routes ev to the level whose windows distinguish ev.at from the
 // cursor: the highest bit in which the two timestamps differ names the
 // coarsest level at which they fall in different slots (an event at the
-// cursor itself, with no differing bit, goes to level 0). Requires
+// cursor itself, with no differing bit, goes to level 0). An event in
+// the cursor's own 256 ns window skips that computation: it goes to
+// level-0 slot at&255, where the general formula puts it too. Requires
 // ev.at >= q.pos.
 func (q *wheel) place(ev *event) {
-	level := (bits.Len64(uint64(ev.at^q.pos)) - 1) / wheelSlotBits
-	idx := int(ev.at>>(level*wheelSlotBits)) & wheelMask
+	level, idx := 0, int(ev.at)&wheelMask
+	if d := uint64(ev.at ^ q.pos); d >= wheelSlots {
+		level = (bits.Len64(d) - 1) / wheelSlotBits
+		idx = int(ev.at>>(level*wheelSlotBits)) & wheelMask
+	}
 	s := &q.slots[level][idx]
 	if s.head == nil {
 		q.bits[level][idx>>6] |= 1 << (idx & 63)
@@ -196,7 +201,9 @@ func (q *wheel) next(limit Time) *event {
 // cascade empties a higher-level slot, re-placing its events (in list
 // order, preserving seq order) at finer levels relative to the
 // just-advanced cursor. The destination slots are necessarily below
-// this level, so this terminates.
+// this level, so this terminates. A level-1 slot's events all lie in
+// the 256 ns window the cursor has just entered, so place sends each
+// one straight to level 0.
 //
 //smt:hotroot
 func (q *wheel) cascade(level, idx int) {

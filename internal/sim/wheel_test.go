@@ -8,7 +8,11 @@ import (
 
 // walkCount counts live events the slow way — walking every slot list —
 // so tests can cross-check the O(1) counter and the occupancy bitmaps
-// against ground truth.
+// against ground truth. On the way it checks every slot invariant
+// placement must keep, on the level-0 fast path as on the general one:
+// each event sits in the slot its timestamp names at its level, inside
+// the cursor's current window one level up, with its own coordinates
+// and links intact and seq increasing along the list.
 func (q *wheel) walkCount() int {
 	n := 0
 	for l := range q.slots {
@@ -18,8 +22,24 @@ func (q *wheel) walkCount() int {
 			if (s.head != nil) != occupied {
 				panic("sim: slot occupancy bit out of sync with list")
 			}
+			var prev *event
 			for ev := s.head; ev != nil; ev = ev.next {
+				shift := uint(l * wheelSlotBits)
+				switch {
+				case int(ev.level) != l || int(ev.idx) != i:
+					panic("sim: event's slot coordinates disagree with its slot")
+				case int(ev.at>>shift)&wheelMask != i || ev.at < q.pos:
+					panic("sim: event in a slot its timestamp does not name")
+				case l < wheelLevels-1 && (ev.at^q.pos)>>(shift+wheelSlotBits) != 0:
+					panic("sim: event outside the cursor's window at its level")
+				case ev.prev != prev || (prev != nil && prev.seq >= ev.seq):
+					panic("sim: slot list links or seq order broken")
+				}
+				prev = ev
 				n++
+			}
+			if s.tail != prev {
+				panic("sim: slot tail is not its last event")
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package tcpsim
 
 import (
-	"sort"
+	"slices"
 
 	"smt/internal/cpusim"
 	"smt/internal/nicsim"
@@ -9,10 +9,13 @@ import (
 	"smt/internal/wire"
 )
 
-// connKey identifies a peer endpoint.
-type connKey struct {
-	addr uint32
-	port uint16
+// connKey identifies a peer endpoint: its (addr, port) packed into one
+// word, addr<<16 | port, so the per-packet connection lookup takes the
+// runtime's 64-bit map fast path, and keys sort in (addr, port) order.
+type connKey uint64
+
+func makeConnKey(addr uint32, port uint16) connKey {
+	return connKey(addr)<<16 | connKey(port)
 }
 
 // Endpoint demultiplexes TCP packets arriving at one (host, port) to
@@ -65,7 +68,7 @@ func Dial(host *cpusim.Host, appThread int, cfg Config, newCodec func(localPort 
 		panic("tcpsim: Dial codec factory returned nil")
 	}
 	conn := newConn(host, cfg, codec, local, dstAddr, dstPort, appThread)
-	e := &Endpoint{host: host, port: local, cfg: cfg, conns: map[connKey]*Conn{{dstAddr, dstPort}: conn}}
+	e := &Endpoint{host: host, port: local, cfg: cfg, conns: map[connKey]*Conn{makeConnKey(dstAddr, dstPort): conn}}
 	host.Bind(wire.ProtoTCP, local, e)
 	conn.established = established
 	// SYN (charged as a syscall on the app thread).
@@ -156,7 +159,7 @@ func (e *Endpoint) RxCost(pkt *wire.Packet) sim.Time {
 // it returns to the pool on exit.
 func (e *Endpoint) HandlePacket(pkt *wire.Packet, core int) {
 	defer pkt.Release()
-	k := connKey{pkt.IP.Src, pkt.Overlay.SrcPort}
+	k := makeConnKey(pkt.IP.Src, pkt.Overlay.SrcPort)
 	c := e.conns[k]
 	switch pkt.Overlay.Type {
 	case wire.TypeHandshake:
@@ -223,12 +226,7 @@ func (e *Endpoint) sortedConns() []*Conn {
 	for k := range e.conns {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].addr != keys[j].addr {
-			return keys[i].addr < keys[j].addr
-		}
-		return keys[i].port < keys[j].port
-	})
+	slices.Sort(keys)
 	out := make([]*Conn, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, e.conns[k])
