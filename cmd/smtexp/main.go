@@ -15,12 +15,12 @@
 //
 // -audit attaches the wire-compliance auditor (internal/audit) to every
 // world the run builds. The auditor is a pure observer — artifacts are
-// byte-identical with it on — and after each experiment its worlds are
-// drained, settled and released: plaintext/nonce/keystream/framing
-// invariants, byte conservation, and packet-pool leak-freedom. Settling
-// per experiment keeps only one experiment's audited worlds in memory,
-// so -run all -audit fits where holding the whole run's would not. One
-// summary line covers the run; any violation exits nonzero.
+// byte-identical with it on — and each point's worlds are drained,
+// settled and released as soon as the point returns:
+// plaintext/nonce/keystream/framing invariants, byte conservation, and
+// packet-pool leak-freedom. A point whose settlement fails is a failed
+// point. Every recorded violation prints, one summary line covers the
+// run, and any failure exits nonzero.
 //
 // -stacks selects the lineup the lineup-driven experiments (fig6, fig7,
 // fig9, incast, multiclient, loadsweep, churn) sweep in this run: any
@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"smt/internal/experiments"
-	"smt/internal/sim"
 )
 
 func main() {
@@ -57,7 +56,7 @@ func main() {
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent points")
 		jsonOut = flag.String("json", "", "write a JSON artifact to this path")
 		quiet   = flag.Bool("quiet", false, "suppress per-point rows; print summaries only")
-		audit   = flag.Bool("audit", false, "wire-audit every world, settling each experiment's worlds after it runs (nonzero exit on any violation)")
+		audit   = flag.Bool("audit", false, "wire-audit every world, settling each point's worlds when it returns (nonzero exit on any violation)")
 	)
 	flag.Parse()
 
@@ -109,14 +108,6 @@ func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jso
 	if len(names) == 0 {
 		return fmt.Errorf("no experiment names in %q (try -list)", arg)
 	}
-	// Experiments run one RunNamed call each (below), so resolve every
-	// name before the first one runs; that first call checks the lineup
-	// before it runs anything.
-	for _, n := range names {
-		if _, ok := experiments.Lookup(n); !ok {
-			return fmt.Errorf("unknown experiment %q (have: %v)", n, experiments.Names())
-		}
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -124,27 +115,13 @@ func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jso
 	if !quiet {
 		onResult = printResult
 	}
-	if audit {
-		experiments.SetAuditAll(true)
-		defer experiments.SetAuditAll(false)
-	}
-	opts := experiments.RunOptions{Workers: workers, OnResult: onResult, Lineup: lineup}
 	start := time.Now()
-	var runs []experiments.ExperimentRun
-	var tally auditTally
-	for _, n := range names {
-		r, err := experiments.RunNamed([]string{n}, opts)
-		if err != nil {
-			return err
-		}
-		runs = append(runs, r...)
-		if audit {
-			tally.settle()
-		}
+	runs, err := experiments.RunNamed(names, experiments.RunOptions{Workers: workers, OnResult: onResult, Lineup: lineup, Audit: audit})
+	if err != nil {
+		return err
 	}
-	var auditErr error
 	if audit {
-		auditErr = tally.report()
+		reportAudit(runs)
 	}
 
 	var points, failed int
@@ -177,48 +154,34 @@ func runExperiments(arg string, lineup []experiments.StackSpec, workers int, jso
 	if failed > 0 {
 		return fmt.Errorf("%d point(s) failed", failed)
 	}
-	return auditErr
-}
-
-// auditTally accumulates the wire-audit settlement of a run's
-// experiments.
-type auditTally struct {
-	worlds, violations, leaked, stuck int
-	pkts                              uint64
-}
-
-// settle drains every world audited since the last call and settles the
-// wire audit: quiescence, the auditor's invariant set, byte
-// conservation, and packet-pool leak-freedom. Individual violations
-// print to stderr (capped by the auditor's recording bound) as they are
-// found; the worlds are released once counted.
-func (t *auditTally) settle() {
-	for _, w := range experiments.TakeAuditedWorlds() {
-		t.worlds++
-		if !w.DrainQuiesce(2 * sim.Second) {
-			t.stuck++
-			continue
-		}
-		w.Audit.CheckConservation(w.Net)
-		st := w.Audit.Stats()
-		t.pkts += st.Packets
-		t.violations += int(st.TotalViolations)
-		t.leaked += w.Net.OutstandingPackets()
-		for _, v := range w.Audit.Violations() {
-			fmt.Fprintln(os.Stderr, "audit:", v.String())
-		}
-	}
-}
-
-// report prints the run's one-line audit summary and fails on any
-// violation, leaked packet or world that did not quiesce.
-func (t *auditTally) report() error {
-	fmt.Fprintf(os.Stderr, "audit: %d worlds, %d packets observed, %d violations, %d leaked packets, %d worlds failed to quiesce\n",
-		t.worlds, t.pkts, t.violations, t.leaked, t.stuck)
-	if t.violations > 0 || t.leaked > 0 || t.stuck > 0 {
-		return fmt.Errorf("audit failed: %d violations, %d leaked packets, %d worlds failed to quiesce", t.violations, t.leaked, t.stuck)
-	}
 	return nil
+}
+
+// reportAudit prints every violation the run's settlements recorded
+// (capped per world by the auditor's recording bound) and one summary
+// line for the whole run. A point whose settlement failed already
+// carries an "audit: ..." error, so it counts as a failed point.
+func reportAudit(runs []experiments.ExperimentRun) {
+	var sum experiments.Settlement
+	for _, r := range runs {
+		for _, res := range r.Results {
+			s := res.Audit
+			if s == nil {
+				continue
+			}
+			for _, v := range s.Recorded {
+				fmt.Fprintln(os.Stderr, "audit:", v.String())
+			}
+			sum.Worlds += s.Worlds
+			sum.Packets += s.Packets
+			sum.Violations += s.Violations
+			sum.Leaked += s.Leaked
+			sum.Stuck += s.Stuck
+			sum.Silent += s.Silent
+		}
+	}
+	fmt.Fprintf(os.Stderr, "audit: %d worlds, %d packets observed, %d violations, %d leaked packets, %d worlds failed to quiesce, %d worlds saw no packets\n",
+		sum.Worlds, sum.Packets, sum.Violations, sum.Leaked, sum.Stuck, sum.Silent)
 }
 
 // splitNames expands "all" and trims a comma-separated -run argument.

@@ -25,8 +25,10 @@ package audit
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"smt/internal/netsim"
 	"smt/internal/wire"
@@ -269,7 +271,7 @@ func (a *Auditor) checkSlot(f wire.Flow, pkt *wire.Packet, idx uint16) {
 		return
 	}
 	key := slotKey{flow: f, msgID: pkt.Overlay.MsgID, off: pkt.Overlay.TSOOffset, idx: idx}
-	h := fnv64(pkt.Payload)
+	h := slotHash(pkt.Payload)
 	if prev, ok := a.slots[key]; ok {
 		if prev != h {
 			if a.tolerant {
@@ -294,12 +296,12 @@ func (a *Auditor) checkSlot(f wire.Flow, pkt *wire.Packet, idx uint16) {
 // incrementing run has probability ~2^-248 per offset, and its byte
 // entropy concentrates far above 6.5 bits at 1 KiB.
 func (a *Auditor) scanPlaintext(f wire.Flow, p []byte) {
-	if run := longestIncRun(p); run >= plaintextRunMin {
+	if run := incRun(p); run >= plaintextRunMin {
 		a.flag(KindPlaintextLeak, f, "%d-byte incrementing run (RPC body pattern) in %d-byte payload", run, len(p))
 		return
 	}
 	if len(p) >= entropyMinLen {
-		if h := shannon(p); h < entropyMinBits {
+		if h := entropy(p); h < entropyMinBits {
 			a.flag(KindPlaintextLeak, f, "low-entropy payload: %.2f bits/byte over %d bytes", h, len(p))
 		}
 	}
@@ -379,55 +381,80 @@ func (a *Auditor) CheckConservation(n *netsim.Network) []Violation {
 	return a.violations[start:]
 }
 
-// longestIncRun returns the longest run of consecutive bytes where each
-// increments the last by one (mod 256).
-func longestIncRun(p []byte) int {
-	best, run := 0, 1
-	for i := 1; i < len(p); i++ {
-		if p[i] == p[i-1]+1 {
-			run++
-		} else {
-			if run > best {
-				best = run
-			}
-			run = 1
+// incRun returns the length of the longest run of bytes that each
+// increment the last by one (mod 256), among the runs that cross the
+// first two bytes of some aligned 16-byte block; 0 when none does. Every
+// run of 31 or more bytes covers a whole aligned block, so whenever the
+// longest run reaches 31 this is its length. Ciphertext costs one
+// compare per 16 bytes: a run is extended only around a hit.
+func incRun(p []byte) int {
+	best := 0
+	for b := 0; b+1 < len(p); b += 16 {
+		if p[b+1] != p[b]+1 {
+			continue
 		}
-	}
-	if run > best {
-		best = run
-	}
-	if len(p) == 0 {
-		return 0
+		lo, hi := b, b+2
+		for lo > 0 && p[lo] == p[lo-1]+1 {
+			lo--
+		}
+		for hi < len(p) && p[hi] == p[hi-1]+1 {
+			hi++
+		}
+		best = max(best, hi-lo)
+		// The next aligned block that can start another run begins at
+		// or after the byte that broke this one.
+		b = (hi - 1) &^ 15
 	}
 	return best
 }
 
-// shannon returns the byte-level Shannon entropy of p in bits per byte.
-func shannon(p []byte) float64 {
-	var freq [256]int
+// flog2f[f] is f·log2 f, filled at package init, so the entropy of a
+// histogram over n bytes is log2 n − Σ f·log2 f / n with no logarithm
+// per bucket. It covers any bucket of a jumbo-MTU payload.
+var flog2f [1 << 14]float64
+
+func init() {
+	for f := 2; f < len(flog2f); f++ {
+		flog2f[f] = float64(f) * math.Log2(float64(f))
+	}
+}
+
+// entropy returns the byte-level Shannon entropy of p in bits per byte.
+func entropy(p []byte) float64 {
+	if len(p) == 0 {
+		return 0
+	}
+	var freq [256]uint32
 	for _, c := range p {
 		freq[c]++
 	}
-	n := float64(len(p))
-	var h float64
+	var sum float64
 	for _, f := range freq {
-		if f == 0 {
-			continue
+		if int(f) < len(flog2f) {
+			sum += flog2f[f]
+		} else {
+			sum += float64(f) * math.Log2(float64(f))
 		}
-		q := float64(f) / n
-		h -= q * math.Log2(q)
 	}
-	return h
+	n := float64(len(p))
+	return math.Log2(n) - sum/n
 }
 
-// fnv64 is FNV-1a over p: the slot-content hash. Non-cryptographic is
-// fine here — a collision can only hide a rewrite (never invent one),
-// with probability ~2^-64 per pair.
-func fnv64(p []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range p {
-		h ^= uint64(c)
-		h *= 1099511628211
+// slotHash is the slot-content fingerprint, eight bytes per step. Slot
+// hashes are compared only within one auditor, and non-cryptographic is
+// fine here: a collision can only hide a rewrite (never invent one).
+// Each step is a bijection of the state, so two payloads of one length
+// that differ in a single word never collide.
+func slotHash(p []byte) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(p)) * m
+	for ; len(p) >= 8; p = p[8:] {
+		h = bits.RotateLeft64((h^binary.LittleEndian.Uint64(p))*m, 29)
 	}
-	return h
+	var tail uint64
+	for i, c := range p {
+		tail |= uint64(c) << (8 * i)
+	}
+	h = (h ^ tail) * m
+	return h ^ h>>32
 }

@@ -341,15 +341,17 @@ func TestLongestIncRun(t *testing.T) {
 }
 
 func TestShannon(t *testing.T) {
-	if h := shannon(make([]byte, 1024)); h != 0 {
-		t.Errorf("constant bytes: entropy %f, want 0", h)
-	}
 	uniform := make([]byte, 256*4)
 	for i := range uniform {
 		uniform[i] = byte(i)
 	}
-	if h := shannon(uniform); h < 7.99 || h > 8.01 {
-		t.Errorf("uniform bytes: entropy %f, want 8", h)
+	for name, h := range map[string]func([]byte) float64{"shannon": shannon, "entropy": entropy} {
+		if got := h(make([]byte, 1024)); got != 0 {
+			t.Errorf("%s: constant bytes: entropy %f, want 0", name, got)
+		}
+		if got := h(uniform); got < 7.99 || got > 8.01 {
+			t.Errorf("%s: uniform bytes: entropy %f, want 8", name, got)
+		}
 	}
 }
 

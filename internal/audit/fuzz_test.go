@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"math"
 	"testing"
 
 	"smt/internal/wire"
@@ -85,8 +86,9 @@ func FuzzRecordTracker(f *testing.F) {
 }
 
 // checkTrackerInvariants asserts the bookkeeping every tracker promises
-// regardless of input: parse cursors inside buffers, byte counts in
-// agreement, and every memory cap respected.
+// regardless of input: parse cursors inside buffers, a live segment
+// buffering less than one record, byte counts in agreement, and every
+// memory cap respected.
 func checkTrackerInvariants(t *testing.T, a *Auditor) {
 	t.Helper()
 	if len(a.violations) > maxViolations {
@@ -116,8 +118,8 @@ func checkTrackerInvariants(t *testing.T, a *Auditor) {
 				t.Fatalf("flow %s: %d segments, cap is %d", f, len(mt.segs), maxSegments)
 			}
 			for key, seg := range mt.segs {
-				if seg.parsed < 0 || seg.parsed > len(seg.buf) {
-					t.Fatalf("flow %s seg %v: parsed cursor %d outside buf [0,%d]", f, key, seg.parsed, len(seg.buf))
+				if !seg.dead && len(seg.buf) >= wire.FramingHeaderLen+wire.RecordHeaderLen+maxRecordLength {
+					t.Fatalf("flow %s seg %v: %d unparsed bytes buffered, more than one record", f, key, len(seg.buf))
 				}
 				if len(seg.pieces) > maxPieces {
 					t.Fatalf("flow %s seg %v: %d pieces, cap is %d", f, key, len(seg.pieces), maxPieces)
@@ -137,4 +139,80 @@ func fuzzOp(mode, flowSel byte, msgID byte, off uint32, idx uint16, payload []by
 		byte(len(payload)),
 	}
 	return append(op, payload...)
+}
+
+// FuzzPlaintextScan pins the fast plaintext scan to the byte-at-a-time
+// references below: incRun must flag (reach plaintextRunMin) exactly the
+// payloads longestIncRun flags, and entropy must agree with shannon
+// within 1e-9. Each input plants an incrementing run of n bytes from
+// start at offset at, so alignment boundaries are explored, not just
+// the random bytes around them.
+func FuzzPlaintextScan(f *testing.F) {
+	ct := make([]byte, 1500)
+	fill(7, ct)
+	f.Add(ct, uint16(17), uint8(31), byte(250))
+	f.Add(ct, uint16(33), uint8(32), byte(0))
+	f.Add(ct[:40], uint16(8), uint8(32), byte(9))
+	f.Add(make([]byte, 1024), uint16(0), uint8(0), byte(0))
+
+	f.Fuzz(func(t *testing.T, p []byte, at uint16, n uint8, start byte) {
+		if len(p) > 0 {
+			for i, j := 0, int(at)%len(p); i < int(n) && j < len(p); i, j = i+1, j+1 {
+				p[j] = start + byte(i)
+			}
+		}
+		fast, ref := incRun(p), longestIncRun(p)
+		if (fast >= plaintextRunMin) != (ref >= plaintextRunMin) {
+			t.Fatalf("incRun = %d, longestIncRun = %d: verdicts differ at the %d-byte bar", fast, ref, plaintextRunMin)
+		}
+		if fast > ref || (ref >= 31 && fast != ref) {
+			t.Fatalf("incRun = %d, longestIncRun = %d", fast, ref)
+		}
+		if h, want := entropy(p), shannon(p); math.Abs(h-want) > 1e-9 {
+			t.Fatalf("entropy = %.12f, shannon = %.12f", h, want)
+		}
+	})
+}
+
+// longestIncRun is the byte-at-a-time reference for incRun: the longest
+// run of consecutive bytes where each increments the last by one (mod
+// 256).
+func longestIncRun(p []byte) int {
+	best, run := 0, 1
+	for i := 1; i < len(p); i++ {
+		if p[i] == p[i-1]+1 {
+			run++
+		} else {
+			if run > best {
+				best = run
+			}
+			run = 1
+		}
+	}
+	if run > best {
+		best = run
+	}
+	if len(p) == 0 {
+		return 0
+	}
+	return best
+}
+
+// shannon is the reference for entropy: the byte-level Shannon entropy
+// of p in bits per byte, one logarithm per non-empty bucket.
+func shannon(p []byte) float64 {
+	var freq [256]int
+	for _, c := range p {
+		freq[c]++
+	}
+	n := float64(len(p))
+	var h float64
+	for _, f := range freq {
+		if f == 0 {
+			continue
+		}
+		q := float64(f) / n
+		h -= q * math.Log2(q)
+	}
+	return h
 }

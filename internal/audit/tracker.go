@@ -41,9 +41,9 @@ type segKey struct {
 // segment reassembles one TSO segment's packets into its record bytes.
 type segment struct {
 	pieces map[uint16][]byte // out-of-order packets by intra-segment index
-	buf    []byte            // contiguous prefix, owned copies
+	buf    []byte            // contiguous bytes not yet parsed as records, owned copies
 	next   uint16            // next index to append
-	parsed int               // bytes of buf emitted as complete records
+	parsed int               // bytes of the segment emitted as complete records
 	dirty  bool              // a tampered packet contributed
 	dead   bool              // framing lost; stop parsing
 }
@@ -52,6 +52,7 @@ type segment struct {
 type msgTracker struct {
 	segs  map[segKey]*segment
 	order []segKey // insertion order, for eviction
+	spare []byte   // a fully parsed segment's buffer, for the next segment to fill
 }
 
 func newMsgTracker() *msgTracker {
@@ -59,7 +60,9 @@ func newMsgTracker() *msgTracker {
 }
 
 // add feeds one delivered packet into the tracker. First delivery wins
-// at each index: duplicates and identical retransmits are no-ops.
+// at each index: duplicates and identical retransmits are no-ops. An
+// in-order packet is appended straight to the segment's buffer; only an
+// out-of-order one is copied aside until the gap before it fills.
 func (t *msgTracker) add(a *Auditor, f wire.Flow, msgID uint64, segOff uint32, idx uint16, payload []byte, tampered bool) {
 	key := segKey{msgID: msgID, off: segOff}
 	seg, ok := t.segs[key]
@@ -77,14 +80,22 @@ func (t *msgTracker) add(a *Auditor, f wire.Flow, msgID uint64, segOff uint32, i
 	if seg.dead || idx < seg.next {
 		return // already consumed (duplicate or retransmit of old bytes)
 	}
-	if _, dup := seg.pieces[idx]; dup {
+	if idx != seg.next {
+		if _, dup := seg.pieces[idx]; dup {
+			return
+		}
+		if len(seg.pieces) >= maxPieces {
+			a.stats.Evictions++
+			return
+		}
+		seg.pieces[idx] = append([]byte(nil), payload...)
 		return
 	}
-	if len(seg.pieces) >= maxPieces {
-		a.stats.Evictions++
-		return
+	if seg.buf == nil {
+		seg.buf, t.spare = t.spare, nil
 	}
-	seg.pieces[idx] = append([]byte(nil), payload...)
+	seg.buf = append(seg.buf, payload...)
+	seg.next++
 	for {
 		piece, ok := seg.pieces[seg.next]
 		if !ok {
@@ -110,14 +121,13 @@ func (t *msgTracker) evictOldest(a *Auditor) {
 	a.stats.Evictions++
 }
 
-// parse walks complete records off the segment's contiguous prefix:
-// [4 B framing][5 B header][Length bytes].
+// parse walks complete records off the segment's contiguous bytes,
+// [4 B framing][5 B header][Length bytes], and keeps only the unparsed
+// tail, so a buffer holds less than one record instead of growing to
+// the whole segment. A buffer with no tail goes back to the tracker.
 func (t *msgTracker) parse(a *Auditor, f wire.Flow, seg *segment) {
-	for {
-		rest := seg.buf[seg.parsed:]
-		if len(rest) < wire.FramingHeaderLen+wire.RecordHeaderLen {
-			return
-		}
+	rest := seg.buf
+	for len(rest) >= wire.FramingHeaderLen+wire.RecordHeaderLen {
 		var fr wire.FramingHeader
 		var hdr wire.RecordHeader
 		if fr.DecodeFromBytes(rest) != nil || hdr.DecodeFromBytes(rest[wire.FramingHeaderLen:]) != nil ||
@@ -127,10 +137,17 @@ func (t *msgTracker) parse(a *Auditor, f wire.Flow, seg *segment) {
 		}
 		total := wire.FramingHeaderLen + wire.RecordHeaderLen + int(hdr.Length)
 		if len(rest) < total {
-			return // record incomplete; wait for more packets
+			break // record incomplete; wait for more packets
 		}
 		a.onRecord(f, rest[wire.FramingHeaderLen:total], seg.dirty)
 		seg.parsed += total
+		rest = rest[total:]
+	}
+	switch {
+	case len(rest) == 0:
+		t.spare, seg.buf = seg.buf[:0], nil
+	case len(rest) < len(seg.buf):
+		seg.buf = append(seg.buf[:0], rest...)
 	}
 }
 
@@ -207,7 +224,7 @@ func (t *streamTracker) add(a *Auditor, f wire.Flow, off uint32, payload []byte,
 	// piece that extends the stream decides which bytes land in buf, so
 	// draining in map order would make the reassembled bytes (and the
 	// overlap-conflict counts) run-dependent.
-	for {
+	for len(t.pending) > 0 {
 		advanced := false
 		cur = t.cursor()
 		ready := make([]uint32, 0, len(t.pending))

@@ -2,42 +2,29 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"smt/internal/audit"
 	"smt/internal/cpusim"
 	"smt/internal/rpc"
 	"smt/internal/sim"
+	"smt/internal/wire"
 )
 
-// This file is the auditor's acceptance bar over the whole registry:
-// every registered experiment must run green under the wire-compliance
-// tap (no invariant violations, conserved bytes, no pooled-packet
-// leaks), and because the tap is a pure observer, the default artifacts
-// must stay byte-identical with auditing on. The negative control at the
-// bottom proves the bar has teeth: a deliberately planted plaintext leak
-// must be flagged.
-//
-// Tests here toggle the global SetAuditAll knob, so none of them use
-// t.Parallel: top-level tests run serially, and parallel subtests of an
-// earlier test always finish before the next top-level test starts.
+// This file is the auditor's acceptance bar over the registry: every
+// registered experiment must run green under the wire-compliance tap
+// (no invariant violations, conserved bytes, no pooled-packet leaks),
+// and because the tap is a pure observer, the artifacts must stay
+// byte-identical with auditing on. Auditing is a value of the run
+// (RunOptions.Audit), so these tests run in parallel with each other's
+// subtests. Full-mode TestDeterministicArtifacts also audits and
+// settles every deterministic point once; the tests here check a spread
+// of each experiment and name the property that failed. The settlement's
+// own test and the negative control at the bottom prove the bar has
+// teeth: a deliberately planted plaintext leak must be flagged.
 
-// auditWorldsOf runs one registry point with global auditing on and
-// returns the audited worlds it built (empty for the analytic
-// experiments that never build a World).
-func auditWorldsOf(t *testing.T, e Experiment, pt Point) []*World {
-	t.Helper()
-	SetAuditAll(true)
-	res := e.Run(pt)
-	SetAuditAll(false)
-	worlds := TakeAuditedWorlds()
-	if res.Err != "" {
-		t.Fatalf("%s point %q failed under audit: %s", e.Name(), pt.Key, res.Err)
-	}
-	return worlds
-}
-
-// drainSpread is the spread of e's points the two drained-world tests
+// drainSpread is the spread of e's points the two settlement tests
 // sweep between them — the first and last points, and in full mode the
 // middle one — split so that each point is swept once: the leak test
 // takes the last point and the audit test the rest. A single-point
@@ -54,36 +41,40 @@ func drainSpread(e Experiment) (audited, leak []Point) {
 	return pts[:len(pts)-1], pts[len(pts)-1:]
 }
 
-// checkDrained runs each point with the auditor attached to every world
-// built, then drains each world and asserts the full invariant set: zero
-// violations (plaintext, nonce/keystream reuse, framing), conservation
-// at quiescence, and an empty packet pool.
-func checkDrained(t *testing.T, e Experiment, pts []Point) {
+// checkSettled runs pts audited and asserts the full invariant set on
+// each point's settlement: zero violations (plaintext, nonce/keystream
+// reuse, framing), every world quiesced with its bytes conserved, no
+// pooled packet outstanding, and packets seen in every audited world —
+// at least one of which a world-building experiment must have built.
+func checkSettled(t *testing.T, e Experiment, pts []Point) {
 	t.Helper()
-	for _, pt := range pts {
-		for _, w := range auditWorldsOf(t, e, pt) {
-			if !w.DrainQuiesce(2 * sim.Second) {
-				t.Errorf("%s: world did not quiesce (%d events pending)", pt.Key, w.Eng.Pending())
-				continue
+	for _, r := range RunPoints(e, pts, RunOptions{Workers: 1, Audit: true}) {
+		s := r.Audit
+		if s == nil || r.Err != s.failure() {
+			t.Fatalf("%s point %q failed under audit: %s", e.Name(), r.Key, r.Err)
+		}
+		if s.Violations != 0 {
+			t.Errorf("%s: %d violations", r.Key, s.Violations)
+			for _, v := range s.Recorded {
+				t.Errorf("%s: %s", r.Key, v)
 			}
-			w.Audit.CheckConservation(w.Net)
-			st := w.Audit.Stats()
-			if st.TotalViolations != 0 {
-				for _, v := range w.Audit.Violations() {
-					t.Errorf("%s: %s", pt.Key, v)
-				}
-			}
-			if st.Packets == 0 {
-				t.Errorf("%s: audited world saw no packets — tap not attached?", pt.Key)
-			}
-			if n := w.Net.OutstandingPackets(); n != 0 {
-				t.Errorf("%s: %d pooled packets outstanding at quiescence", pt.Key, n)
-			}
+		}
+		if s.Stuck != 0 {
+			t.Errorf("%s: %d worlds did not quiesce", r.Key, s.Stuck)
+		}
+		if s.Leaked != 0 {
+			t.Errorf("%s: %d pooled packets outstanding at quiescence", r.Key, s.Leaked)
+		}
+		if s.Silent != 0 {
+			t.Errorf("%s: %d audited worlds saw no packets — tap not attached?", r.Key, s.Silent)
+		}
+		if (s.Worlds == 0) != analytic[e.Name()] {
+			t.Errorf("%s: %d worlds audited (analytic experiment: %v)", r.Key, s.Worlds, analytic[e.Name()])
 		}
 	}
 }
 
-// TestAuditorGreenAcrossRegistry runs checkDrained over every registered
+// TestAuditorGreenAcrossRegistry runs checkSettled over every registered
 // experiment's share of drainSpread.
 func TestAuditorGreenAcrossRegistry(t *testing.T) {
 	for _, e := range All() {
@@ -92,8 +83,9 @@ func TestAuditorGreenAcrossRegistry(t *testing.T) {
 			if e.Name() == "table2" {
 				t.Skip("table2 measures wall-clock crypto cost; no simulated wire to audit")
 			}
+			t.Parallel()
 			pts, _ := drainSpread(e)
-			checkDrained(t, e, pts)
+			checkSettled(t, e, pts)
 		})
 	}
 }
@@ -103,7 +95,7 @@ func TestAuditorGreenAcrossRegistry(t *testing.T) {
 // data path recycles packets through wire.PacketPool, so any code path
 // that loses a reference (a dropped retransmit, an abandoned
 // reassembly, a dead connection's queue) shows up here as a nonzero
-// outstanding count. It runs checkDrained on the last point of
+// outstanding count. It runs checkSettled on the last point of
 // drainSpread, the one TestAuditorGreenAcrossRegistry leaves to it.
 func TestPacketPoolLeakFreedom(t *testing.T) {
 	for _, e := range All() {
@@ -112,16 +104,18 @@ func TestPacketPoolLeakFreedom(t *testing.T) {
 			if e.Name() == "table2" {
 				t.Skip("table2 measures wall-clock crypto cost; no simulated network")
 			}
+			t.Parallel()
 			_, pts := drainSpread(e)
-			checkDrained(t, e, pts)
+			checkSettled(t, e, pts)
 		})
 	}
 }
 
-// TestAuditArtifactIdentity pins the observer contract end to end: the
-// seeded JSON artifacts of the headline experiments are byte-identical
-// with the audit tap attached and without it. Any engine RNG draw,
-// schedule perturbation, or packet mutation by the auditor breaks this.
+// TestAuditArtifactIdentity pins the observer contract end to end on
+// the headline experiments: their seeded JSON artifacts are
+// byte-identical from a serial run with the audit tap attached and one
+// without it. Any engine RNG draw, schedule perturbation, or packet
+// mutation by the auditor breaks this.
 func TestAuditArtifactIdentity(t *testing.T) {
 	names := []string{"fig6", "fig8", "fig10", "incast", "loadsweep"}
 	maxPts := 4
@@ -136,15 +130,10 @@ func TestAuditArtifactIdentity(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s not registered", name)
 			}
+			t.Parallel()
 			pts := spreadPoints(e.Points(), maxPts)
-			base := artifactJSON(t, e, pts, 1)
-			SetAuditAll(true)
-			audited := artifactJSON(t, e, pts, 1)
-			SetAuditAll(false)
-			worlds := TakeAuditedWorlds()
-			if len(worlds) == 0 {
-				t.Fatal("no worlds were audited — SetAuditAll not reaching NewFabricWorld")
-			}
+			base := artifactJSON(t, e, pts, RunOptions{Workers: 1})
+			audited := artifactJSON(t, e, pts, RunOptions{Workers: 1, Audit: true})
 			if !bytes.Equal(base, audited) {
 				t.Errorf("artifact changed with audit tap attached:\noff: %s\non:  %s", base, audited)
 			}
@@ -152,11 +141,51 @@ func TestAuditArtifactIdentity(t *testing.T) {
 	}
 }
 
+// TestSettleCountsStuckWorld plants one violation in a world that can
+// never quiesce (a timer re-arms itself forever). Settlement must
+// report the world as stuck and still count and record the violation,
+// and must not check conservation or leaks on a world still running.
+func TestSettleCountsStuckWorld(t *testing.T) {
+	w := NewWorld(1)
+	aud := w.EnableAudit()
+	body := make([]byte, 32)
+	for i := range body {
+		body[i] = byte(i)
+	}
+	// A record header whose body has not all arrived, then the RPC body
+	// pattern: the stream tracker waits for the rest of the record, so
+	// the plaintext leak is the only violation.
+	hdr := wire.RecordHeader{ContentType: wire.RecordTypeApplicationData, Length: 4096}
+	aud.PacketDelivered(&wire.Packet{
+		IP:      wire.IPv4Header{Src: wire.HostAddr(0), Dst: wire.HostAddr(1), Protocol: wire.ProtoTCP},
+		Overlay: wire.OverlayHeader{Type: wire.TypeData},
+		Payload: append(hdr.AppendTo(nil), body...),
+	}, false)
+	var tick func()
+	tick = func() { w.Eng.After(sim.Millisecond, tick) }
+	w.Eng.After(0, tick)
+
+	s := settle(w)
+	if s.Stuck != 1 {
+		t.Errorf("Stuck = %d, want 1", s.Stuck)
+	}
+	if s.Violations != 1 || len(s.Recorded) != 1 || s.Recorded[0].Kind != audit.KindPlaintextLeak {
+		t.Fatalf("settlement recorded %d violations %v, want the one planted plaintext leak (conservation must not be checked on a stuck world)",
+			s.Violations, s.Recorded)
+	}
+	if s.Leaked != 0 {
+		t.Errorf("Leaked = %d on a world that never quiesced, want 0 (not counted)", s.Leaked)
+	}
+	if f := s.failure(); !strings.HasPrefix(f, "audit: 1 violations") || !strings.Contains(f, "1 worlds failed to quiesce") {
+		t.Errorf("failure() = %q", f)
+	}
+}
+
 // TestAuditorPlaintextLeakControl is the negative control on a real
 // stack: run the plain TCP fabric (whose wire bytes genuinely are
 // plaintext) but tell the auditor to expect ciphertext, simulating an
 // encrypted stack that leaks. The auditor must flag the leak — if this
-// test fails, the green sweep above is vacuous.
+// test fails, the green sweeps above are vacuous.
 func TestAuditorPlaintextLeakControl(t *testing.T) {
 	sys, err := BuildFabric(mustStack("TCP"))
 	if err != nil {
@@ -176,9 +205,8 @@ func TestAuditorPlaintextLeakControl(t *testing.T) {
 	aud.SetExpectCiphertext(true)
 	loops = newFabricLoops(w, 1, issue, ChaosRPCSize, ChaosRPCSize)
 	runFabricLoops(w, loops, 2)
-	w.DrainQuiesce(2 * sim.Second)
 	leaks := 0
-	for _, v := range aud.Violations() {
+	for _, v := range settle(w).Recorded {
 		if v.Kind == audit.KindPlaintextLeak {
 			leaks++
 		}

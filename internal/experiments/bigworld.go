@@ -33,10 +33,10 @@ func BigWorldLineup() []StackSpec {
 }
 
 // MeasureBigWorld runs one 64-host load-sweep point for sys.
-func MeasureBigWorld(sys FabricSystem, seed int64) (LoadSweepRow, error) {
+func MeasureBigWorld(sys FabricSystem, seed int64, pa ...*pointAudit) (LoadSweepRow, error) {
 	return measureLoadSweepOn(sys, BigWorldLoad, seed, loadSweepParams{
 		clients: BigWorldHosts - 1,
 		streams: LoadSweepStreams,
 		buffer:  LoadSweepBufferBytes,
-	})
+	}, pa)
 }

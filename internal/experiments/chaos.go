@@ -120,16 +120,17 @@ type ChaosRow struct {
 
 	// Quiesced reports that the world drained to an empty event queue
 	// after the run; Outstanding is the packet-pool leak count at that
-	// point (must be zero when quiesced).
+	// point (must be zero; not counted when the world did not quiesce).
 	Quiesced    bool
 	Outstanding int
 }
 
 // MeasureChaos runs one stack under a chaos config on the two-host
-// world with the wire auditor attached, then drains the world and
-// settles the audit: conservation is checked at quiescence, and the
-// returned row carries everything the fail-closed battery asserts.
-func MeasureChaos(sys FabricSystem, c Chaos, seed int64) (ChaosRow, error) {
+// world with the wire auditor attached, then settles the world: the
+// returned row carries everything the fail-closed battery asserts. In
+// an audited run the settlement joins the point's, and the world is not
+// settled a second time.
+func MeasureChaos(sys FabricSystem, c Chaos, seed int64, pa ...*pointAudit) (ChaosRow, error) {
 	w := NewWorld(seed)
 	aud := w.EnableAudit()
 	var tampered uint64
@@ -150,9 +151,11 @@ func MeasureChaos(sys FabricSystem, c Chaos, seed int64) (ChaosRow, error) {
 	c.apply(w)
 	loops = newFabricLoops(w, 1, issue, ChaosRPCSize, ChaosRPCSize)
 	_, completed, window := runFabricLoops(w, loops, ChaosStreams)
-	quiesced := w.DrainQuiesce(2 * sim.Second)
-	if quiesced {
-		aud.CheckConservation(w.Net)
+	s := settle(w)
+	for _, a := range pa {
+		if a != nil {
+			a.settled.add(s)
+		}
 	}
 	st := aud.Stats()
 	row := ChaosRow{
@@ -161,11 +164,11 @@ func MeasureChaos(sys FabricSystem, c Chaos, seed int64) (ChaosRow, error) {
 		GoodputGbps:       float64(completed) * ChaosRPCSize * 8 / window.Seconds() / 1e9,
 		TamperedDelivered: tampered,
 		WireTampered:      st.Tampered,
-		AuditViolations:   st.TotalViolations,
+		AuditViolations:   s.Violations,
 		SlotRewrites:      st.SlotRewrites,
 		Desyncs:           st.Desyncs,
-		Quiesced:          quiesced,
-		Outstanding:       w.Net.OutstandingPackets(),
+		Quiesced:          s.Stuck == 0,
+		Outstanding:       s.Leaked,
 	}
 	for _, h := range w.Hosts {
 		row.Resyncs += h.NIC.Stats.Resyncs

@@ -89,8 +89,8 @@ func churnTopology() netsim.Topology {
 // MeasureChurn runs one (spec, policy, rate) point: Poisson connection
 // arrivals from ChurnClients hosts, each connection dialing under
 // policy, issuing one churnReqBytes RPC and closing on the response.
-func MeasureChurn(spec StackSpec, policy HandshakePolicy, rate float64, seed int64) (ChurnRow, error) {
-	w := NewFabricWorld(seed, churnTopology())
+func MeasureChurn(spec StackSpec, policy HandshakePolicy, rate float64, seed int64, pa ...*pointAudit) (ChurnRow, error) {
+	w := audited(NewFabricWorld(seed, churnTopology()), pa)
 	d, err := NewDialer(w, spec, DialConfig{Policy: policy, TicketTTL: ChurnTicketTTL})
 	if err != nil {
 		return ChurnRow{}, err

@@ -35,33 +35,20 @@ func TestChurnAudited(t *testing.T) {
 	for _, spec := range Stacks() {
 		t.Run(spec.Name, func(t *testing.T) {
 			policy := ChurnPolicyFor(spec)
-			SetAuditAll(true)
-			r, err := MeasureChurn(spec, policy, rate, ChurnSeed(rate))
-			SetAuditAll(false)
-			worlds := TakeAuditedWorlds()
+			pa := &pointAudit{}
+			r, err := MeasureChurn(spec, policy, rate, ChurnSeed(rate), pa)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(worlds) == 0 {
+			worlds := pa.worlds
+			if s := pa.settle(); s.Worlds == 0 {
 				t.Fatal("no audited world built")
+			} else if f := s.failure(); f != "" {
+				t.Errorf("%s (all violations: %v)", f, s.Recorded)
 			}
 			for _, w := range worlds {
-				if !w.DrainQuiesce(2 * sim.Second) {
-					t.Errorf("world did not quiesce (%d events pending)", w.Eng.Pending())
-					continue
-				}
-				w.Audit.CheckConservation(w.Net)
-				st := w.Audit.Stats()
-				if st.TotalViolations != 0 {
-					for _, v := range w.Audit.Violations() {
-						t.Errorf("violation: %s", v)
-					}
-				}
-				if policy != HSNone && st.HandshakePackets == 0 {
+				if policy != HSNone && w.Audit.Stats().HandshakePackets == 0 {
 					t.Error("dialed encrypted stack put no handshake flights on the wire")
-				}
-				if n := w.Net.OutstandingPackets(); n != 0 {
-					t.Errorf("%d pooled packets outstanding at quiescence", n)
 				}
 			}
 			t.Logf("%s/%s @%.0f/s: dials=%d est=%d done=%d setup p50=%.0fµs p99=%.0fµs hsCPU=%.1f%% hit=%.2f",

@@ -24,6 +24,12 @@ import (
 // open-loop load sweep (loadsweep, whose Poisson arrival process draws
 // from the per-world seeded RNG) are covered by the same loop as the
 // §5 figures; TestDeterminismCoverage pins that they stay registered.
+//
+// It is also the registry-wide wire audit: outside -update, each point
+// runs audited exactly once, its digest must still match the golden
+// (the tap is a pure observer), and its worlds must settle clean — zero
+// violations, conservation at quiescence, zero outstanding packets, and
+// packets observed in every world.
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.json from one pass over every registry point")
 
@@ -49,25 +55,35 @@ func valuesDigest(v Values) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// pointResults runs pts and fails the test on any point error. Wall-clock
+// analytic names the experiments whose points build no World, so an
+// audited run settles none of their worlds; every other point must
+// settle at least one.
+var analytic = map[string]bool{"fig2": true, "fig5": true, "table1": true}
+
+// pointResults runs pts under opts and fails the test on any point
+// error — in an audited run, a failed settlement included. Wall-clock
 // timing, the only field allowed to differ between runs, is zeroed.
-func pointResults(t *testing.T, e Experiment, pts []Point, workers int) []Result {
+func pointResults(t *testing.T, e Experiment, pts []Point, opts RunOptions) []Result {
 	t.Helper()
-	res := RunPoints(e, pts, RunOptions{Workers: workers})
+	res := RunPoints(e, pts, opts)
 	for i := range res {
-		if res[i].Err != "" {
-			t.Fatalf("%s point %q failed: %s", e.Name(), res[i].Key, res[i].Err)
+		r := &res[i]
+		if r.Err != "" {
+			t.Fatalf("%s point %q failed: %s", e.Name(), r.Key, r.Err)
 		}
-		res[i].ElapsedMs = 0
+		if opts.Audit && (r.Audit == nil || (r.Audit.Worlds == 0) != analytic[e.Name()]) {
+			t.Fatalf("%s point %q: audited run settled %+v (analytic experiment: %v)", e.Name(), r.Key, r.Audit, analytic[e.Name()])
+		}
+		r.ElapsedMs = 0
 	}
 	return res
 }
 
-// artifactJSON runs pts and serializes the results the way a JSON
-// artifact would, with wall-clock timing stripped.
-func artifactJSON(t *testing.T, e Experiment, pts []Point, workers int) []byte {
+// artifactJSON runs pts under opts and serializes the results the way a
+// JSON artifact would, with wall-clock timing stripped.
+func artifactJSON(t *testing.T, e Experiment, pts []Point, opts RunOptions) []byte {
 	t.Helper()
-	b, err := json.Marshal(pointResults(t, e, pts, workers))
+	b, err := json.Marshal(pointResults(t, e, pts, opts))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -138,9 +154,11 @@ func checkGolden(t *testing.T, want map[string]string, res []Result) {
 // TestDeterministicArtifacts runs a spread of each experiment's points
 // serially twice and across worker pools, requires byte-identical
 // artifacts, and checks the spread's digests against the golden file.
-// In full mode it also runs every other point once and checks it, so
-// each registry point is pinned; -update rewrites the golden file from
-// that full pass.
+// The widest pool's run is audited, so the spread's audited artifact
+// must equal the plain serial one. In full mode it also runs every
+// other point once, audited, and checks it, so each registry point is
+// pinned and audited; -update rewrites the golden file from that full
+// pass with nothing audited.
 func TestDeterministicArtifacts(t *testing.T) {
 	maxPts := 6
 	workerCounts := []int{4, 13}
@@ -178,23 +196,24 @@ func TestDeterministicArtifacts(t *testing.T) {
 			t.Parallel()
 			all := e.Points()
 			pts := spreadPoints(all, maxPts)
-			res := pointResults(t, e, pts, 1)
+			res := pointResults(t, e, pts, RunOptions{Workers: 1})
 			serial, err := json.Marshal(res)
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
 			}
-			again := artifactJSON(t, e, pts, 1)
+			again := artifactJSON(t, e, pts, RunOptions{Workers: 1})
 			if !bytes.Equal(serial, again) {
 				t.Fatalf("two serial runs differ:\n%s\n%s", serial, again)
 			}
-			for _, w := range workerCounts {
-				par := artifactJSON(t, e, pts, w)
+			for i, w := range workerCounts {
+				audited := !*update && i == len(workerCounts)-1
+				par := artifactJSON(t, e, pts, RunOptions{Workers: w, Audit: audited})
 				if !bytes.Equal(serial, par) {
-					t.Errorf("workers=%d differs from serial run:\n%s\n%s", w, par, serial)
+					t.Errorf("workers=%d (audited: %v) differs from serial run:\n%s\n%s", w, audited, par, serial)
 				}
 			}
 			if full {
-				res = append(res, pointResults(t, e, otherPoints(all, pts), 0)...)
+				res = append(res, pointResults(t, e, otherPoints(all, pts), RunOptions{Audit: !*update})...)
 			}
 			if *update {
 				digests := make(map[string]string, len(res))

@@ -12,7 +12,7 @@ func eventsPerRPC(t *testing.T, stack string, size, streams int, seed int64) (ca
 	if err != nil {
 		t.Fatalf("build %s: %v", stack, err)
 	}
-	w, cl, warm, stop, err := startClosedLoop(sys, size, streams, 0, 0, seed)
+	w, cl, warm, stop, err := startClosedLoop(sys, size, streams, 0, 0, seed, nil)
 	if err != nil {
 		t.Fatalf("setup %s: %v", stack, err)
 	}

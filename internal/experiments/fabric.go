@@ -105,8 +105,8 @@ func newFabricLoops(w *World, nClients int, issue func(client, stream int, reqID
 // responses) at one server behind the shallow-buffered switch, so the
 // server's egress port is the shared bottleneck. Tail latency and
 // goodput collapse are the outputs.
-func MeasureIncast(sys FabricSystem, clients, size int, seed int64) (IncastRow, error) {
-	w := NewFabricWorld(seed, incastTopology(clients))
+func MeasureIncast(sys FabricSystem, clients, size int, seed int64, pa ...*pointAudit) (IncastRow, error) {
+	w := audited(NewFabricWorld(seed, incastTopology(clients)), pa)
 	cl := w.ClientHosts()
 	var loops []*rpc.ClosedLoop
 	issue, err := sys.Setup(w, cl, w.Server,
@@ -158,8 +158,8 @@ func multiclientTopology(clients int) netsim.Topology {
 // MeasureMulticlient runs one scaling point: `clients` hosts each drive
 // MulticlientStreams closed-loop echo streams of MulticlientSize bytes
 // at one server, reporting aggregate throughput and server CPU.
-func MeasureMulticlient(sys FabricSystem, clients int, seed int64) (MulticlientRow, error) {
-	w := NewFabricWorld(seed, multiclientTopology(clients))
+func MeasureMulticlient(sys FabricSystem, clients int, seed int64, pa ...*pointAudit) (MulticlientRow, error) {
+	w := audited(NewFabricWorld(seed, multiclientTopology(clients)), pa)
 	cl := w.ClientHosts()
 	var loops []*rpc.ClosedLoop
 	issue, err := sys.Setup(w, cl, w.Server,

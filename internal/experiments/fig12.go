@@ -32,8 +32,8 @@ type Fig12Row struct {
 // for the SMT modes (§4.5.1); the 1-RTT baseline is the stock handshake.
 // Short-chain verification would change nothing here: only the 1-RTT
 // baseline verifies a certificate chain (C3.2).
-func MeasureKeyExchange(mode handshake.Mode, size int, seed int64) (Fig12Row, error) {
-	w := NewWorld(seed)
+func MeasureKeyExchange(mode handshake.Mode, size int, seed int64, pa ...*pointAudit) (Fig12Row, error) {
+	w := audited(NewWorld(seed), pa)
 	srv := core.NewSocket(w.Server, core.Config{Transport: homa.Config{Port: ServerPort}})
 	cli := core.NewSocket(w.Client, core.Config{})
 	srv.OnMessage(func(d homa.Delivery) {

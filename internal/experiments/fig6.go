@@ -19,8 +19,8 @@ type RTTRow struct {
 
 // MeasureRTT runs a single-stream closed loop (no concurrent RPCs — the
 // §5.1 methodology) for one system at one size and returns the mean RTT.
-func MeasureRTT(sys System, size, mtu int, noTSO bool, seed int64) (RTTRow, error) {
-	w := NewWorld(seed)
+func MeasureRTT(sys System, size, mtu int, noTSO bool, seed int64, pa ...*pointAudit) (RTTRow, error) {
+	w := audited(NewWorld(seed), pa)
 	var cl *rpc.ClosedLoop
 	issue, err := sys.Setup(w, 1, mtuOrDefault(mtu), noTSO, func(id uint64) { cl.Done(id) })
 	if err != nil {

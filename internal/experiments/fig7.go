@@ -31,8 +31,8 @@ type TputRow struct {
 // MeasureThroughput runs `streams` concurrent closed-loop RPC streams of
 // one size (response size = request size) and reports the completion
 // rate. spacing, when non-zero, rate-caps each stream (§5.2 CPU test).
-func MeasureThroughput(sys System, size, streams, mtu int, spacing sim.Time, seed int64) (TputRow, error) {
-	w, cl, warm, stop, err := startClosedLoop(sys, size, streams, mtu, spacing, seed)
+func MeasureThroughput(sys System, size, streams, mtu int, spacing sim.Time, seed int64, pa ...*pointAudit) (TputRow, error) {
+	w, cl, warm, stop, err := startClosedLoop(sys, size, streams, mtu, spacing, seed, pa)
 	if err != nil {
 		return TputRow{}, err
 	}
@@ -68,8 +68,8 @@ func MeasureThroughput(sys System, size, streams, mtu int, spacing sim.Time, see
 // It warms 5 ms and measures 25 ms — long enough for tens of thousands
 // of RPCs in virtual time, deterministic by construction — and returns
 // the warm mark and the stop time with the world and the loop.
-func startClosedLoop(sys System, size, streams, mtu int, spacing sim.Time, seed int64) (w *World, cl *rpc.ClosedLoop, warm, stop sim.Time, err error) {
-	w = NewWorld(seed)
+func startClosedLoop(sys System, size, streams, mtu int, spacing sim.Time, seed int64, pa []*pointAudit) (w *World, cl *rpc.ClosedLoop, warm, stop sim.Time, err error) {
+	w = audited(NewWorld(seed), pa)
 	issue, err := sys.Setup(w, streams, mtuOrDefault(mtu), false, func(id uint64) { cl.Done(id) })
 	if err != nil {
 		return nil, nil, 0, 0, err
@@ -96,8 +96,8 @@ func CPUUsageLineup() []StackSpec {
 // MeasureCPUUsage runs one system of the §5.2 CPU-usage comparison:
 // 1 KB RPCs rate-capped to targetRate req/s via per-stream spacing,
 // reporting busy fractions.
-func MeasureCPUUsage(sys System, targetRate float64, seed int64) (TputRow, error) {
+func MeasureCPUUsage(sys System, targetRate float64, seed int64, pa ...*pointAudit) (TputRow, error) {
 	const streams = 150
 	spacing := sim.Time(float64(streams) / targetRate * 1e9)
-	return MeasureThroughput(sys, 1024, streams, 0, spacing, seed)
+	return MeasureThroughput(sys, 1024, streams, 0, spacing, seed, pa...)
 }

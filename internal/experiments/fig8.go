@@ -145,8 +145,8 @@ func redisOverTCP(wr wiring, w *World, streams, valueSize int, done func(uint64,
 }
 
 // MeasureRedis runs one (system, workload, value size) cell of Figure 8.
-func MeasureRedis(sys redisSystem, w8 ycsb.Workload, valueSize, streams int, seed int64) (Fig8Row, error) {
-	w := NewWorld(seed)
+func MeasureRedis(sys redisSystem, w8 ycsb.Workload, valueSize, streams int, seed int64, pa ...*pointAudit) (Fig8Row, error) {
+	w := audited(NewWorld(seed), pa)
 	gen := ycsb.New(w8, fig8Keys, seed)
 	gen.MaxScanLen = 20
 	var cl *rpc.ClosedLoop

@@ -25,8 +25,8 @@ type Fig9Row struct {
 // with the block; the initiator completes in kernel context. We model
 // the in-kernel discount by the smaller fixed costs and (for the
 // message-transport port) one extra copy of the 4 KB payload (§5.4).
-func MeasureNVMeoF(sys System, iodepth int, seed int64) (Fig9Row, error) {
-	w := NewWorld(seed)
+func MeasureNVMeoF(sys System, iodepth int, seed int64, pa ...*pointAudit) (Fig9Row, error) {
+	w := audited(NewWorld(seed), pa)
 	ssd := nvmeof.NewSSD(w.Eng, nvmeof.DefaultChannels, nvmeof.DefaultReadLatency)
 	costs := nvmeof.DefaultCosts(w.CM)
 	extraCopy := sys.Name == "Homa" || sys.Name == "SMT-sw" || sys.Name == "SMT-hw"

@@ -101,8 +101,8 @@ func (p loadSweepParams) topology() netsim.Topology {
 // size in the mix's support, the mean completion time of a single
 // closed-loop stream (one request outstanding) on an otherwise idle
 // instance of the same fabric and system wiring.
-func measureUnloadedIdeal(sys FabricSystem, dist workload.Dist, seed int64, p loadSweepParams) (map[int]float64, error) {
-	w := NewFabricWorld(seed, p.topology())
+func measureUnloadedIdeal(sys FabricSystem, dist workload.Dist, seed int64, p loadSweepParams, pa []*pointAudit) (map[int]float64, error) {
+	w := audited(NewFabricWorld(seed, p.topology()), pa)
 	cl := w.ClientHosts()
 	var loop *rpc.ClosedLoop
 	issue, err := sys.Setup(w, cl, w.Server,
@@ -148,20 +148,20 @@ func measureUnloadedIdeal(sys FabricSystem, dist workload.Dist, seed int64, p lo
 // ideals, then drive Poisson arrivals of the LoadSweepDist mix at
 // load × link rate from LoadSweepClients hosts and report goodput and
 // slowdown quantiles.
-func MeasureLoadSweep(sys FabricSystem, load float64, seed int64) (LoadSweepRow, error) {
-	return measureLoadSweepOn(sys, load, seed, defaultLoadSweepParams())
+func MeasureLoadSweep(sys FabricSystem, load float64, seed int64, pa ...*pointAudit) (LoadSweepRow, error) {
+	return measureLoadSweepOn(sys, load, seed, defaultLoadSweepParams(), pa)
 }
 
 // measureLoadSweepOn is the parameterized sweep point the default grid
 // and bigworld share.
-func measureLoadSweepOn(sys FabricSystem, load float64, seed int64, p loadSweepParams) (LoadSweepRow, error) {
+func measureLoadSweepOn(sys FabricSystem, load float64, seed int64, p loadSweepParams, pa []*pointAudit) (LoadSweepRow, error) {
 	dist := LoadSweepDist()
-	ideal, err := measureUnloadedIdeal(sys, dist, seed, p)
+	ideal, err := measureUnloadedIdeal(sys, dist, seed, p, pa)
 	if err != nil {
 		return LoadSweepRow{}, err
 	}
 
-	w := NewFabricWorld(seed, p.topology())
+	w := audited(NewFabricWorld(seed, p.topology()), pa)
 	cl := w.ClientHosts()
 	var gen *workload.OpenLoop
 	issue, err := sys.Setup(w, cl, w.Server,

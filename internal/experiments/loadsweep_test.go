@@ -126,7 +126,7 @@ func TestMeasureUnloadedIdeal(t *testing.T) {
 	}
 	t.Parallel()
 	dist := LoadSweepDist()
-	ideal := must(measureUnloadedIdeal(must(BuildFabric(mustStack("Homa"))), dist, 11010, defaultLoadSweepParams()))
+	ideal := must(measureUnloadedIdeal(must(BuildFabric(mustStack("Homa"))), dist, 11010, defaultLoadSweepParams(), nil))
 	if len(ideal) != len(dist.Sizes()) {
 		t.Fatalf("ideal covers %d sizes, support has %d", len(ideal), len(dist.Sizes()))
 	}

@@ -12,7 +12,9 @@ import (
 // one cell into Values. Each sweep is decomposed into one point per
 // independent (configuration, seed) cell; a point holds a StackSpec and
 // builds its own system and World inside its Run closure, so no state
-// is shared between points and any subset may run concurrently.
+// is shared between points and any subset may run concurrently. Each
+// closure passes the point's audit (RunOptions.Audit) on to its
+// Measure* call, which attaches every World it builds.
 //
 // The lineup-driven sweeps (fig6, fig7, fig9, incast, multiclient,
 // loadsweep, churn) decompose over their lineup argument: DefaultLineup
@@ -30,16 +32,13 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/size=%d", stack.Name, size),
 					Seed:   42,
 					Labels: Labels{"system": stack.Name, "size": itoa(size)},
-					Run: func(seed int64) (Values, error) {
+					Run: func(seed int64, pa *pointAudit) (Values, error) {
 						sys, err := BuildSystem(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureRTT(sys, size, 0, false, seed)
-						if err != nil {
-							return nil, err
-						}
-						return rttValues(r), nil
+						r, err := MeasureRTT(sys, size, 0, false, seed, pa)
+						return rttValues(r), err
 					},
 				})
 			}
@@ -56,16 +55,13 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/size=%d/conc=%d", stack.Name, size, c),
 						Seed:   1000 + int64(c),
 						Labels: Labels{"system": stack.Name, "size": itoa(size), "concurrency": itoa(c)},
-						Run: func(seed int64) (Values, error) {
+						Run: func(seed int64, pa *pointAudit) (Values, error) {
 							sys, err := BuildSystem(stack)
 							if err != nil {
 								return nil, err
 							}
-							r, err := MeasureThroughput(sys, size, c, 0, 0, seed)
-							if err != nil {
-								return nil, err
-							}
-							return tputValues(r), nil
+							r, err := MeasureThroughput(sys, size, c, 0, 0, seed, pa)
+							return tputValues(r), err
 						},
 					})
 				}
@@ -91,16 +87,13 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/mtu=%d/conc=%d", name, mtu, c),
 						Seed:   2000 + int64(c),
 						Labels: Labels{"system": name, "mtu": itoa(mtu), "concurrency": itoa(c)},
-						Run: func(seed int64) (Values, error) {
+						Run: func(seed int64, pa *pointAudit) (Values, error) {
 							sys, err := BuildSystem(stack)
 							if err != nil {
 								return nil, err
 							}
-							r, err := MeasureThroughput(sys, 8192, c, mtu, 0, seed)
-							if err != nil {
-								return nil, err
-							}
-							return tputValues(r), nil
+							r, err := MeasureThroughput(sys, 8192, c, mtu, 0, seed, pa)
+							return tputValues(r), err
 						},
 					})
 				}
@@ -116,16 +109,13 @@ func init() {
 				Key:    "sys=" + stack.Name,
 				Seed:   77,
 				Labels: Labels{"system": stack.Name, "target_rate": "1.2e6"},
-				Run: func(seed int64) (Values, error) {
+				Run: func(seed int64, pa *pointAudit) (Values, error) {
 					sys, err := BuildSystem(stack)
 					if err != nil {
 						return nil, err
 					}
-					r, err := MeasureCPUUsage(sys, 1.2e6, seed)
-					if err != nil {
-						return nil, err
-					}
-					return tputValues(r), nil
+					r, err := MeasureCPUUsage(sys, 1.2e6, seed, pa)
+					return tputValues(r), err
 				},
 			})
 		}
@@ -141,16 +131,13 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/wl=%s/value=%d", stack.Name, wl, v),
 						Seed:   333,
 						Labels: Labels{"system": stack.Name, "workload": wl.String(), "value": itoa(v)},
-						Run: func(seed int64) (Values, error) {
+						Run: func(seed int64, pa *pointAudit) (Values, error) {
 							sys, err := BuildRedis(stack)
 							if err != nil {
 								return nil, err
 							}
-							r, err := MeasureRedis(sys, wl, v, 64, seed)
-							if err != nil {
-								return nil, err
-							}
-							return Values{"ops_per_sec": r.OpsPerSec}, nil
+							r, err := MeasureRedis(sys, wl, v, 64, seed, pa)
+							return Values{"ops_per_sec": r.OpsPerSec}, err
 						},
 					})
 				}
@@ -167,16 +154,13 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/iodepth=%d", stack.Name, d),
 					Seed:   444,
 					Labels: Labels{"system": stack.Name, "iodepth": itoa(d)},
-					Run: func(seed int64) (Values, error) {
+					Run: func(seed int64, pa *pointAudit) (Values, error) {
 						sys, err := BuildSystem(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureNVMeoF(sys, d, seed)
-						if err != nil {
-							return nil, err
-						}
-						return Values{"p50_us": r.P50Us, "p99_us": r.P99Us, "iops": r.IOPS}, nil
+						r, err := MeasureNVMeoF(sys, d, seed, pa)
+						return Values{"p50_us": r.P50Us, "p99_us": r.P99Us, "iops": r.IOPS}, err
 					},
 				})
 			}
@@ -193,16 +177,13 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/size=%d", stack.Name, size),
 					Seed:   77,
 					Labels: Labels{"system": stack.Name, "size": itoa(size)},
-					Run: func(seed int64) (Values, error) {
+					Run: func(seed int64, pa *pointAudit) (Values, error) {
 						sys, err := BuildSystem(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureRTT(sys, size, 0, false, seed)
-						if err != nil {
-							return nil, err
-						}
-						return rttValues(r), nil
+						r, err := MeasureRTT(sys, size, 0, false, seed, pa)
+						return rttValues(r), err
 					},
 				})
 			}
@@ -222,16 +203,13 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/size=%d", name, size),
 					Seed:   88,
 					Labels: Labels{"system": name, "size": itoa(size), "tso": fmt.Sprint(!noTSO)},
-					Run: func(seed int64) (Values, error) {
+					Run: func(seed int64, pa *pointAudit) (Values, error) {
 						sys, err := BuildSystem(mustStack("SMT-hw"))
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureRTT(sys, size, 0, noTSO, seed)
-						if err != nil {
-							return nil, err
-						}
-						return rttValues(r), nil
+						r, err := MeasureRTT(sys, size, 0, noTSO, seed, pa)
+						return rttValues(r), err
 					},
 				})
 			}
@@ -247,12 +225,9 @@ func init() {
 					Key:    fmt.Sprintf("mode=%s/size=%d", m, size),
 					Seed:   5000,
 					Labels: Labels{"mode": m.String(), "size": itoa(size)},
-					Run: func(seed int64) (Values, error) {
-						r, err := MeasureKeyExchange(m, size, seed)
-						if err != nil {
-							return nil, err
-						}
-						return Values{"time_us": r.TimeUs}, nil
+					Run: func(seed int64, pa *pointAudit) (Values, error) {
+						r, err := MeasureKeyExchange(m, size, seed, pa)
+						return Values{"time_us": r.TimeUs}, err
 					},
 				})
 			}
@@ -269,16 +244,13 @@ func init() {
 						Key:    fmt.Sprintf("sys=%s/clients=%d/size=%d", stack.Name, m, size),
 						Seed:   9000 + int64(m),
 						Labels: Labels{"system": stack.Name, "clients": itoa(m), "size": itoa(size)},
-						Run: func(seed int64) (Values, error) {
+						Run: func(seed int64, pa *pointAudit) (Values, error) {
 							sys, err := BuildFabric(stack)
 							if err != nil {
 								return nil, err
 							}
-							r, err := MeasureIncast(sys, m, size, seed)
-							if err != nil {
-								return nil, err
-							}
-							return incastValues(r), nil
+							r, err := MeasureIncast(sys, m, size, seed, pa)
+							return incastValues(r), err
 						},
 					})
 				}
@@ -295,15 +267,12 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/clients=%d", stack.Name, m),
 					Seed:   8000 + int64(m),
 					Labels: Labels{"system": stack.Name, "clients": itoa(m)},
-					Run: func(seed int64) (Values, error) {
+					Run: func(seed int64, pa *pointAudit) (Values, error) {
 						sys, err := BuildFabric(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureMulticlient(sys, m, seed)
-						if err != nil {
-							return nil, err
-						}
+						r, err := MeasureMulticlient(sys, m, seed, pa)
 						return Values{
 							"rpcs_per_sec":    r.RPCsPerSec,
 							"per_client_rpcs": r.PerClientRPCs,
@@ -311,7 +280,7 @@ func init() {
 							"p99_lat_us":      r.P99LatUs,
 							"server_cpu":      r.ServerCPU,
 							"n":               float64(r.N),
-						}, nil
+						}, err
 					},
 				})
 			}
@@ -327,16 +296,13 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/load=%d", stack.Name, LoadSweepPercent(load)),
 					Seed:   LoadSweepSeed(load),
 					Labels: Labels{"system": stack.Name, "load": fmt.Sprintf("%.2f", load), "dist": LoadSweepDist().Name()},
-					Run: func(seed int64) (Values, error) {
+					Run: func(seed int64, pa *pointAudit) (Values, error) {
 						sys, err := BuildFabric(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureLoadSweep(sys, load, seed)
-						if err != nil {
-							return nil, err
-						}
-						return loadSweepValues(r), nil
+						r, err := MeasureLoadSweep(sys, load, seed, pa)
+						return loadSweepValues(r), err
 					},
 				})
 			}
@@ -356,16 +322,13 @@ func init() {
 					"load":   fmt.Sprintf("%.2f", BigWorldLoad),
 					"dist":   LoadSweepDist().Name(),
 				},
-				Run: func(seed int64) (Values, error) {
+				Run: func(seed int64, pa *pointAudit) (Values, error) {
 					sys, err := BuildFabric(stack)
 					if err != nil {
 						return nil, err
 					}
-					r, err := MeasureBigWorld(sys, seed)
-					if err != nil {
-						return nil, err
-					}
-					return loadSweepValues(r), nil
+					r, err := MeasureBigWorld(sys, seed, pa)
+					return loadSweepValues(r), err
 				},
 			})
 		}
@@ -389,12 +352,9 @@ func init() {
 						"rate":   fmt.Sprintf("%.0f", rate),
 						"hs":     pt.Policy.String(),
 					},
-					Run: func(seed int64) (Values, error) {
-						r, err := MeasureChurn(pt.Spec, pt.Policy, rate, seed)
-						if err != nil {
-							return nil, err
-						}
-						return churnValues(r), nil
+					Run: func(seed int64, pa *pointAudit) (Values, error) {
+						r, err := MeasureChurn(pt.Spec, pt.Policy, rate, seed, pa)
+						return churnValues(r), err
 					},
 				})
 			}
@@ -412,16 +372,13 @@ func init() {
 					Key:    fmt.Sprintf("sys=%s/fault=%s", stack.Name, level.Name),
 					Seed:   chaosSeed(li),
 					Labels: Labels{"system": stack.Name, "fault": level.Name},
-					Run: func(seed int64) (Values, error) {
+					Run: func(seed int64, pa *pointAudit) (Values, error) {
 						sys, err := BuildFabric(stack)
 						if err != nil {
 							return nil, err
 						}
-						r, err := MeasureChaos(sys, level.C, seed)
-						if err != nil {
-							return nil, err
-						}
-						return chaosValues(r), nil
+						r, err := MeasureChaos(sys, level.C, seed, pa)
+						return chaosValues(r), err
 					},
 				})
 			}
@@ -437,7 +394,7 @@ func init() {
 				Key:    name,
 				Seed:   1,
 				Labels: Labels{"scenario": name},
-				Run: func(seed int64) (Values, error) {
+				Run: func(seed int64, _ *pointAudit) (Values, error) {
 					r := Fig2Scenario(i, seed)
 					dec := 0.0
 					if r.Decrypted {
@@ -462,7 +419,7 @@ func init() {
 			specs = append(specs, pointSpec{
 				Key:    fmt.Sprintf("size_bits=%d", r.SizeBits),
 				Labels: Labels{"size_bits": itoa(r.SizeBits), "id_bits": itoa(r.IDBits)},
-				Run: func(int64) (Values, error) {
+				Run: func(int64, *pointAudit) (Values, error) {
 					return Values{
 						"size_bits":           float64(r.SizeBits),
 						"id_bits":             float64(r.IDBits),
@@ -482,7 +439,7 @@ func init() {
 		for i := range rows {
 			specs = append(specs, pointSpec{
 				Key: "sys=" + rows[i].System,
-				Run: func(int64) (Values, error) {
+				Run: func(int64, *pointAudit) (Values, error) {
 					return nil, nil
 				},
 				Labels: Labels{
@@ -503,7 +460,7 @@ func init() {
 		// together; values are wall-clock and so machine-dependent.
 		return []pointSpec{{
 			Key: "all-ops",
-			Run: func(int64) (Values, error) {
+			Run: func(int64, *pointAudit) (Values, error) {
 				vals := Values{}
 				for _, r := range handshake.MeasureTable2() {
 					vals["paper_us/"+r.Name] = r.PaperUs

@@ -43,20 +43,27 @@ type Result struct {
 	// simulation cost, not the virtual-time result).
 	ElapsedMs float64 `json:"elapsed_ms"`
 	// Err is set when the point returned an error (a stack that could
-	// not be built or wired) or panicked instead of completing.
+	// not be built or wired), panicked instead of completing, or, in an
+	// audited run, failed its settlement ("audit: ...").
 	Err string `json:"error,omitempty"`
+	// Audit is the point's settled wire audit in a run with
+	// RunOptions.Audit set, nil otherwise. It is never serialized:
+	// audited and plain artifacts are byte-identical.
+	Audit *Settlement `json:"-"`
 }
 
 // pointSpec is the in-package building block of registered experiments:
 // one cell's identity plus the closure that measures it, called with the
-// cell's Seed. Run reports setup failures (unbuildable stacks, key
-// material) as error returns; panics are still recovered as a last
-// resort.
+// cell's Seed and, in an audited run, the point's audit (nil otherwise),
+// which the closure passes on to its Measure* call. Run reports setup
+// failures (unbuildable stacks, key material) as error returns, and
+// Values returned beside an error are dropped; panics are still
+// recovered as a last resort.
 type pointSpec struct {
 	Key    string
 	Seed   int64
 	Labels Labels
-	Run    func(seed int64) (Values, error)
+	Run    func(seed int64, pa *pointAudit) (Values, error)
 }
 
 // Experiment is one named table/figure of the evaluation: a
@@ -72,6 +79,7 @@ type Experiment struct {
 	desc   string
 	build  func(lineup []StackSpec) []pointSpec
 	lineup []StackSpec // nil = DefaultLineup()
+	audit  bool        // settle each point's audited worlds into Result.Audit
 }
 
 // Name is the registry key, e.g. "fig6".
@@ -99,7 +107,8 @@ func (e Experiment) Points() []Point {
 }
 
 // Run executes one point and returns its result. It does not depend on
-// any other point having run.
+// any other point having run. On an audited experiment (RunOptions.Audit)
+// the point's worlds are settled before Run returns.
 func (e Experiment) Run(p Point) Result {
 	specs := e.specs()
 	res := Result{Experiment: e.name, Index: p.Index, Key: p.Key, Seed: p.Seed}
@@ -123,10 +132,20 @@ func (e Experiment) Run(p Point) Result {
 				res.Err = fmt.Sprint(r)
 			}
 		}()
+		var pa *pointAudit
+		if e.audit {
+			pa = &pointAudit{}
+		}
 		var err error
-		res.Values, err = s.Run(s.Seed)
+		res.Values, err = s.Run(s.Seed, pa)
 		if err != nil {
-			res.Err = err.Error()
+			res.Values, res.Err = nil, err.Error()
+		}
+		if pa != nil {
+			res.Audit = pa.settle()
+			if res.Err == "" {
+				res.Err = res.Audit.failure()
+			}
 		}
 	}()
 	//smt:allow determinism -- wall-clock elapsed time is runner metadata, never part of the measured artifact

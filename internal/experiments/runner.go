@@ -25,6 +25,13 @@ type RunOptions struct {
 	// fig7, fig9, incast, multiclient, loadsweep, churn) sweep; nil or
 	// empty means DefaultLineup(). Every other experiment ignores it.
 	Lineup []StackSpec
+	// Audit attaches the wire auditor to every world each point builds
+	// and settles the point's worlds when it returns: Result.Audit
+	// carries the settlement, and a point whose settlement finds a
+	// violation, a leaked packet, a world that did not quiesce or one
+	// that saw no packets fails with an "audit: ..." error. Artifacts
+	// are byte-identical either way.
+	Audit bool
 }
 
 func (o RunOptions) workers() int {
@@ -87,12 +94,13 @@ func ForEach(n, workers int, fn func(i int)) {
 	}
 }
 
-// bind decomposes e over o.Lineup; runs on the default lineup come back
-// unchanged.
+// bind decomposes e over o.Lineup (runs on the default lineup keep
+// theirs) and audits it when o.Audit is set.
 func (o RunOptions) bind(e Experiment) Experiment {
 	if len(o.Lineup) > 0 {
 		e.lineup = append([]StackSpec(nil), o.Lineup...)
 	}
+	e.audit = o.Audit
 	return e
 }
 

@@ -76,8 +76,10 @@ type World struct {
 	Server *cpusim.Host // Hosts[1]
 
 	// Audit is the wire-compliance auditor tapping Net, nil unless
-	// EnableAudit or SetAuditAll attached one. Purely an observer:
-	// artifacts are byte-identical with or without it.
+	// EnableAudit attached one: MeasureChaos always does, and so does
+	// every world a point of an audited run (RunOptions.Audit) builds.
+	// Purely an observer: artifacts are byte-identical with or without
+	// it.
 	Audit *audit.Auditor
 
 	// Check, when non-nil, observes every RPC payload the fabric
@@ -114,7 +116,6 @@ func NewFabricWorld(seed int64, topo netsim.Topology) *World {
 		w.Hosts = append(w.Hosts, cpusim.NewHost(eng, cm, net, wire.HostAddr(i), StackCores, AppThreads))
 	}
 	w.Client, w.Server = w.Hosts[0], w.Hosts[1]
-	maybeAuditWorld(w)
 	return w
 }
 
