@@ -58,6 +58,8 @@ type Codec struct {
 	rx    *tlsrec.AEAD
 	alloc tlsrec.BitAllocation
 	guard *tlsrec.MsgIDGuard
+	// maxMsg is MaxMessageSize, fixed by alloc when the codec is built.
+	maxMsg int
 
 	// hw enables NIC TLS offload: Encode emits record descriptors and
 	// plaintext shells instead of sealing in software.
@@ -70,9 +72,10 @@ type Codec struct {
 	// context IDs are sessionBase|queue (§4.4.2: one context per queue
 	// per flow 5-tuple).
 	sessionBase uint64
-	// nicNext tracks, per queue, the record sequence number the NIC
-	// context will expect next; a mismatch on submit requests a resync.
-	nicNext map[int]uint64
+	// nicNext tracks, per NIC queue, the record sequence number the
+	// queue's context will expect next; a mismatch on submit requests a
+	// resync. It grows to the highest queue used.
+	nicNext []nicQueue
 
 	// segFree recycles encode segments (descriptor + payload scratch +
 	// record-descriptor slice); a segment is in flight from Encode until
@@ -132,11 +135,17 @@ func NewCodec(cm *cost.Model, keys SessionKeys, alloc tlsrec.BitAllocation, hw b
 		cm: cm, tx: tx, rx: rx,
 		alloc:       alloc,
 		guard:       tlsrec.NewMsgIDGuard(),
+		maxMsg:      maxMessageSize(alloc),
 		hw:          hw,
 		padTo:       padTo,
 		sessionBase: sessionBase,
-		nicNext:     make(map[int]uint64),
 	}, nil
+}
+
+// nicQueue is a codec's view of one NIC queue's flow context.
+type nicQueue struct {
+	next uint64 // record sequence number the context expects next
+	used bool   // a segment has gone out on this queue
 }
 
 // HW reports whether the codec uses NIC TLS offload.
@@ -146,8 +155,12 @@ func (c *Codec) HW() bool { return c.hw }
 func (c *Codec) Alloc() tlsrec.BitAllocation { return c.alloc }
 
 // MaxMessageSize is the largest message the record-index field can carry.
-func (c *Codec) MaxMessageSize() int {
-	max := c.alloc.MaxMessageSize(RecSpan)
+func (c *Codec) MaxMessageSize() int { return c.maxMsg }
+
+// maxMessageSize is the largest message alloc's record-index field can
+// carry at RecSpan bytes per record, capped at 1 TiB.
+func maxMessageSize(alloc tlsrec.BitAllocation) int {
+	max := alloc.MaxMessageSize(RecSpan)
 	const cap = 1 << 40
 	if max > cap {
 		return cap
@@ -253,11 +266,14 @@ func (c *Codec) Encode(msgID uint64, msg []byte, off, n, queue int, retransmit b
 		seg.Keys = c.tx
 		seg.CtxID = c.sessionBase | uint64(queue&0xffff)
 		first := recs[0].Seq
-		if expect, used := c.nicNext[queue]; used && expect != first {
+		for len(c.nicNext) <= queue {
+			c.nicNext = append(c.nicNext, nicQueue{})
+		}
+		if q := &c.nicNext[queue]; q.used && q.next != first {
 			seg.Resync = true
 			c.Stats.Resyncs++
 		}
-		c.nicNext[queue] = nextSeq
+		c.nicNext[queue] = nicQueue{next: nextSeq, used: true}
 	}
 	return *seg, cpu
 }

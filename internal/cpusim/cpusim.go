@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"smt/internal/cost"
+	"smt/internal/idmap"
 	"smt/internal/netsim"
 	"smt/internal/nicsim"
 	"smt/internal/sim"
@@ -33,9 +34,8 @@ type Handler interface {
 }
 
 // bindKey packs a binding's (proto, port) into one word, proto<<16 |
-// port, so the per-packet handler lookup takes the runtime's 32-bit map
-// fast path instead of hashing a padded struct.
-type bindKey uint32
+// port, the key of the host's handler table.
+type bindKey uint64
 
 func makeBindKey(proto uint8, port uint16) bindKey {
 	return bindKey(proto)<<16 | bindKey(port)
@@ -51,7 +51,7 @@ type Host struct {
 	Softirq []*sim.Resource
 	App     []*sim.Resource
 
-	handlers map[bindKey]Handler
+	handlers idmap.Map[Handler] // by bindKey
 	nextPort uint16
 
 	// StreamConns counts active stream-transport (TCP-family)
@@ -102,7 +102,6 @@ func NewHost(eng *sim.Engine, cm *cost.Model, net *netsim.Network, addr uint32, 
 	}
 	h := &Host{
 		Eng: eng, CM: cm, Addr: addr,
-		handlers: make(map[bindKey]Handler),
 		nextPort: 40000,
 	}
 	for i := 0; i < nSoftirq; i++ {
@@ -127,17 +126,17 @@ func (h *Host) SoftirqQueue(c int) int { return len(h.App) + c%len(h.Softirq) }
 // Bind registers a handler for (proto, port). Binding an in-use pair
 // panics: it is a harness bug, not a runtime condition.
 func (h *Host) Bind(proto uint8, port uint16, hd Handler) {
-	k := makeBindKey(proto, port)
-	if _, dup := h.handlers[k]; dup {
+	k := uint64(makeBindKey(proto, port))
+	if h.handlers.Has(k) {
 		//smt:allow panic -- wiring-time bind conflict; silently replacing a handler would misroute packets between stacks
 		panic(fmt.Sprintf("cpusim: port %d/%d already bound", proto, port))
 	}
-	h.handlers[k] = hd
+	h.handlers.Put(k, hd)
 }
 
 // Unbind removes a binding.
 func (h *Host) Unbind(proto uint8, port uint16) {
-	delete(h.handlers, makeBindKey(proto, port))
+	h.handlers.Delete(uint64(makeBindKey(proto, port)))
 }
 
 // AllocPort returns a fresh ephemeral port.
@@ -156,7 +155,7 @@ func (h *Host) AllocPort() uint16 {
 //
 //smt:hotroot
 func (h *Host) dispatch(pkt *wire.Packet) {
-	hd, ok := h.handlers[makeBindKey(pkt.IP.Protocol, pkt.Overlay.DstPort)]
+	hd, ok := h.handlers.Get(uint64(makeBindKey(pkt.IP.Protocol, pkt.Overlay.DstPort)))
 	if !ok {
 		h.DroppedNoHandler++
 		pkt.Release()

@@ -8,8 +8,10 @@ func ReceivedFree(s *Socket) int { return len(s.inFree) }
 // as an identity the recycled-state tests compare, or nil once the
 // message has been acknowledged.
 func SentState(s *Socket, dst uint32, port uint16, id uint64) any {
-	if m, ok := s.peers[makePeerKey(dst, port)].out[id]; ok {
-		return m
+	if p, ok := s.peers.Get(uint64(makePeerKey(dst, port))); ok {
+		if m, ok := p.out.Get(id); ok {
+			return m
+		}
 	}
 	return nil
 }

@@ -435,7 +435,9 @@ func TestRepushedSendBufferNotRecycled(t *testing.T) {
 		i := i
 		w.eng.At(sim.Time(i)*4*senderTimeout, func() {
 			id := cli.Send(2, 100, fill(size, byte(i)), 0)
-			bufs[i] = &cli.peers[makePeerKey(2, 100)].out[id].payload[0]
+			p, _ := cli.peers.Get(uint64(makePeerKey(2, 100)))
+			m, _ := p.out.Get(id)
+			bufs[i] = &m.payload[0]
 		})
 	}
 	w.eng.Run()

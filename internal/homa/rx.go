@@ -41,16 +41,17 @@ type inMsg struct {
 // after rxData has copied the payload into the reassembly buffer.
 type rxEvent struct {
 	s    *Socket
+	p    *peer
 	pkt  *wire.Packet
 	core int
 }
 
 // Run implements sim.Action.
 func (r *rxEvent) Run() {
-	s, pkt, core := r.s, r.pkt, r.core
-	r.pkt = nil
+	s, p, pkt, core := r.s, r.p, r.pkt, r.core
+	r.p, r.pkt = nil, nil
 	s.rxFree = append(s.rxFree, r)
-	s.rxData(pkt, core)
+	s.rxData(p, pkt, core)
 	pkt.Release()
 }
 
@@ -100,12 +101,13 @@ func (h *handler) HandlePacket(pkt *wire.Packet, core int) {
 	switch pkt.Overlay.Type {
 	case wire.TypeData:
 		cm := s.host.CM
-		k := msgKey{makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort), pkt.Overlay.MsgID}
-		msgCore, ok := s.msgCore[k]
+		p := s.peerFor(makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort))
+		id := pkt.Overlay.MsgID
+		msgCore, ok := p.core.Get(id)
 		cost := cm.HomaRxPerPacket
 		if !ok {
 			msgCore = s.host.LeastLoadedSoftirq()
-			s.msgCore[k] = msgCore
+			p.core.Put(id, msgCore)
 			cost += cm.HomaRxMsgFixed
 		}
 		r := pop(&s.rxFree)
@@ -113,7 +115,7 @@ func (h *handler) HandlePacket(pkt *wire.Packet, core int) {
 			//smt:coldpath -- rxEvent free-list refill; steady state reuses pooled events
 			r = &rxEvent{s: s}
 		}
-		r.pkt, r.core = pkt, msgCore
+		r.p, r.pkt, r.core = p, pkt, msgCore
 		s.host.Softirq[msgCore%len(s.host.Softirq)].AcquireAction(cost, r)
 	case wire.TypeGrant:
 		s.rxGrant(pkt, core)
@@ -135,13 +137,12 @@ func (h *handler) HandlePacket(pkt *wire.Packet, core int) {
 	}
 }
 
-func (s *Socket) rxData(pkt *wire.Packet, core int) {
-	pk := makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)
-	p := s.peerFor(pk)
+func (s *Socket) rxData(p *peer, pkt *wire.Packet, core int) {
+	pk := p.key
 	id := pkt.Overlay.MsgID
-	m, ok := p.in[id]
+	m, ok := p.in.Get(id)
 	if !ok {
-		if p.done[id] {
+		if p.done.Has(id) {
 			// Late duplicate of a completed message. Re-ACK it: the
 			// original ACK may have been lost, and the sender re-pushes on
 			// its timeout until one arrives — discarding silently would
@@ -231,7 +232,7 @@ func (s *Socket) newInMsg(p *peer, pkt *wire.Packet, core int) *inMsg {
 		clear(seg.have)
 		seg.got, seg.complete = 0, false
 	}
-	p.in[m.id] = m
+	p.in.Put(m.id, m)
 	s.activeIn++
 	// SRPT/grant bookkeeping: registering a message scans the active-RPC
 	// structures, whose size grows with receive concurrency (a known
@@ -346,8 +347,8 @@ func (d *deliverEvent) Run() {
 		}
 		d.payload = append(d.payload, plain...)
 	}
-	delete(p.in, m.id)
-	delete(s.msgCore, msgKey{p.key, m.id})
+	p.in.Delete(m.id)
+	p.core.Delete(m.id)
 	p.markDone(m.id)
 	s.activeIn--
 	// Every segment decoded (and its plaintext copied into the payload
@@ -442,11 +443,11 @@ func (m *inMsg) resendTimeout() {
 // rxGrant lets the sender push more segments from the pacer (softirq)
 // context.
 func (s *Socket) rxGrant(pkt *wire.Packet, core int) {
-	p, ok := s.peers[makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)]
+	p, ok := s.peers.Get(uint64(makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)))
 	if !ok {
 		return
 	}
-	m, ok := p.out[pkt.Overlay.MsgID]
+	m, ok := p.out.Get(pkt.Overlay.MsgID)
 	if !ok || m.acked {
 		return
 	}
@@ -458,11 +459,11 @@ func (s *Socket) rxGrant(pkt *wire.Packet, core int) {
 
 // rxResend retransmits the requested range (whole segments).
 func (s *Socket) rxResend(pkt *wire.Packet, core int) {
-	p, ok := s.peers[makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)]
+	p, ok := s.peers.Get(uint64(makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)))
 	if !ok {
 		return
 	}
-	m, ok := p.out[pkt.Overlay.MsgID]
+	m, ok := p.out.Get(pkt.Overlay.MsgID)
 	if !ok || m.acked {
 		return
 	}
@@ -489,14 +490,13 @@ func (s *Socket) rxResend(pkt *wire.Packet, core int) {
 // and its submit events have all run by the time the receiver can ACK,
 // so nothing still refers to either.
 func (s *Socket) rxAck(pkt *wire.Packet) {
-	p, ok := s.peers[makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)]
+	p, ok := s.peers.Get(uint64(makePeerKey(pkt.IP.Src, pkt.Overlay.SrcPort)))
 	if !ok {
 		return
 	}
-	if m, ok := p.out[pkt.Overlay.MsgID]; ok {
+	if m, ok := p.out.Delete(pkt.Overlay.MsgID); ok {
 		m.acked = true
 		m.timer.Stop()
-		delete(p.out, pkt.Overlay.MsgID)
 		if !m.resent {
 			m.p = nil
 			s.outFree = append(s.outFree, m)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"smt/internal/cpusim"
+	"smt/internal/idmap"
 	"smt/internal/nicsim"
 	"smt/internal/sim"
 	"smt/internal/wire"
@@ -70,8 +71,7 @@ type Stats struct {
 }
 
 // peerKey packs a peer's (addr, port) into one word, addr<<16 | port,
-// so the per-packet peer lookups take the runtime's 64-bit map fast
-// path instead of hashing a padded struct.
+// the key of the socket's peer table.
 type peerKey uint64
 
 func makePeerKey(addr uint32, port uint16) peerKey {
@@ -91,8 +91,7 @@ type Socket struct {
 	port  uint16
 	newCo func(peer peerKey) Codec
 
-	peers       map[peerKey]*peer
-	msgCore     map[msgKey]int // per-message softirq core affinity
+	peers       idmap.Map[*peer] // by peerKey
 	onMessage   func(Delivery)
 	onHandshake func(*wire.Packet, int)
 	closed      bool
@@ -125,18 +124,25 @@ type msgKey struct {
 	id uint64
 }
 
+// peer is the state a socket keeps per peer (addr, port). Its tables are
+// keyed by message ID.
 type peer struct {
 	key       peerKey
 	codec     Codec
 	nextMsgID uint64
-	out       map[uint64]*outMsg
-	in        map[uint64]*inMsg
+	out       idmap.Map[*outMsg]
+	in        idmap.Map[*inMsg]
+	// core is each incoming message's softirq core affinity, set by its
+	// first DATA packet and dropped at delivery. A message rejected at
+	// admission, and a late duplicate of a delivered one, leave their
+	// entries behind for the life of the socket.
+	core idmap.Map[int]
 	// done remembers recently delivered incoming message IDs so late
 	// duplicates of completed messages are discarded; SMT's MsgIDGuard
 	// subsumes this, but vanilla Homa needs its own bounded memory.
 	// doneRing holds the same IDs in completion order: it grows to
 	// doneCap, then turns into a ring whose oldest entry is at doneHead.
-	done     map[uint64]bool
+	done     idmap.Map[struct{}]
 	doneRing []uint64
 	doneHead int
 }
@@ -148,11 +154,11 @@ func (p *peer) markDone(id uint64) {
 	if len(p.doneRing) < doneCap {
 		p.doneRing = append(p.doneRing, id)
 	} else {
-		delete(p.done, p.doneRing[p.doneHead])
+		p.done.Delete(p.doneRing[p.doneHead])
 		p.doneRing[p.doneHead] = id
 		p.doneHead = (p.doneHead + 1) % doneCap
 	}
-	p.done[id] = true
+	p.done.Put(id, struct{}{})
 }
 
 // NewSocket binds a socket on host. codecFactory builds the per-peer
@@ -164,12 +170,7 @@ func NewSocket(host *cpusim.Host, cfg Config, codecFactory func(peerAddr uint32,
 	if cfg.Proto == 0 {
 		cfg.Proto = wire.ProtoHoma
 	}
-	s := &Socket{
-		host:    host,
-		cfg:     cfg,
-		peers:   make(map[peerKey]*peer),
-		msgCore: make(map[msgKey]int),
-	}
+	s := &Socket{host: host, cfg: cfg}
 	if codecFactory == nil {
 		shared := &PlainCodec{}
 		codecFactory = func(uint32, uint16) Codec { return shared }
@@ -244,26 +245,20 @@ func (s *Socket) Close() {
 }
 
 func (s *Socket) peerFor(pk peerKey) *peer {
-	p, ok := s.peers[pk]
+	p, ok := s.peers.Get(uint64(pk))
 	if !ok {
 		p = s.newPeer(pk)
-		s.peers[pk] = p
+		s.peers.Put(uint64(pk), p)
 	}
 	return p
 }
 
 // newPeer builds the per-peer state on first contact; steady state hits
-// the map lookup in peerFor instead.
+// the table lookup in peerFor instead.
 //
 //smt:coldpath peer setup runs once per (addr, port) pair
 func (s *Socket) newPeer(pk peerKey) *peer {
-	return &peer{
-		key:   pk,
-		codec: s.newCo(pk),
-		out:   make(map[uint64]*outMsg),
-		in:    make(map[uint64]*inMsg),
-		done:  make(map[uint64]bool),
-	}
+	return &peer{key: pk, codec: s.newCo(pk)}
 }
 
 // Peer returns the codec associated with a peer, creating the peer state
@@ -342,7 +337,7 @@ func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread 
 	copy(m.payload, payload)
 	m.segSent = resize(m.segSent, nSegs(len(payload), p.codec.SegSpan()))
 	clear(m.segSent)
-	p.out[id] = m
+	p.out.Put(id, m)
 	s.Stats.MsgsSent++
 	s.Stats.BytesSent += uint64(len(payload))
 

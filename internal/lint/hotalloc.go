@@ -32,14 +32,15 @@ import (
 //
 // Recognized allocation kinds: make/new, &composite and slice/map
 // literals, append outside the recognized scratch idiom (appending into
-// field-backed or parameter-backed storage), capturing closures, fmt
-// calls, string<->[]byte conversions, and explicit interface boxing of
-// non-pointer values. A capturing closure handed to the alloc-free
-// Engine.At/After forms is the common case: that is what the pooled
-// PostAction form or a prebuilt func field is for. A &composite literal
-// passed straight to a first-party parameter that provably never
-// escapes its callee (see paramStaysLocal) stays in the caller's frame
-// and is not flagged.
+// field-backed or parameter-backed storage), map inserts (m[k] = v,
+// m[k] op= v, m[k]++: any of them can grow the map; reads and delete
+// cannot), capturing closures, fmt calls, string<->[]byte conversions,
+// and explicit interface boxing of non-pointer values. A capturing
+// closure handed to the alloc-free Engine.At/After forms is the common
+// case: that is what the pooled PostAction form or a prebuilt func
+// field is for. A &composite literal passed straight to a first-party
+// parameter that provably never escapes its callee (see
+// paramStaysLocal) stays in the caller's frame and is not flagged.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "no heap allocation reachable from a steady-state root without //smt:coldpath -- <reason>",
@@ -166,9 +167,34 @@ func (ha *hotAlloc) scan(n *Node, root *Node) {
 					flag(e.Pos(), "slice/map literal allocates")
 				}
 			}
+		case *ast.AssignStmt:
+			for _, lhs := range e.Lhs {
+				if isMapIndex(info, lhs) {
+					flag(lhs.Pos(), "map insert can grow the map, which allocates")
+				}
+			}
+		case *ast.IncDecStmt:
+			if isMapIndex(info, e.X) {
+				flag(e.X.Pos(), "map insert can grow the map, which allocates")
+			}
 		}
 		return true
 	})
+}
+
+// isMapIndex reports whether e is an index expression on a map-typed
+// operand (m[k]); as an assignment target it inserts or updates.
+func isMapIndex(info *types.Info, e ast.Expr) bool {
+	ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	tv, ok := info.Types[ix.X]
+	if !ok {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
 }
 
 // localArgs collects the &T{...} literals in n's own body that are passed

@@ -15,9 +15,11 @@ import (
 var Sink any
 
 type state struct {
-	buf  []byte
-	eng  *sim.Engine
-	fire func()
+	buf   []byte
+	eng   *sim.Engine
+	fire  func()
+	seen  map[int]bool
+	count map[int]int
 }
 
 type msg struct{ n int }
@@ -77,6 +79,16 @@ func pump(s *state, m *msg, data []byte) {
 	use(peek(&msg{n: 2}))
 	keep(&msg{n: 3})     // want "heap-escaping composite literal"
 	later(s, &msg{n: 4}) // want "heap-escaping composite literal"
+
+	// A map insert (plain, compound or ++) can grow the map; a read or a
+	// delete cannot.
+	s.seen[m.n] = true // want "map insert can grow the map"
+	s.count[m.n] += 2  // want "map insert can grow the map"
+	s.count[m.n]++     // want "map insert can grow the map"
+	use(s.count[m.n])
+	delete(s.seen, m.n)
+	//smt:coldpath -- fixture: a first-contact insert, once per key
+	s.seen[-m.n] = true
 
 	helper(m)
 	coldHelper(m)

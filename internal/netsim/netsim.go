@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"smt/internal/cost"
+	"smt/internal/idmap"
 	"smt/internal/sim"
 	"smt/internal/stats"
 	"smt/internal/wire"
@@ -129,7 +130,6 @@ func (t Topology) Build(eng *sim.Engine, cm *cost.Model) *Network {
 	if t.Switch != nil {
 		sw := *t.Switch
 		n.sw = &sw
-		n.ports = make(map[uint32]*egressPort)
 	}
 	return n
 }
@@ -212,7 +212,7 @@ func (h *hopEvent) Run() {
 		n.putHop(h)
 		p.busy = false
 		n.bufUsed -= pkt.WireLen()
-		if dst, ok := n.eps[pkt.IP.Dst]; ok {
+		if dst, ok := n.eps.Get(uint64(pkt.IP.Dst)); ok {
 			n.finalHop(pkt, dst, 0)
 		} else {
 			if n.tap != nil {
@@ -252,11 +252,11 @@ func (n *Network) putHop(h *hopEvent) {
 type Network struct {
 	eng *sim.Engine
 	cm  *cost.Model
-	eps map[uint32]func(*wire.Packet)
+	eps idmap.Map[func(*wire.Packet)] // receive handlers by address
 
 	// Switch state (nil sw = ideal wiring).
 	sw      *SwitchConfig
-	ports   map[uint32]*egressPort
+	ports   idmap.Map[*egressPort] // by destination address
 	bufUsed int
 
 	// pool recycles packets (and their payload storage) across the whole
@@ -307,7 +307,7 @@ type Network struct {
 // model (the back-to-back testbed). Use Topology.Build for a switched
 // fabric.
 func New(eng *sim.Engine, cm *cost.Model) *Network {
-	return &Network{eng: eng, cm: cm, eps: make(map[uint32]func(*wire.Packet))}
+	return &Network{eng: eng, cm: cm}
 }
 
 // Switched reports whether packets cross an output-queued switch.
@@ -338,7 +338,7 @@ func (n *Network) Attach(addr uint32, rx func(*wire.Packet)) {
 		//smt:allow panic -- wiring-time contract; a nil handler would silently blackhole (and leak) every delivered packet
 		panic(fmt.Sprintf("netsim: nil rx for %d", addr))
 	}
-	n.eps[addr] = rx
+	n.eps.Put(uint64(addr), rx)
 }
 
 // Deliver accepts a fully serialized packet from a transmitting NIC and
@@ -349,7 +349,7 @@ func (n *Network) Deliver(pkt *wire.Packet) {
 	if n.tap != nil {
 		n.tap.PacketSent(pkt)
 	}
-	dst, ok := n.eps[pkt.IP.Dst]
+	dst, ok := n.eps.Get(uint64(pkt.IP.Dst))
 	if !ok || n.Partitioned {
 		if n.tap != nil {
 			reason := DropNoRoute
@@ -436,10 +436,10 @@ func (n *Network) switchEnqueue(pkt *wire.Packet) {
 	}
 	n.bufUsed += size
 	n.QueueDepth.Record(int64(n.bufUsed))
-	p, ok := n.ports[pkt.IP.Dst]
+	p, ok := n.ports.Get(uint64(pkt.IP.Dst))
 	if !ok {
 		p = &egressPort{}
-		n.ports[pkt.IP.Dst] = p
+		n.ports.Put(uint64(pkt.IP.Dst), p)
 	}
 	// Switching latency before the packet reaches its egress queue.
 	h := n.getHop()

@@ -18,6 +18,7 @@ import (
 	"math/bits"
 
 	"smt/internal/cost"
+	"smt/internal/idmap"
 	"smt/internal/netsim"
 	"smt/internal/sim"
 	"smt/internal/tlsrec"
@@ -132,9 +133,9 @@ type NIC struct {
 	net  *netsim.Network
 	addr uint32
 
-	queues []*sim.Resource // per-queue descriptor processing
-	ctxs   map[uint64]*tlsCtx
-	jobs   []*txJob // pooled submitted-segment copies
+	queues []*sim.Resource    // per-queue descriptor processing
+	ctxs   idmap.Map[*tlsCtx] // flow contexts by CtxID
+	jobs   []*txJob           // pooled submitted-segment copies
 
 	// Per-queue packet FIFOs and the round-robin wire arbiter: the link
 	// transmits one packet at a time, cycling across non-empty queues.
@@ -168,8 +169,7 @@ func New(eng *sim.Engine, cm *cost.Model, net *netsim.Network, addr uint32, nQue
 	}
 	n := &NIC{
 		eng: eng, cm: cm, net: net, addr: addr,
-		ctxs: make(map[uint64]*tlsCtx),
-		pq:   make([]netsim.FIFO[pendingPkt], nQueues),
+		pq: make([]netsim.FIFO[pendingPkt], nQueues),
 	}
 	for q := 0; q < nQueues; q++ {
 		n.queues = append(n.queues, sim.NewResource(eng))
@@ -198,14 +198,13 @@ func (n *NIC) AcquirePacket() *wire.Packet { return n.net.AcquirePacket() }
 
 // HasContext reports whether a live flow context exists for id.
 func (n *NIC) HasContext(id uint64) bool {
-	_, ok := n.ctxs[id]
-	return ok
+	return n.ctxs.Has(id)
 }
 
 // ContextSeq returns the context's current expected sequence number, for
 // tests and the Fig. 2 demo.
 func (n *NIC) ContextSeq(id uint64) (uint64, bool) {
-	c, ok := n.ctxs[id]
+	c, ok := n.ctxs.Get(id)
 	if !ok {
 		return 0, false
 	}
@@ -229,11 +228,11 @@ func (n *NIC) SendSegment(q int, seg *TxSegment) {
 	j := n.takeJob()
 	j.q, j.seg = q, *seg
 	if len(seg.Records) > 0 {
-		ctx, ok := n.ctxs[seg.CtxID]
+		ctx, ok := n.ctxs.Get(seg.CtxID)
 		if !ok {
 			//smt:coldpath -- one flow context per CtxID, installed by its first segment
 			ctx = &tlsCtx{aead: seg.Keys, next: seg.Records[0].Seq}
-			n.ctxs[seg.CtxID] = ctx
+			n.ctxs.Put(seg.CtxID, ctx)
 			n.Stats.CtxAllocs++
 			qr.Acquire(n.cm.NICCtxAlloc, nil)
 		} else if seg.Resync {

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"smt/internal/idmap"
 	"smt/internal/sim"
 	"smt/internal/stats"
 )
@@ -89,40 +90,47 @@ type ClosedLoop struct {
 	eng     *sim.Engine
 	issue   func(stream int, reqID uint64)
 	nextID  uint64
-	streams map[uint64]int // outstanding reqID -> stream
+	pending idmap.Map[issued] // by outstanding reqID
+	// refire holds each stream's prebuilt spaced-issue callback.
+	refire []func()
 
-	warmupUntil sim.Time
 	measureFrom sim.Time
 	stopAt      sim.Time
 	stopped     bool
 
-	sent    map[uint64]sim.Time
 	Latency stats.Histogram
 	// Completed counts post-warmup completions; CompletedAll counts all.
 	Completed    uint64
 	CompletedAll uint64
-	// RateLimit, when >0, caps issue rate per stream via a spacing delay
-	// (used by the §5.2 CPU-usage experiment's fixed-rate runs).
+	// StreamSpacing, when >0, delays each stream's next request by this
+	// much after its response arrives, capping the per-stream issue rate
+	// (the §5.2 CPU-usage experiment's fixed-rate runs). Set it before
+	// Start.
 	StreamSpacing sim.Time
+}
+
+// issued is what a ClosedLoop keeps per outstanding request.
+type issued struct {
+	stream int
+	at     sim.Time
 }
 
 // NewClosedLoop creates a generator over the given issue function. Call
 // Start to launch the streams and Done from the response path.
 func NewClosedLoop(eng *sim.Engine, issue func(stream int, reqID uint64)) *ClosedLoop {
-	return &ClosedLoop{
-		eng:     eng,
-		issue:   issue,
-		streams: make(map[uint64]int),
-		sent:    make(map[uint64]sim.Time),
-	}
+	return &ClosedLoop{eng: eng, issue: issue}
 }
 
 // Start launches n streams; measurement begins after warmup and ends at
 // stop (absolute virtual times).
 func (c *ClosedLoop) Start(n int, warmupUntil, stopAt sim.Time) {
-	c.warmupUntil = warmupUntil
 	c.measureFrom = warmupUntil
 	c.stopAt = stopAt
+	if c.StreamSpacing > 0 {
+		for s := len(c.refire); s < n; s++ {
+			c.refire = append(c.refire, func() { c.fire(s) })
+		}
+	}
 	for s := 0; s < n; s++ {
 		c.fire(s)
 	}
@@ -134,31 +142,27 @@ func (c *ClosedLoop) fire(stream int) {
 	}
 	id := c.nextID
 	c.nextID++
-	c.streams[id] = stream
-	c.sent[id] = c.eng.Now()
+	c.pending.Put(id, issued{stream: stream, at: c.eng.Now()})
 	c.issue(stream, id)
 }
 
 // Done reports a response for reqID; the stream's next request fires
 // immediately (or after StreamSpacing).
 func (c *ClosedLoop) Done(reqID uint64) {
-	stream, ok := c.streams[reqID]
+	req, ok := c.pending.Delete(reqID)
 	if !ok {
 		return // duplicate or post-stop response
 	}
-	delete(c.streams, reqID)
-	start := c.sent[reqID]
-	delete(c.sent, reqID)
 	now := c.eng.Now()
 	c.CompletedAll++
 	if now >= c.measureFrom && now < c.stopAt {
 		c.Completed++
-		c.Latency.Record(int64(now - start))
+		c.Latency.Record(int64(now - req.at))
 	}
 	if c.StreamSpacing > 0 {
-		c.eng.After(c.StreamSpacing, func() { c.fire(stream) })
+		c.eng.After(c.StreamSpacing, c.refire[req.stream])
 	} else {
-		c.fire(stream)
+		c.fire(req.stream)
 	}
 }
 
@@ -166,7 +170,7 @@ func (c *ClosedLoop) Done(reqID uint64) {
 func (c *ClosedLoop) Stop() { c.stopped = true }
 
 // Outstanding reports in-flight requests.
-func (c *ClosedLoop) Outstanding() int { return len(c.streams) }
+func (c *ClosedLoop) Outstanding() int { return c.pending.Len() }
 
 // Throughput returns completions per second over the measurement window,
 // evaluated at the engine's current time (or stopAt if passed).

@@ -98,6 +98,28 @@ func TestClosedLoopSpacing(t *testing.T) {
 	}
 }
 
+// TestSpacedStreamAllocs pins that a spaced stream's next request goes
+// out through its prebuilt callback: a warmed Done-to-issue cycle
+// allocates nothing.
+func TestSpacedStreamAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	var last uint64
+	cl := NewClosedLoop(eng, func(stream int, reqID uint64) { last = reqID })
+	cl.StreamSpacing = sim.Microsecond
+	cl.Start(1, 0, sim.Second)
+	cycle := func() {
+		cl.Done(last)
+		eng.RunUntil(eng.Now() + 2*sim.Microsecond)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("spaced Done-to-issue cycle: %v allocs, want 0", n)
+	}
+	if cl.CompletedAll < 100 {
+		t.Fatalf("completed %d cycles, want at least 100", cl.CompletedAll)
+	}
+}
+
 func TestDuplicateDoneIgnored(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var cl *ClosedLoop

@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+
+	"smt/internal/idmap"
 )
 
 // subBucketBits controls histogram resolution: each power-of-two range is
@@ -19,7 +21,7 @@ const subBucketBits = 7
 // nanoseconds, sizes in bytes, ...) in log-linear buckets. The zero value
 // is ready to use.
 type Histogram struct {
-	counts map[uint32]uint64
+	counts idmap.Map[uint64] // by bucketOf key
 	n      uint64
 	sum    float64
 	min    int64
@@ -64,15 +66,14 @@ func (h *Histogram) RecordN(v int64, count uint64) {
 	if count == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[uint32]uint64)
+	if h.n == 0 {
 		h.min = math.MaxInt64
 		h.max = math.MinInt64
 	}
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketOf(v)] += count
+	*h.counts.Ref(uint64(bucketOf(v))) += count
 	h.sorted = nil
 	h.n += count
 	h.sum += float64(v) * float64(count)
@@ -117,10 +118,9 @@ func (h *Histogram) Max() int64 {
 // cover, so an integer sort on the key suffices.
 func (h *Histogram) orderedBuckets() []bucketCount {
 	if h.sorted == nil {
-		h.sorted = make([]bucketCount, 0, len(h.counts))
-		//smt:allow determinism -- buckets are sorted below; iteration order never escapes
-		for b, c := range h.counts {
-			h.sorted = append(h.sorted, bucketCount{b, c})
+		h.sorted = make([]bucketCount, 0, h.counts.Len())
+		for b, c := range h.counts.All() {
+			h.sorted = append(h.sorted, bucketCount{uint32(b), c})
 		}
 		sort.Slice(h.sorted, func(i, j int) bool { return h.sorted[i].b < h.sorted[j].b })
 	}
@@ -173,14 +173,12 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.n == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[uint32]uint64)
+	if h.n == 0 {
 		h.min = math.MaxInt64
 		h.max = math.MinInt64
 	}
-	//smt:allow determinism -- bucket addition is commutative; order never escapes
-	for b, c := range other.counts {
-		h.counts[b] += c
+	for b, c := range other.counts.All() {
+		*h.counts.Ref(b) += c
 	}
 	h.sorted = nil
 	h.n += other.n

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"smt/internal/cpusim"
+	"smt/internal/idmap"
 	"smt/internal/nicsim"
 	"smt/internal/sim"
 	"smt/internal/tlsrec"
@@ -90,10 +91,10 @@ type Conn struct {
 	// forever walks forward through the backing array and forces a
 	// fresh allocation per growth.
 	rcvNxt    int64
-	ooo       map[int64][]byte // out-of-order segments by stream offset
-	oooFree   [][]byte         // recycled ooo buffers, returned once merged
-	rxPending []byte           // in-order ciphertext awaiting app-context decode
-	rxHead    int              // consumed prefix of rxPending
+	ooo       idmap.Map[[]byte] // out-of-order segments by stream offset
+	oooFree   [][]byte          // recycled ooo buffers, returned once merged
+	rxPending []byte            // in-order ciphertext awaiting app-context decode
+	rxHead    int               // consumed prefix of rxPending
 	rxSched   bool
 	lastRx    sim.Time
 	pktCount  int
@@ -504,17 +505,16 @@ func (c *Conn) handleData(pkt *wire.Packet) {
 		c.rcvNxt += int64(len(data))
 		advanced = true
 		for {
-			d, ok := c.ooo[c.rcvNxt]
+			d, ok := c.ooo.Delete(uint64(c.rcvNxt))
 			if !ok {
 				break
 			}
-			delete(c.ooo, c.rcvNxt)
 			c.rxPending = append(c.rxPending, d...)
 			c.rcvNxt += int64(len(d))
 			c.oooFree = append(c.oooFree, d[:0])
 		}
 	case seq > c.rcvNxt:
-		if _, dup := c.ooo[seq]; !dup {
+		if !c.ooo.Has(uint64(seq)) {
 			c.Stats.OutOfOrder++
 			c.holdOOO(seq, data)
 		}
@@ -542,17 +542,13 @@ func (c *Conn) handleData(pkt *wire.Packet) {
 // holdOOO keeps a copy of an out-of-order segment at stream offset seq
 // until the hole before it is filled, in a buffer from oooFree.
 func (c *Conn) holdOOO(seq int64, data []byte) {
-	if c.ooo == nil {
-		//smt:coldpath -- created on the first out-of-order segment; lossless connections never hold one
-		c.ooo = make(map[int64][]byte)
-	}
 	var buf []byte
 	if l := len(c.oooFree); l > 0 {
 		buf = c.oooFree[l-1]
 		c.oooFree[l-1] = nil
 		c.oooFree = c.oooFree[:l-1]
 	}
-	c.ooo[seq] = append(buf, data...)
+	c.ooo.Put(uint64(seq), append(buf, data...))
 }
 
 func (c *Conn) sendAck() {

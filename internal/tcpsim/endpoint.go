@@ -4,14 +4,15 @@ import (
 	"slices"
 
 	"smt/internal/cpusim"
+	"smt/internal/idmap"
 	"smt/internal/nicsim"
 	"smt/internal/sim"
 	"smt/internal/wire"
 )
 
 // connKey identifies a peer endpoint: its (addr, port) packed into one
-// word, addr<<16 | port, so the per-packet connection lookup takes the
-// runtime's 64-bit map fast path, and keys sort in (addr, port) order.
+// word, addr<<16 | port, the key of the endpoint's connection table.
+// Keys sort in (addr, port) order.
 type connKey uint64
 
 func makeConnKey(addr uint32, port uint16) connKey {
@@ -25,7 +26,7 @@ type Endpoint struct {
 	host     *cpusim.Host
 	port     uint16
 	cfg      Config
-	conns    map[connKey]*Conn
+	conns    idmap.Map[*Conn] // by connKey
 	onAccept func(*Conn)
 	newCodec func(peerAddr uint32, peerPort uint16) Codec
 	pickThr  func() int
@@ -42,8 +43,7 @@ func Listen(host *cpusim.Host, port uint16, cfg Config, newCodec func(peerAddr u
 		newCodec = func(uint32, uint16) Codec { return &PlainCodec{} }
 	}
 	e := &Endpoint{
-		host: host, port: port, cfg: cfg,
-		conns: make(map[connKey]*Conn), onAccept: onAccept,
+		host: host, port: port, cfg: cfg, onAccept: onAccept,
 		newCodec: newCodec, pickThr: pickThread,
 	}
 	host.Bind(wire.ProtoTCP, port, e)
@@ -68,7 +68,8 @@ func Dial(host *cpusim.Host, appThread int, cfg Config, newCodec func(localPort 
 		panic("tcpsim: Dial codec factory returned nil")
 	}
 	conn := newConn(host, cfg, codec, local, dstAddr, dstPort, appThread)
-	e := &Endpoint{host: host, port: local, cfg: cfg, conns: map[connKey]*Conn{makeConnKey(dstAddr, dstPort): conn}}
+	e := &Endpoint{host: host, port: local, cfg: cfg}
+	e.conns.Put(uint64(makeConnKey(dstAddr, dstPort)), conn)
 	host.Bind(wire.ProtoTCP, local, e)
 	conn.established = established
 	// SYN (charged as a syscall on the app thread).
@@ -159,8 +160,8 @@ func (e *Endpoint) RxCost(pkt *wire.Packet) sim.Time {
 // it returns to the pool on exit.
 func (e *Endpoint) HandlePacket(pkt *wire.Packet, core int) {
 	defer pkt.Release()
-	k := makeConnKey(pkt.IP.Src, pkt.Overlay.SrcPort)
-	c := e.conns[k]
+	k := uint64(makeConnKey(pkt.IP.Src, pkt.Overlay.SrcPort))
+	c, _ := e.conns.Get(k)
 	switch pkt.Overlay.Type {
 	case wire.TypeHandshake:
 		switch pkt.Overlay.Aux {
@@ -183,7 +184,7 @@ func (e *Endpoint) HandlePacket(pkt *wire.Packet, core int) {
 			}
 			c = newConn(e.host, e.cfg, codec, e.port, pkt.IP.Src, pkt.Overlay.SrcPort, thread)
 			c.core = core
-			e.conns[k] = c
+			e.conns.Put(k, c)
 			e.sendCtl(c, 2)
 			if e.onAccept != nil {
 				e.onAccept(c)
@@ -219,17 +220,17 @@ func (e *Endpoint) Close() {
 }
 
 // sortedConns lists connections in peer-key order so no caller observes
-// map iteration order.
+// the table's slot order.
 func (e *Endpoint) sortedConns() []*Conn {
-	keys := make([]connKey, 0, len(e.conns))
-	//smt:allow determinism -- keys are sorted before use; iteration order never escapes
-	for k := range e.conns {
+	keys := make([]uint64, 0, e.conns.Len())
+	for k := range e.conns.All() {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
 	out := make([]*Conn, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, e.conns[k])
+		c, _ := e.conns.Get(k)
+		out = append(out, c)
 	}
 	return out
 }

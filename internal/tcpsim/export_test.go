@@ -3,7 +3,7 @@ package tcpsim
 // OutOfOrderBufs reports how many out-of-order segment buffers c owns:
 // those still held for a hole and those back on its free list, for the
 // recycled-chunk tests of package tcpsim_test.
-func OutOfOrderBufs(c *Conn) (held, free int) { return len(c.ooo), len(c.oooFree) }
+func OutOfOrderBufs(c *Conn) (held, free int) { return c.ooo.Len(), len(c.oooFree) }
 
 // Unacked reports c's first unacknowledged stream offset and the offset
 // of the queued chunk that holds it, where the next retransmission

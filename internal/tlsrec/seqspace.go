@@ -3,6 +3,8 @@ package tlsrec
 import (
 	"fmt"
 	"math"
+
+	"smt/internal/idmap"
 )
 
 // BitAllocation describes how SMT splits the 64-bit TLS record sequence
@@ -95,45 +97,46 @@ func (s *SpaceTracker) Next() uint64 { return s.next }
 // gaps fill, bounding memory by the reordering window rather than the
 // session length.
 type MsgIDGuard struct {
-	floor uint64          // all IDs < floor have been seen
-	above map[uint64]bool // IDs >= floor seen so far
+	floor uint64              // all IDs < floor have been seen
+	above idmap.Map[struct{}] // IDs >= floor seen so far
 }
 
 // NewMsgIDGuard returns a guard with no messages seen.
-func NewMsgIDGuard() *MsgIDGuard {
-	return &MsgIDGuard{above: make(map[uint64]bool)}
-}
+func NewMsgIDGuard() *MsgIDGuard { return &MsgIDGuard{} }
 
 // Accept records id as seen. It returns ErrReplay if the session has
 // already accepted a message with this ID — the receiver then discards
 // the message without decrypting, like TCP discards a past sequence
-// number (§6.1).
+// number (§6.1). An ID that arrives in order with nothing pending only
+// advances the floor.
 func (g *MsgIDGuard) Accept(id uint64) error {
-	if id < g.floor || g.above[id] {
+	if id == g.floor && g.above.Len() == 0 {
+		g.floor++
+		return nil
+	}
+	if g.Seen(id) {
 		return fmt.Errorf("%w: id %d", ErrReplay, id)
 	}
-	g.above[id] = true
-	for g.above[g.floor] {
-		delete(g.above, g.floor)
+	g.above.Put(id, struct{}{})
+	for {
+		if _, ok := g.above.Delete(g.floor); !ok {
+			return nil
+		}
 		g.floor++
 	}
-	return nil
 }
 
 // Seen reports whether id has been accepted before.
 func (g *MsgIDGuard) Seen(id uint64) bool {
-	return id < g.floor || g.above[id]
+	return id < g.floor || g.above.Has(id)
 }
 
 // Pending reports the number of IDs tracked above the contiguous floor
 // (the memory footprint of the reordering window).
-func (g *MsgIDGuard) Pending() int { return len(g.above) }
+func (g *MsgIDGuard) Pending() int { return g.above.Len() }
 
 // Reset clears the guard, as a key rotation that restarts the message-ID
 // space would (§4.5.2). SMT itself never calls it: resumption registers a
 // new session (core.Socket.RegisterSession), whose fresh codec carries a
 // fresh guard.
-func (g *MsgIDGuard) Reset() {
-	g.floor = 0
-	g.above = make(map[uint64]bool)
-}
+func (g *MsgIDGuard) Reset() { *g = MsgIDGuard{} }

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"smt/internal/idmap"
 	"smt/internal/sim"
 	"smt/internal/stats"
 )
@@ -155,8 +156,8 @@ type OpenLoop struct {
 	warm      sim.Time
 	stop      sim.Time
 	nextID    uint64
-	sent      map[uint64]sentReq
-	arrivalFn func() // prebuilt arrival callback (method values allocate)
+	sent      idmap.Map[sentReq] // by in-flight reqID
+	arrivalFn func()             // prebuilt arrival callback (method values allocate)
 
 	// Ideal maps message size to its unloaded ideal completion time in
 	// nanoseconds. When set, each in-window completion also records
@@ -194,7 +195,6 @@ func NewOpenLoop(eng *sim.Engine, dist Dist, clients, streams int, rate float64,
 		clients: clients,
 		streams: streams,
 		rate:    rate,
-		sent:    make(map[uint64]sentReq),
 	}
 	o.arrivalFn = o.arrival
 	return o, nil
@@ -229,7 +229,7 @@ func (o *OpenLoop) arrival() {
 	o.nextID++
 	client := int(id) % o.clients
 	stream := (int(id) / o.clients) % o.streams
-	o.sent[id] = sentReq{at: now, size: size}
+	o.sent.Put(id, sentReq{at: now, size: size})
 	if now >= o.warm {
 		o.Issued++
 		o.IssuedBytes += uint64(size)
@@ -243,11 +243,10 @@ func (o *OpenLoop) arrival() {
 // Issued counters use, so Completed never exceeds Issued and goodput
 // never exceeds offered load. Stragglers and duplicates are ignored.
 func (o *OpenLoop) Done(reqID uint64) {
-	req, ok := o.sent[reqID]
+	req, ok := o.sent.Delete(reqID)
 	if !ok {
 		return
 	}
-	delete(o.sent, reqID)
 	now := o.eng.Now()
 	if req.at < o.warm || now >= o.stop {
 		return
@@ -262,4 +261,4 @@ func (o *OpenLoop) Done(reqID uint64) {
 }
 
 // Outstanding reports requests issued but not yet completed.
-func (o *OpenLoop) Outstanding() int { return len(o.sent) }
+func (o *OpenLoop) Outstanding() int { return o.sent.Len() }
