@@ -79,8 +79,9 @@ type Codec struct {
 
 	// segFree recycles encode segments (descriptor + payload scratch +
 	// record-descriptor slice); a segment is in flight from Encode until
-	// the NIC runs its Release. decBuf is the Decode output scratch —
-	// valid until the next Decode call on this codec.
+	// the NIC runs its Release. decBuf is Decode's output scratch, valid
+	// until the next Decode call on this codec; the transport decodes
+	// through DecodeTo and never touches it.
 	segFree []*homa.Segment
 	decBuf  []byte
 
@@ -278,32 +279,30 @@ func (c *Codec) Encode(msgID uint64, msg []byte, off, n, queue int, retransmit b
 	return *seg, cpu
 }
 
-// Decode implements homa.Codec: reassembled TSO segment payload → verified
-// plaintext. Record sequence numbers are recomputed from the (plaintext)
-// offsets, so segments decode independently and in any order; any
-// tampering, reordering across spaces, or NIC counter corruption fails
-// authentication here.
-//
-// The returned slice is codec-owned scratch, valid until the next Decode
-// call on this codec; callers copy or consume it immediately (the
-// transport appends it into the delivery buffer).
-func (c *Codec) Decode(msgID uint64, msgLen, off int, seg []byte) ([]byte, sim.Time, error) {
+// DecodeTo implements homa.Codec: reassembled TSO segment payload →
+// verified plaintext, appended to dst. Record sequence numbers are
+// recomputed from the (plaintext) offsets, so segments decode
+// independently and in any order; any tampering, reordering across
+// spaces, or NIC counter corruption fails authentication here. Each
+// record decrypts straight into dst, so the transport's delivery
+// buffer is written once per byte.
+func (c *Codec) DecodeTo(dst []byte, msgID uint64, msgLen, off int, seg []byte) ([]byte, sim.Time, error) {
 	var (
 		cpu    = c.cm.SMTRxSegment
 		pos    int
 		recIdx = uint64(off / RecSpan)
 	)
 	// The transport validates segment geometry against the registered
-	// message, but Decode is also the public codec API: inconsistent
+	// message, but DecodeTo is also the public codec API: inconsistent
 	// coordinates must error, not panic.
 	if msgLen <= 0 || off < 0 || off >= msgLen {
-		return nil, cpu, fmt.Errorf("core: segment offset %d outside message of %d bytes", off, msgLen)
+		return dst, cpu, fmt.Errorf("core: segment offset %d outside message of %d bytes", off, msgLen)
 	}
 	n := msgLen - off
 	if n > homa.DefaultSegSpan {
 		n = homa.DefaultSegSpan
 	}
-	out := c.decBuf[:0]
+	out := dst
 	for done := 0; done < n; {
 		p := RecSpan
 		if n-done < p {
@@ -311,37 +310,47 @@ func (c *Codec) Decode(msgID uint64, msgLen, off int, seg []byte) ([]byte, sim.T
 		}
 		var fr wire.FramingHeader
 		if err := fr.DecodeFromBytes(seg[pos:]); err != nil {
-			return nil, cpu, fmt.Errorf("core: framing: %w", err)
+			return dst, cpu, fmt.Errorf("core: framing: %w", err)
 		}
 		if int(fr.AppDataLen) != p {
-			return nil, cpu, fmt.Errorf("core: framing length %d, want %d", fr.AppDataLen, p)
+			return dst, cpu, fmt.Errorf("core: framing length %d, want %d", fr.AppDataLen, p)
 		}
 		hdrOff := pos + wire.FramingHeaderLen
 		recLen := tlsrec.RecordWireLen(p, c.padOf(p))
 		if hdrOff+recLen > len(seg) {
-			return nil, cpu, fmt.Errorf("core: truncated record at %d", pos)
+			return dst, cpu, fmt.Errorf("core: truncated record at %d", pos)
 		}
 		seq, err := c.alloc.Compose(msgID, recIdx)
 		if err != nil {
-			return nil, cpu, err
+			return dst, cpu, err
 		}
 		base := len(out)
 		ext, ct, err := c.rx.OpenRecordTo(out, seq, seg[hdrOff:hdrOff+recLen])
 		cpu += c.cm.CryptoSW(recLen)
 		if err != nil {
 			c.Stats.AuthFailures++
-			return nil, cpu, err
+			return dst, cpu, err
 		}
 		if ct != wire.RecordTypeApplicationData || len(ext)-base != p {
 			c.Stats.AuthFailures++
-			return nil, cpu, fmt.Errorf("core: unexpected record content")
+			return dst, cpu, fmt.Errorf("core: unexpected record content")
 		}
 		c.Stats.RecordsOpened++
 		out = ext
-		c.decBuf = out
 		pos = hdrOff + recLen
 		done += p
 		recIdx++
+	}
+	return out, cpu, nil
+}
+
+// Decode is DecodeTo into codec-owned scratch, for callers that drive
+// the codec directly: the plaintext is valid until the next Decode call
+// on this codec, and nil on error.
+func (c *Codec) Decode(msgID uint64, msgLen, off int, seg []byte) ([]byte, sim.Time, error) {
+	out, cpu, err := c.DecodeTo(c.decBuf[:0], msgID, msgLen, off, seg)
+	if err != nil {
+		return nil, cpu, err
 	}
 	c.decBuf = out
 	return out, cpu, nil

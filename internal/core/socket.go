@@ -59,13 +59,13 @@ func (unregistered) Encode(uint64, []byte, int, int, int, bool) (homa.Segment, s
 	panic("core: Send before RegisterSession")
 }
 
-// Decode always rejects: no session is registered yet. The stub is
+// DecodeTo always rejects: no session is registered yet. The stub is
 // replaced at RegisterSession; a steady-state world never routes
 // traffic through it.
 //
 //smt:coldpath error stub replaced at session registration
-func (unregistered) Decode(uint64, int, int, []byte) ([]byte, sim.Time, error) {
-	return nil, 0, fmt.Errorf("core: no session registered")
+func (unregistered) DecodeTo(dst []byte, _ uint64, _, _ int, _ []byte) ([]byte, sim.Time, error) {
+	return dst, 0, fmt.Errorf("core: no session registered")
 }
 
 // NewSocket creates an SMT socket bound on host.

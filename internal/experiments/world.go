@@ -200,9 +200,11 @@ type echoServer struct {
 	w    *World
 	host *cpusim.Host
 	sock msgSock // message-transport stacks: the server socket
-	// encBuf is the world's RPC-payload scratch: the transports copy the
-	// payload synchronously in Send, and the whole world runs on one
-	// goroutine, so one buffer serves every send, the clients' too.
+	// encBuf is the world's RPC-payload scratch: the transports read the
+	// payload synchronously in Send (encoding or copying it) and never
+	// write it, and the whole world runs on one goroutine, so one buffer
+	// serves every send, the clients' too, and the body pattern written
+	// when it grew stays in place (see rpc.AppendEncode).
 	encBuf []byte
 	free   []*echoReply
 }

@@ -32,11 +32,14 @@ type Codec interface {
 	// segment and the CPU cost of building it (framing, software crypto
 	// or offload metadata).
 	Encode(msgID uint64, msg []byte, off, n, queue int, retransmit bool) (Segment, sim.Time)
-	// Decode converts a reassembled segment payload back to plaintext
-	// message bytes, returning the CPU cost (software decryption). An
-	// error marks the segment corrupted; the transport recovers it via
-	// RESEND.
-	Decode(msgID uint64, msgLen, off int, seg []byte) ([]byte, sim.Time, error)
+	// DecodeTo converts a reassembled segment payload back to plaintext
+	// message bytes, appends them to dst and returns the extended slice,
+	// plus the CPU cost (software decryption). dst's existing bytes are
+	// never modified, and on error the returned slice is dst. It writes
+	// at most len(seg) bytes past len(dst), so a dst with that much spare
+	// capacity is never reallocated. An error marks the segment
+	// corrupted; the transport recovers it via RESEND.
+	DecodeTo(dst []byte, msgID uint64, msgLen, off int, seg []byte) ([]byte, sim.Time, error)
 	// AcceptMessage is consulted when the first packet of an unseen
 	// message ID arrives. Rejected messages (replays) are dropped
 	// without decryption (§6.1).
@@ -91,9 +94,9 @@ func (c *PlainCodec) Encode(msgID uint64, msg []byte, off, n, queue int, retrans
 	return Segment{Payload: msg[off : off+n]}, 0
 }
 
-// Decode implements Codec: identity, zero extra cost.
-func (c *PlainCodec) Decode(msgID uint64, msgLen, off int, seg []byte) ([]byte, sim.Time, error) {
-	return seg, 0, nil
+// DecodeTo implements Codec: identity, zero extra cost.
+func (c *PlainCodec) DecodeTo(dst []byte, msgID uint64, msgLen, off int, seg []byte) ([]byte, sim.Time, error) {
+	return append(dst, seg...), 0, nil
 }
 
 // AcceptMessage implements Codec: plain Homa has no replay protection —

@@ -7,7 +7,7 @@ import (
 
 // Native Go fuzz target for the transport codec contract on its
 // identity implementation (PlainCodec): both endpoints must derive the
-// same segmentation from (message length, offset) alone, Encode/Decode
+// same segmentation from (message length, offset) alone, Encode/DecodeTo
 // must round-trip any segment, and no in-range input may panic — the
 // SMT codec (internal/core) is fuzzed against the same contract with
 // crypto on top. Seed corpora live in testdata/fuzz/<FuzzName>/.
@@ -45,11 +45,11 @@ func FuzzPlainCodecSegmentation(f *testing.F) {
 		if len(enc.Payload) != n || enc.Records != nil || enc.Keys != nil {
 			t.Fatalf("identity encode produced %d bytes + offload state", len(enc.Payload))
 		}
-		plain, cpu, err := c.Decode(42, len(msg), off, enc.Payload)
+		plain, cpu, err := c.DecodeTo([]byte("dst"), 42, len(msg), off, enc.Payload)
 		if err != nil || cpu != 0 {
 			t.Fatalf("identity decode: err=%v cpu=%v", err, cpu)
 		}
-		if !bytes.Equal(plain, msg[off:off+n]) {
+		if string(plain[:3]) != "dst" || !bytes.Equal(plain[3:], msg[off:off+n]) {
 			t.Fatalf("segment [%d:%d) did not round-trip", off, off+n)
 		}
 		if err := c.AcceptMessage(42); err != nil {

@@ -26,6 +26,7 @@ type inMsg struct {
 	p         *peer
 	id        uint64
 	msgLen    int
+	wireLen   int // the segments' total wire length
 	segs      []inSeg
 	completed int
 	plainDone int // plaintext bytes in completed segments
@@ -221,12 +222,14 @@ func (s *Socket) newInMsg(p *peer, pkt *wire.Packet, core int) *inMsg {
 	m.completed, m.plainDone, m.granted, m.delivered = 0, 0, unschedBytes, false
 	span := p.codec.SegSpan()
 	m.segs = resize(m.segs, nSegs(msgLen, span))
+	m.wireLen = 0
 	for i := range m.segs {
 		off := i * span
 		n := min(span, msgLen-off)
 		wl := p.codec.WireLen(off, n)
 		seg := &m.segs[i]
 		seg.plainOff, seg.plainLen, seg.wireLen = off, n, wl
+		m.wireLen += wl
 		seg.buf = resize(pop(&s.segBufFree), wl)
 		seg.have = resize(seg.have, nPkts(wl, s.cfg.MTU))
 		clear(seg.have)
@@ -328,31 +331,35 @@ func (d *deliverEvent) Run() {
 	s, m, core := d.s, d.m, d.core
 	p := m.p
 	cm := s.host.CM
-	// Decode (and decrypt) each segment, summing the CPU the app
-	// context owes; a corrupted segment re-enters recovery.
+	// Decode (and decrypt) each segment straight into the payload
+	// buffer, summing the CPU the app context owes; a corrupted segment
+	// re-enters recovery. A codec writes at most a segment's wire length
+	// past the buffer's end (see Codec.DecodeTo), so a buffer of the
+	// message's wire length also holds the bytes a record decrypts past
+	// its plaintext, and decoding never reallocates it.
 	var cpu sim.Time = cm.Syscall + cm.MsgDeliver + cm.Copy(m.msgLen)
-	if cap(d.payload) < m.msgLen {
+	if cap(d.payload) < m.wireLen {
 		//smt:coldpath -- delivery-buffer growth; steady state reuses the event's buffer
-		d.payload = make([]byte, 0, m.msgLen)
+		d.payload = make([]byte, 0, m.wireLen)
 	}
 	d.payload = d.payload[:0]
 	for i := range m.segs {
 		seg := &m.segs[i]
-		plain, c, err := p.codec.Decode(m.id, m.msgLen, seg.plainOff, seg.buf[:seg.wireLen])
+		plain, c, err := p.codec.DecodeTo(d.payload, m.id, m.msgLen, seg.plainOff, seg.buf[:seg.wireLen])
 		cpu += c
 		if err != nil {
 			s.corruptSegment(m, seg, core)
 			d.release()
 			return
 		}
-		d.payload = append(d.payload, plain...)
+		d.payload = plain
 	}
 	p.in.Delete(m.id)
 	p.core.Delete(m.id)
 	p.markDone(m.id)
 	s.activeIn--
-	// Every segment decoded (and its plaintext copied into the payload
-	// buffer): the reassembly buffers go back to the pool.
+	// Every segment decoded into the payload buffer: the reassembly
+	// buffers go back to the pool.
 	for i := range m.segs {
 		s.segBufFree = append(s.segBufFree, m.segs[i].buf)
 		m.segs[i].buf = nil

@@ -309,8 +309,9 @@ func nSegs(n, span int) int { return (n + span - 1) / span }
 // segments from that context; granted segments follow from softirq
 // context as GRANTs arrive (§3.2's multi-context transmission). The
 // returned message ID identifies the message in this socket→peer
-// direction. payload is copied before Send returns, so a borrowed
-// Delivery.Payload can be sent back as is.
+// direction. payload is copied before Send returns and never written,
+// so a borrowed Delivery.Payload can be sent back as is and a caller may
+// reuse its buffer at once.
 func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread int) uint64 {
 	if len(payload) == 0 {
 		//smt:allow panic -- Send-API misuse by the harness; an empty message has no wire encoding

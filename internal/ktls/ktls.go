@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"smt/internal/cost"
 	"smt/internal/hkdfx"
@@ -72,11 +73,11 @@ type Codec struct {
 	txSeq tlsrec.StreamSeq
 	rxSeq tlsrec.StreamSeq
 
-	rxBuf  []byte // partial record accumulation
-	outBuf []byte // DecodeStream scratch, valid until the next call
+	rxRecs tlsrec.RecordReader // cuts received records, carrying one that straddles a batch
+	outBuf []byte              // DecodeStream scratch, valid until the next call
 
 	pool   tcpsim.ChunkPool // released records (and kTLS-hw descriptors)
-	chunks []tcpsim.Chunk   // EncodeStream scratch, valid until the next call
+	chunks []tcpsim.Chunk   // EncodeMessage scratch, valid until the next call
 
 	// Stats
 	RecordsSealed uint64
@@ -112,19 +113,19 @@ func (c *Codec) perRecordCost() sim.Time {
 	return c.cm.KTLSRecord
 }
 
-// EncodeStream implements tcpsim.Codec: cut the framed plaintext into
-// records; one chunk per record, taken from the codec's chunk pool.
-func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
+// EncodeMessage implements tcpsim.Codec: cut the framed message into
+// records, sealed (or, for kTLS-hw, laid out as plaintext shells) from
+// its two parts; one chunk per record, taken from the codec's chunk
+// pool.
+func (c *Codec) EncodeMessage(prefix, msg []byte) ([]tcpsim.Chunk, sim.Time) {
 	var (
 		chunks = c.chunks[:0]
 		cpu    sim.Time
+		total  = len(prefix) + len(msg)
 	)
-	for off := 0; off < len(data); off += RecPlain {
-		n := RecPlain
-		if off+n > len(data) {
-			n = len(data) - off
-		}
-		plain := data[off : off+n]
+	for off := 0; off < total; off += RecPlain {
+		n := min(RecPlain, total-off)
+		head, body := tcpsim.FramedRange(prefix, msg, off, off+n)
 		seq := c.txSeq.Next()
 		recLen := tlsrec.RecordWireLen(n, 0)
 		cpu += c.perRecordCost()
@@ -133,14 +134,14 @@ func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 		if c.mode == ModeKTLSHW {
 			// The plaintext shell the NIC seals on transmit, and its one
 			// record descriptor.
-			tlsrec.WriteRecordShell(ch.Bytes, 0, wire.RecordTypeApplicationData, plain, 0)
+			tlsrec.WriteRecordShellParts(ch.Bytes, 0, wire.RecordTypeApplicationData, head, body, 0)
 			cpu += c.cm.OffloadMetaPerSeg
 			ch.Records = append(ch.Records, nicsim.RecordDesc{Off: 0, InnerLen: n + 1, Seq: seq})
 			ch.Keys = c.tx
 			chunks = append(chunks, ch)
 			continue
 		}
-		sealed, err := c.tx.SealRecord(ch.Bytes[:0], seq, wire.RecordTypeApplicationData, plain, 0)
+		sealed, err := c.tx.SealRecordParts(ch.Bytes[:0], seq, wire.RecordTypeApplicationData, head, body, 0)
 		if err != nil {
 			//smt:allow panic -- sealing with session keys over validated sizes cannot fail; an error means corrupted key state
 			panic(fmt.Sprintf("ktls: seal: %v", err))
@@ -158,39 +159,34 @@ func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 	return chunks, cpu
 }
 
+// EncodeStream encodes already framed stream bytes: EncodeMessage with
+// no separate prefix, for callers that drive the codec directly.
+func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
+	return c.EncodeMessage(nil, data)
+}
+
 // Release implements tcpsim.Codec.
 func (c *Codec) Release(ch tcpsim.Chunk) { c.pool.Put(ch) }
 
-// DecodeStream implements tcpsim.Codec: accumulate ciphertext, open
-// complete records in order. The returned slice is codec-owned scratch,
-// valid until the next DecodeStream call; the connection consumes it
-// before decoding again.
-func (c *Codec) DecodeStream(data []byte) ([]byte, sim.Time, error) {
-	c.rxBuf = append(c.rxBuf, data...)
-	var (
-		out  = c.outBuf[:0]
-		cpu  sim.Time
-		recs int
-		pos  int
-	)
-	//smt:allow hotalloc -- per-call compaction defer; userspace TLS copying is the cost being measured
-	defer func() {
-		// Compact the consumed prefix so rxBuf's capacity is reused.
-		c.rxBuf = append(c.rxBuf[:0], c.rxBuf[pos:]...)
-		c.outBuf = out[:0]
-	}()
-	for {
-		var hdr wire.RecordHeader
-		if err := hdr.DecodeFromBytes(c.rxBuf[pos:]); err != nil {
-			break // incomplete header
+// DecodeStreamTo implements tcpsim.Codec: open the complete records in
+// order, each straight from data (or, if it straddled the previous
+// batch, from the reader's carry) into dst. A record that fails ends
+// the stream with ErrAuth, and every later call fails on it again.
+func (c *Codec) DecodeStreamTo(dst, data []byte) ([]byte, sim.Time, error) {
+	var cpu sim.Time
+	for recs := 0; ; recs++ {
+		rec, rest, ok := c.rxRecs.Next(data)
+		if !ok {
+			return dst, cpu, nil
 		}
-		total := wire.RecordHeaderLen + int(hdr.Length)
-		if len(c.rxBuf)-pos < total {
-			break // incomplete record: must wait (no partial decrypt)
-		}
+		data = rest
 		seq := c.rxSeq.Next()
-		ext, ct, err := c.rx.OpenRecordTo(out, seq, c.rxBuf[pos:pos+total])
-		cpu += c.cm.CryptoSW(total) + c.perRecordCost()
+		// Growing by the record's length (amortized, like append) first
+		// means the decrypt, which writes the content-type byte past the
+		// plaintext, never reallocates dst at its exact size.
+		dst = slices.Grow(dst, len(rec))
+		out, ct, err := c.rx.OpenRecordTo(dst, seq, rec)
+		cpu += c.cm.CryptoSW(len(rec)) + c.perRecordCost()
 		if recs > 0 {
 			// Stream abstraction tax: the application's read loop issues
 			// roughly one recv per record, whereas a message transport
@@ -198,19 +194,26 @@ func (c *Codec) DecodeStream(data []byte) ([]byte, sim.Time, error) {
 			// syscalls"). The first record rides the wakeup's recv.
 			cpu += c.cm.Syscall
 		}
-		recs++
 		if err != nil || ct != wire.RecordTypeApplicationData {
 			c.AuthFailures++
-			return out, cpu, ErrAuth
+			c.rxRecs.Retain(rec)
+			return dst, cpu, ErrAuth
 		}
-		out = ext
+		dst = out
 		c.RecordsOpened++
 		if c.mode == ModeUserTLS {
-			cpu += c.cm.Copy(total) + c.cm.Syscall
+			cpu += c.cm.Copy(len(rec)) + c.cm.Syscall
 		}
-		pos += total
 	}
-	return out, cpu, nil
+}
+
+// DecodeStream is DecodeStreamTo into codec-owned scratch, for callers
+// that drive the codec directly: the plaintext is valid until the next
+// DecodeStream call.
+func (c *Codec) DecodeStream(data []byte) ([]byte, sim.Time, error) {
+	out, cpu, err := c.DecodeStreamTo(c.outBuf[:0], data)
+	c.outBuf = out[:0]
+	return out, cpu, err
 }
 
 // ConnKeys derives mirrored per-connection key material from a stack

@@ -54,11 +54,11 @@ var hotRootSpecs = []string{
 	"(*smt/internal/netsim.Network).Deliver",
 	"(smt/internal/cpusim.Handler).HandlePacket",
 	"(smt/internal/homa.Codec).Encode",
-	"(smt/internal/homa.Codec).Decode",
+	"(smt/internal/homa.Codec).DecodeTo",
 	"(*smt/internal/homa.Socket).Send",
 	"(*smt/internal/tcpsim.Conn).SendMessage",
-	"(smt/internal/tcpsim.Codec).EncodeStream",
-	"(smt/internal/tcpsim.Codec).DecodeStream",
+	"(smt/internal/tcpsim.Codec).EncodeMessage",
+	"(smt/internal/tcpsim.Codec).DecodeStreamTo",
 	"(smt/internal/tcpsim.Codec).Release",
 	"(*smt/internal/tlsrec.AEAD).SealRecord",
 	"(*smt/internal/tlsrec.AEAD).OpenRecord",

@@ -391,17 +391,20 @@ func (po *poolOwner) consumesCond(cond ast.Expr, x types.Object) bool {
 }
 
 // calleeOf resolves a call target to its *types.Func, for summary
-// lookups.
+// lookups; a call of an instantiated generic function resolves to the
+// generic declaration its summary is computed on.
 func (po *poolOwner) calleeOf(fun ast.Expr) *types.Func {
+	var fn *types.Func
 	switch f := fun.(type) {
 	case *ast.Ident:
-		fn, _ := po.objOf(f).(*types.Func)
-		return fn
+		fn, _ = po.objOf(f).(*types.Func)
 	case *ast.SelectorExpr:
-		fn, _ := po.info.Uses[f.Sel].(*types.Func)
-		return fn
+		fn, _ = po.info.Uses[f.Sel].(*types.Func)
 	}
-	return nil
+	if fn != nil {
+		fn = fn.Origin()
+	}
+	return fn
 }
 
 func (po *poolOwner) objOf(id *ast.Ident) types.Object {

@@ -94,9 +94,11 @@ type paramSlot struct {
 	obj   types.Object
 }
 
-// packetParams lists n's named *wire.Packet parameters (positions past
-// 63 are untrackable in the bitmask and skipped; no signature in this
-// repo comes close).
+// packetParams lists n's named *wire.Packet parameters, and those typed
+// by a type parameter, which an instantiation may bind to *wire.Packet:
+// a generic container that stores its item on every path consumes the
+// packets it holds (positions past 63 are untrackable in the bitmask
+// and skipped; no signature in this repo comes close).
 func packetParams(n *Node) []paramSlot {
 	var slots []paramSlot
 	idx := 0
@@ -109,7 +111,7 @@ func packetParams(n *Node) []paramSlot {
 		for _, name := range names {
 			if idx < 64 && name.Name != "_" {
 				obj := n.Pkg.Info.Defs[name]
-				if obj != nil && isWirePacketPtr(obj.Type()) {
+				if obj != nil && (isWirePacketPtr(obj.Type()) || isTypeParam(obj.Type())) {
 					slots = append(slots, paramSlot{index: idx, obj: obj})
 				}
 			}
@@ -117,6 +119,12 @@ func packetParams(n *Node) []paramSlot {
 		}
 	}
 	return slots
+}
+
+// isTypeParam reports whether t is a type parameter.
+func isTypeParam(t types.Type) bool {
+	_, ok := t.(*types.TypeParam)
+	return ok
 }
 
 // ---------------------------------------------------------------------

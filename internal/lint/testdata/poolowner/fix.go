@@ -115,3 +115,22 @@ func cleanSend(pool *wire.PacketPool, ch chan *wire.Packet) {
 	pkt := pool.Get()
 	ch <- pkt
 }
+
+// queue is a generic container: push stores its item on every path, so
+// its summary consumes the packet an instantiation passes it; peek does
+// not store, so it gets no credit.
+type queue[T any] struct{ items []T }
+
+func (q *queue[T]) push(x T) { q.items = append(q.items, x) }
+
+func (q *queue[T]) peek(x T) {}
+
+func cleanGenericPush(pool *wire.PacketPool, q *queue[*wire.Packet]) {
+	pkt := pool.Get()
+	q.push(pkt)
+}
+
+func leakViaGenericNonConsumer(pool *wire.PacketPool, q *queue[*wire.Packet]) {
+	pkt := pool.Get() // want "may leak"
+	q.peek(pkt)
+}

@@ -37,16 +37,25 @@ type RecordDesc struct {
 // (or a single pre-cut packet when NoTSO) plus optional TLS offload
 // descriptors.
 type TxSegment struct {
-	// Pkt holds the header template and the full segment payload. The
-	// overlay header is replicated verbatim onto every packet TSO cuts.
+	// Pkt holds the header template and, unless Parts is set, the full
+	// segment payload. The overlay header is replicated verbatim onto
+	// every packet TSO cuts.
 	Pkt *wire.Packet
+	// Parts, if non-nil, is the segment payload as a list of buffers,
+	// cut in order as if concatenated (Pkt.Payload is then ignored):
+	// the stack hands the NIC its queued chunks instead of assembling
+	// them into one buffer first. The cut gathers each packet's bytes
+	// into its own buffer, so no packet aliases a part. A contiguous
+	// payload is the one-part case; NoTSO and Records need it.
+	Parts [][]byte
 	// MTU bounds each cut packet's total wire size.
 	MTU int
 	// NoTSO submits the packet as-is (the stack segmented in software).
 	NoTSO bool
 
-	// Records requests NIC TLS encryption of the described records
-	// (nil = payload goes out as submitted, already encrypted or plain).
+	// Records requests NIC TLS encryption of the described records,
+	// sealed in place in Pkt.Payload (nil = payload goes out as
+	// submitted, already encrypted or plain).
 	Records []RecordDesc
 	// Keys provides the AEAD installed into the flow context on first
 	// use of CtxID.
@@ -58,21 +67,17 @@ type TxSegment struct {
 	// to Records[0].Seq before the segment is processed.
 	Resync bool
 
-	// OnWire, if non-nil, runs when the segment's last packet has been
-	// serialized onto the link.
-	OnWire func()
-
 	// Release selects the payload ownership mode of the TSO cut.
 	//
-	// Non-nil: the payload is recyclable scratch — the cut copies the
-	// bytes into pool-owned per-packet buffers, then Release fires so
-	// the producer can reuse the buffer. Only valid for buffers that are
-	// written once and never mutated while packets are in flight.
+	// Non-nil: the payload is read only until the cut, which copies the
+	// bytes into pool-owned per-packet buffers; then Release fires so
+	// the producer can reuse the buffer (or the parts list). Only valid
+	// for bytes that are never mutated between SendSegment and the cut.
 	//
-	// Nil: the cut packets alias the payload directly (zero copy). The
+	// Nil: the cut packets alias Pkt.Payload directly (zero copy). The
 	// producer must keep the memory alive and unmodified until every
 	// packet has been consumed. Homa PlainCodec's send copy is the only
-	// producer left that does.
+	// producer that does. Parts are gathered (copied) either way.
 	//
 	// Release is not invoked for NoTSO segments — there the packet
 	// itself carries the payload to the receiver.
@@ -98,31 +103,20 @@ type Stats struct {
 	CtxAllocs  uint64
 }
 
-// pendingPkt is a packet waiting in a queue's transmit FIFO.
-type pendingPkt struct {
-	pkt    *wire.Packet
-	onWire func()
-}
-
 // wireEvent is the pooled serialization-done callback of the wire
 // arbiter: one packet leaving the link, handed to the network.
 type wireEvent struct {
-	n      *NIC
-	pkt    *wire.Packet
-	onWire func()
+	n   *NIC
+	pkt *wire.Packet
 }
 
 // Run implements sim.Action.
 func (w *wireEvent) Run() {
-	n, pkt, onWire := w.n, w.pkt, w.onWire
+	n, pkt := w.n, w.pkt
 	w.pkt = nil
-	w.onWire = nil
 	n.wireFree = append(n.wireFree, w)
 	n.wireBusy = false
 	n.net.Deliver(pkt)
-	if onWire != nil {
-		onWire()
-	}
 	n.kickWire()
 }
 
@@ -145,7 +139,7 @@ type NIC struct {
 	// receive-side aggregation under multi-queue load. Bit q of ready is
 	// set while pq[q] is non-empty, so the arbiter finds the next queue
 	// in one bit scan instead of testing every FIFO.
-	pq       []netsim.FIFO[pendingPkt]
+	pq       []netsim.FIFO[*wire.Packet]
 	ready    uint64
 	wireBusy bool
 	rrNext   uint
@@ -169,7 +163,7 @@ func New(eng *sim.Engine, cm *cost.Model, net *netsim.Network, addr uint32, nQue
 	}
 	n := &NIC{
 		eng: eng, cm: cm, net: net, addr: addr,
-		pq: make([]netsim.FIFO[pendingPkt], nQueues),
+		pq: make([]netsim.FIFO[*wire.Packet], nQueues),
 	}
 	for q := 0; q < nQueues; q++ {
 		n.queues = append(n.queues, sim.NewResource(eng))
@@ -216,8 +210,8 @@ func (n *NIC) ContextSeq(id uint64) (uint64, bool) {
 // happen in virtual time; packets are handed to the network as their last
 // bit leaves the link. The NIC copies *seg before SendSegment returns, so
 // the caller may reuse or overwrite the descriptor at once; the packet,
-// the Records backing array, the payload and the callbacks it names
-// travel by reference.
+// the Records and Parts backing arrays, the payload and the Release
+// callback it names travel by reference.
 func (n *NIC) SendSegment(q int, seg *TxSegment) {
 	if q < 0 || q >= len(n.queues) {
 		//smt:allow panic -- stack/queue wiring bug; charging another queue's arbitration would mislabel measurements
@@ -311,12 +305,15 @@ func (n *NIC) seal(seg *TxSegment, ctx *tlsCtx) {
 
 // emit splits the segment into MTU packets (unless NoTSO) and hands them
 // to the queue's transmit FIFO. Cut packets come from the network's
-// pool; their payload is copied out of recyclable scratch (Release set)
-// or aliased (Release nil) — see TxSegment.Release. The pool-owned
-// template packet is recycled either way.
+// pool. The payload is a list of parts (Pkt.Payload is the one part
+// when Parts is nil), and one loop cuts every list: each packet's
+// bytes are gathered from the parts into its own buffer, or, for an
+// aliased payload (Release nil, one part), bound to a slice of it —
+// see TxSegment.Release. The pool-owned template packet is recycled
+// either way.
 func (n *NIC) emit(q int, seg *TxSegment) {
 	if seg.NoTSO {
-		n.enqueue(q, seg.Pkt, seg.OnWire)
+		n.enqueue(q, seg.Pkt)
 		return
 	}
 	mtu := seg.MTU
@@ -325,13 +322,21 @@ func (n *NIC) emit(q int, seg *TxSegment) {
 		panic("nicsim: MTU too small")
 	}
 	per := mtu - wire.IPv4HeaderLen - wire.OverlayHeaderLen
-	payload := seg.Pkt.Payload
-	var idx uint16
-	for off := 0; off < len(payload) || off == 0; off += per {
-		end := off + per
-		if end > len(payload) {
-			end = len(payload)
-		}
+	parts, alias := seg.Parts, false
+	if parts == nil {
+		one := [1][]byte{seg.Pkt.Payload}
+		parts, alias = one[:], seg.Release == nil
+	}
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	var (
+		idx    uint16
+		pi, po int // the cut's position: part pi, byte po of it
+	)
+	for off := 0; off < total || off == 0; off += per {
+		end := min(off+per, total)
 		pkt := n.net.AcquirePacket()
 		pkt.IP = seg.Pkt.IP
 		pkt.Overlay = seg.Pkt.Overlay
@@ -346,19 +351,22 @@ func (n *NIC) emit(q int, seg *TxSegment) {
 			// which is why Homa/SMT rely on the IPID instead.
 			pkt.Overlay.TSOOffset = seg.Pkt.Overlay.TSOOffset + uint32(off)
 		}
-		if seg.Release != nil {
-			pkt.SetPayload(payload[off:end])
+		if alias {
+			pkt.Payload = parts[0][off:end] // borrowed: producer keeps it alive
 		} else {
-			pkt.Payload = payload[off:end] // borrowed: producer keeps it alive
+			for need := end - off; need > 0; {
+				b := parts[pi][po:]
+				k := min(len(b), need)
+				pkt.AppendPayload(b[:k])
+				need -= k
+				if po += k; po == len(parts[pi]) {
+					pi, po = pi+1, 0
+				}
+			}
 		}
-		last := end == len(payload)
-		var cb func()
-		if last {
-			cb = seg.OnWire
-		}
-		n.enqueue(q, pkt, cb)
+		n.enqueue(q, pkt)
 		idx++
-		if end == len(payload) {
+		if end == total {
 			break
 		}
 	}
@@ -372,8 +380,8 @@ func (n *NIC) emit(q int, seg *TxSegment) {
 // enqueue appends a packet to queue q's FIFO and kicks the arbiter.
 // Ownership transfer is inferred by smtlint's call-graph summaries (the
 // packet is bound into the queue on every path), so no annotation.
-func (n *NIC) enqueue(q int, pkt *wire.Packet, onWire func()) {
-	n.pq[q].Push(pendingPkt{pkt: pkt, onWire: onWire})
+func (n *NIC) enqueue(q int, pkt *wire.Packet) {
+	n.pq[q].Push(pkt)
 	n.ready |= 1 << q
 	n.kickWire()
 }
@@ -391,14 +399,14 @@ func (n *NIC) kickWire() {
 	}
 	q := bits.TrailingZeros64(next)
 	f := &n.pq[q]
-	pp := f.Pop()
+	pkt := f.Pop()
 	if f.Len() == 0 {
 		n.ready &^= 1 << q
 	}
 	n.rrNext = uint(q) + 1
 	n.wireBusy = true
 	n.Stats.TxPackets++
-	n.Stats.TxBytes += uint64(pp.pkt.WireLen())
+	n.Stats.TxBytes += uint64(pkt.WireLen())
 	var we *wireEvent
 	if l := len(n.wireFree); l > 0 {
 		we = n.wireFree[l-1]
@@ -408,6 +416,6 @@ func (n *NIC) kickWire() {
 		//smt:coldpath -- wireEvent free-list refill; steady state reuses pooled events
 		we = &wireEvent{n: n}
 	}
-	we.pkt, we.onWire = pp.pkt, pp.onWire
-	n.eng.PostActionAfter(n.cm.Serialize(pp.pkt.WireLen()), we)
+	we.pkt = pkt
+	n.eng.PostActionAfter(n.cm.Serialize(pkt.WireLen()), we)
 }

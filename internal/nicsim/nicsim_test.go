@@ -74,15 +74,10 @@ func TestNoTSO(t *testing.T) {
 	s := seg(1000)
 	s.NoTSO = true
 	s.Pkt.IP.ID = 7
-	fired := false
-	s.OnWire = func() { fired = true }
 	r.eng.At(0, func() { r.nic.SendSegment(0, s) })
 	r.eng.Run()
 	if len(r.got) != 1 || r.got[0].IP.ID != 7 {
 		t.Fatalf("NoTSO mangled the packet: %d pkts", len(r.got))
-	}
-	if !fired {
-		t.Fatal("OnWire not fired")
 	}
 }
 
@@ -357,10 +352,11 @@ func TestSendSegmentCopiesDescriptor(t *testing.T) {
 }
 
 // TestSendSegmentAllocs gates the warmed NIC transmit path at zero
-// allocations per segment for the three kinds of submission the stacks
-// make: a NoTSO control packet, a copying TSO segment (Release set) and
-// an offload segment with a resync descriptor. Each submits a
-// TxSegment literal, which must stay on the caller's stack.
+// allocations per segment for the four kinds of submission the stacks
+// make: a NoTSO control packet, a copying TSO segment (Release set), a
+// gathering TSO segment (a list of parts) and an offload segment with a
+// resync descriptor. Each submits a TxSegment literal, which must stay
+// on the caller's stack.
 func TestSendSegmentAllocs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cm := cost.Default()
@@ -379,6 +375,9 @@ func TestSendSegmentAllocs(t *testing.T) {
 	sealed := make([]byte, tlsrec.RecordWireLen(len(plain), 0))
 	recs := []RecordDesc{{Off: 0, InnerLen: len(plain) + 1, Seq: 9}}
 	release := func() {}
+	// scratch again as queued chunks of a stream: record-sized parts,
+	// an empty one, and a tail that ends mid-packet.
+	parts := [][]byte{scratch[:16029], scratch[16029:32058], scratch[32058:32058], scratch[32058:]}
 	kinds := []struct {
 		name string
 		want int
@@ -395,6 +394,11 @@ func TestSendSegmentAllocs(t *testing.T) {
 			hdr(pkt, len(scratch))
 			pkt.Payload = scratch
 			nic.SendSegment(0, &TxSegment{Pkt: pkt, MTU: wire.DefaultMTU, Release: release})
+		}},
+		{"tso-gather", len(scratch), func() {
+			pkt := nic.AcquirePacket()
+			hdr(pkt, len(scratch))
+			nic.SendSegment(0, &TxSegment{Pkt: pkt, Parts: parts, MTU: wire.DefaultMTU, Release: release})
 		}},
 		{"offload-resync", len(sealed), func() {
 			tlsrec.WriteRecordShell(sealed, 0, wire.RecordTypeApplicationData, plain, 0)

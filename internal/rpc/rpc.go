@@ -38,23 +38,28 @@ func Encode(reqID uint64, respSize uint32, size int) []byte {
 
 // AppendEncode is Encode's scratch-reusing form: the payload is written
 // into b (resized, capacity reused) and returned. Callers on the hot
-// issue path keep one scratch buffer per world; the transports copy the
-// payload before returning, so reuse across sends is safe.
+// issue path keep one scratch buffer per world. The body pattern only
+// depends on the byte's offset, so it is written once, over the whole
+// capacity, when the scratch grows; a call that reuses the scratch
+// writes just the 12 header bytes. b must therefore be nil or a slice
+// AppendEncode returned whose bytes nobody has written since. The
+// experiments' scratch keeps that because the transports never write
+// into the caller's message: tcpsim.Conn.SendMessage encodes it and
+// homa.Socket.Send copies it, both reading it only, before they return.
 func AppendEncode(b []byte, reqID uint64, respSize uint32, size int) []byte {
 	if size < MinSize {
 		size = MinSize
 	}
-	if cap(b) >= size {
-		b = b[:size]
-	} else {
+	if cap(b) < size {
 		//smt:coldpath -- scratch growth; steady state reuses the caller's buffer
 		b = make([]byte, size)
+		for i := HeaderLen; i < len(b); {
+			i += copy(b[i:], pattern[i&255:])
+		}
 	}
+	b = b[:size]
 	binary.BigEndian.PutUint64(b, reqID)
 	binary.BigEndian.PutUint32(b[8:], respSize)
-	for i := HeaderLen; i < size; {
-		i += copy(b[i:], pattern[i&255:])
-	}
 	return b
 }
 

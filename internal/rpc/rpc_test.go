@@ -42,6 +42,31 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 }
 
+// TestAppendEncodeReusesScratch reuses one scratch across growing and
+// shrinking sizes: the body pattern is written only when the scratch
+// grows, so every reuse must still read back the header just written
+// and a valid body, and must not reallocate.
+func TestAppendEncodeReusesScratch(t *testing.T) {
+	var b []byte
+	for i, size := range []int{64, 8192, 100, 12, 5, 4096, 8192, 65536, 64, 65536, 1} {
+		prev := b
+		b = AppendEncode(b, uint64(i)<<40|7, uint32(size)*3, size)
+		if want := max(size, MinSize); len(b) != want {
+			t.Fatalf("size %d: len %d, want %d", size, len(b), want)
+		}
+		if cap(prev) >= len(b) && &b[0] != &prev[:1][0] {
+			t.Fatalf("size %d: scratch of capacity %d reallocated", size, cap(prev))
+		}
+		id, rs, err := Decode(b)
+		if err != nil || id != uint64(i)<<40|7 || rs != uint32(size)*3 {
+			t.Fatalf("size %d: header decodes to %d %d %v", size, id, rs, err)
+		}
+		if !BodyValid(b) {
+			t.Fatalf("size %d: body does not match the filler pattern", size)
+		}
+	}
+}
+
 // Fake service with fixed latency: closed loop must keep exactly C
 // outstanding and measure the configured latency.
 func TestClosedLoop(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"smt/internal/cost"
 	"smt/internal/ktls"
@@ -40,12 +41,11 @@ type Codec struct {
 	rx    *tlsrec.AEAD
 	txSeq tlsrec.StreamSeq
 	rxSeq tlsrec.StreamSeq
-	rxBuf []byte
 
-	innerBuf []byte           // EncodeStream scratch: stream header ‖ app bytes
-	outBuf   []byte           // DecodeStream scratch, valid until the next call
-	pool     tcpsim.ChunkPool // released records
-	chunks   []tcpsim.Chunk   // EncodeStream scratch, valid until the next call
+	rxRecs tlsrec.RecordReader // cuts received records, carrying one that straddles a batch
+	head   []byte              // EncodeMessage scratch: stream header ‖ length-prefix bytes
+	pool   tcpsim.ChunkPool    // released records
+	chunks []tcpsim.Chunk      // EncodeMessage scratch, valid until the next call
 
 	RecordsSealed uint64
 	RecordsOpened uint64
@@ -65,32 +65,28 @@ func New(cm *cost.Model, keys ktls.Keys) (*Codec, error) {
 	return &Codec{cm: cm, tx: tx, rx: rx}, nil
 }
 
-// EncodeStream implements tcpsim.Codec: one record per chunk, taken
-// from the codec's chunk pool.
-func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
+// EncodeMessage implements tcpsim.Codec: one record per chunk, taken
+// from the codec's chunk pool. A record's protected payload is the
+// stream header ‖ app bytes; the header and the message's length
+// prefix (in the first record) are the seal's first part, the message
+// bytes its second.
+func (c *Codec) EncodeMessage(prefix, msg []byte) ([]tcpsim.Chunk, sim.Time) {
 	var (
 		chunks = c.chunks[:0]
 		cpu    sim.Time
+		total  = len(prefix) + len(msg)
 	)
-	for off := 0; off < len(data); off += RecPlain {
-		n := RecPlain
-		if off+n > len(data) {
-			n = len(data) - off
-		}
-		// Protected payload: stream header ‖ app bytes (codec scratch —
-		// SealRecord copies it into the record buffer).
-		if cap(c.innerBuf) < streamHeaderLen+n {
-			//smt:coldpath -- innerBuf capacity growth only; steady state reuses the scratch buffer
-			c.innerBuf = make([]byte, streamHeaderLen+n)
-		}
-		inner := c.innerBuf[:streamHeaderLen+n]
-		binary.BigEndian.PutUint32(inner, 0)             // stream id 0
-		binary.BigEndian.PutUint32(inner[4:], uint32(n)) // stream chunk length
-		copy(inner[streamHeaderLen:], data[off:off+n])
+	for off := 0; off < total; off += RecPlain {
+		n := min(RecPlain, total-off)
+		framing, body := tcpsim.FramedRange(prefix, msg, off, off+n)
+		head := binary.BigEndian.AppendUint32(c.head[:0], 0)  // stream id 0
+		head = binary.BigEndian.AppendUint32(head, uint32(n)) // stream chunk length
+		head = append(head, framing...)
+		c.head = head
 
 		seq := c.txSeq.Next()
-		ch := c.pool.Get(tlsrec.RecordWireLen(len(inner), 0))
-		sealed, err := c.tx.SealRecord(ch.Bytes[:0], seq, wire.RecordTypeApplicationData, inner, 0)
+		ch := c.pool.Get(tlsrec.RecordWireLen(streamHeaderLen+n, 0))
+		sealed, err := c.tx.SealRecordParts(ch.Bytes[:0], seq, wire.RecordTypeApplicationData, head, body, 0)
 		if err != nil {
 			//smt:allow panic -- sealing with session keys over validated sizes cannot fail; an error means corrupted key state
 			panic(fmt.Sprintf("tcpls: seal: %v", err))
@@ -107,48 +103,32 @@ func (c *Codec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
 // Release implements tcpsim.Codec.
 func (c *Codec) Release(ch tcpsim.Chunk) { c.pool.Put(ch) }
 
-// DecodeStream implements tcpsim.Codec. The returned slice is codec-owned
-// scratch, valid until the next DecodeStream call.
-func (c *Codec) DecodeStream(data []byte) ([]byte, sim.Time, error) {
-	c.rxBuf = append(c.rxBuf, data...)
-	var (
-		out = c.outBuf[:0]
-		cpu sim.Time
-		pos int
-	)
-	//smt:allow hotalloc -- per-call compaction defer; userspace TLS copying is the cost being measured
-	defer func() {
-		c.rxBuf = append(c.rxBuf[:0], c.rxBuf[pos:]...)
-		c.outBuf = out[:0]
-	}()
+// DecodeStreamTo implements tcpsim.Codec: open the complete records in
+// order straight into dst, then strip each one's stream header. A
+// record that fails ends the stream with ErrAuth, and every later call
+// fails on it again.
+func (c *Codec) DecodeStreamTo(dst, data []byte) ([]byte, sim.Time, error) {
+	var cpu sim.Time
 	for {
-		var hdr wire.RecordHeader
-		if err := hdr.DecodeFromBytes(c.rxBuf[pos:]); err != nil {
-			break
+		rec, rest, ok := c.rxRecs.Next(data)
+		if !ok {
+			return dst, cpu, nil
 		}
-		total := wire.RecordHeaderLen + int(hdr.Length)
-		if len(c.rxBuf)-pos < total {
-			break
-		}
+		data = rest
 		seq := c.rxSeq.Next()
-		base := len(out)
-		ext, ct, err := c.rx.OpenRecordTo(out, seq, c.rxBuf[pos:pos+total])
-		cpu += c.cm.CryptoSW(total) + c.cm.TCPLSRecord
-		if err != nil || ct != wire.RecordTypeApplicationData || len(ext)-base < streamHeaderLen {
+		base := len(dst)
+		dst = slices.Grow(dst, len(rec)) // the decrypt never reallocates (see ktls)
+		ext, ct, err := c.rx.OpenRecordTo(dst, seq, rec)
+		cpu += c.cm.CryptoSW(len(rec)) + c.cm.TCPLSRecord
+		if err != nil || ct != wire.RecordTypeApplicationData || len(ext)-base < streamHeaderLen ||
+			int(binary.BigEndian.Uint32(ext[base+4:])) != len(ext)-base-streamHeaderLen {
 			c.AuthFailures++
-			return out, cpu, ErrAuth
-		}
-		inner := ext[base:]
-		n := int(binary.BigEndian.Uint32(inner[4:]))
-		if n != len(inner)-streamHeaderLen {
-			c.AuthFailures++
-			return out, cpu, ErrAuth
+			c.rxRecs.Retain(rec)
+			return dst, cpu, ErrAuth
 		}
 		c.RecordsOpened++
 		// Strip the stream header in place: slide the app bytes down.
-		copy(inner, inner[streamHeaderLen:])
-		out = ext[:base+n]
-		pos += total
+		inner := ext[base:]
+		dst = ext[:base+copy(inner, inner[streamHeaderLen:])]
 	}
-	return out, cpu, nil
 }

@@ -79,9 +79,9 @@ func TestTCPLSSlowerThanKTLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 4096)
-	_, tCPU := tc.EncodeStream(data)
-	_, kCPU := kc.EncodeStream(data)
+	prefix, data := make([]byte, 4), make([]byte, 4096)
+	_, tCPU := tc.EncodeMessage(prefix, data)
+	_, kCPU := kc.EncodeMessage(prefix, data)
 	if tCPU <= kCPU {
 		t.Fatalf("TCPLS encode %v must exceed kTLS %v", tCPU, kCPU)
 	}

@@ -37,25 +37,40 @@ type Chunk struct {
 //
 // A chunk has the lifetime the kernel gives a kTLS record: the
 // connection queues it until the cumulative ACK covers every byte of
-// it, then hands it back through Release. Nothing else aliases a queued
-// chunk (transmissions and retransmissions copy it), so the codec may
-// reuse its Bytes and Records as soon as Release returns.
+// it, then hands it back through Release. Until then the codec must
+// not touch it: a first transmission's NIC job reads the queued bytes
+// until it has cut them into packets, and a retransmission copies
+// them. So the codec may reuse its Bytes and Records as soon as
+// Release returns.
 type Codec interface {
-	// EncodeStream converts framed plaintext stream bytes into chunks,
-	// returning the transmit-side CPU cost (software crypto or offload
-	// metadata). It must not retain data: the connection reuses that
-	// buffer for its next message as soon as EncodeStream returns. The
-	// returned list is codec scratch, valid until the next call; the
-	// chunks in it are the connection's until it releases them.
-	EncodeStream(data []byte) ([]Chunk, sim.Time)
-	// DecodeStream consumes in-order received stream bytes and returns
-	// any newly available plaintext stream bytes plus the receive-side
-	// CPU cost (decryption happens here — in recvmsg context).
-	DecodeStream(data []byte) ([]byte, sim.Time, error)
-	// Release returns a chunk EncodeStream produced, once and only once
-	// the cumulative ACK covers all of it. A partly acknowledged chunk
-	// may still be retransmitted, so it is never released.
+	// EncodeMessage converts one framed message, the stream bytes
+	// prefix ‖ msg, into chunks, returning the transmit-side CPU cost
+	// (software crypto or offload metadata). It reads both parts,
+	// writes neither and retains neither: msg is the caller's message,
+	// and the connection rewrites prefix for its next message as soon
+	// as EncodeMessage returns. The returned list is codec scratch,
+	// valid until the next call; the chunks in it are the connection's
+	// until it releases them.
+	EncodeMessage(prefix, msg []byte) ([]Chunk, sim.Time)
+	// DecodeStreamTo consumes in-order received stream bytes, appends
+	// any newly available plaintext stream bytes to dst and returns the
+	// extended slice, plus the receive-side CPU cost (decryption
+	// happens here — in recvmsg context). dst's existing bytes are
+	// never modified. data is only read during the call.
+	DecodeStreamTo(dst, data []byte) ([]byte, sim.Time, error)
+	// Release returns a chunk EncodeMessage produced, once and only
+	// once the cumulative ACK covers all of it. A partly acknowledged
+	// chunk may still be retransmitted, so it is never released.
 	Release(Chunk)
+}
+
+// FramedRange returns bytes [off, end) of the framed message prefix ‖ msg
+// as two parts, head from prefix and body from msg; either may be
+// empty. Codecs cut their chunks and records from the two parts this
+// way, so no framed copy of the message is ever assembled.
+func FramedRange(prefix, msg []byte, off, end int) (head, body []byte) {
+	p := len(prefix)
+	return prefix[min(off, p):min(end, p)], msg[max(off-p, 0):max(end-p, 0)]
 }
 
 // maxChunk bounds a chunk to one TSO segment so the packing loop in the
@@ -98,26 +113,29 @@ func (p *ChunkPool) Put(ch Chunk) {
 // zero value is ready to use.
 type PlainCodec struct {
 	pool   ChunkPool
-	chunks []Chunk // EncodeStream scratch
+	chunks []Chunk // EncodeMessage scratch
 }
 
-// EncodeStream implements Codec. Each chunk is a copy of its slice of
-// data, the bytes the connection keeps for retransmission.
-func (c *PlainCodec) EncodeStream(data []byte) ([]Chunk, sim.Time) {
+// EncodeMessage implements Codec. Each chunk is a copy of its slice of
+// the framed message, the bytes the connection keeps for
+// retransmission.
+func (c *PlainCodec) EncodeMessage(prefix, msg []byte) ([]Chunk, sim.Time) {
 	chunks := c.chunks[:0]
-	for off := 0; off < len(data); off += maxChunk {
-		end := min(off+maxChunk, len(data))
+	total := len(prefix) + len(msg)
+	for off := 0; off < total; off += maxChunk {
+		end := min(off+maxChunk, total)
+		head, body := FramedRange(prefix, msg, off, end)
 		ch := c.pool.Get(end - off)
-		copy(ch.Bytes, data[off:end])
+		copy(ch.Bytes[copy(ch.Bytes, head):], body)
 		chunks = append(chunks, ch)
 	}
 	c.chunks = chunks
 	return chunks, 0
 }
 
-// DecodeStream implements Codec.
-func (c *PlainCodec) DecodeStream(data []byte) ([]byte, sim.Time, error) {
-	return data, 0, nil
+// DecodeStreamTo implements Codec: the stream is the plaintext.
+func (c *PlainCodec) DecodeStreamTo(dst, data []byte) ([]byte, sim.Time, error) {
+	return append(dst, data...), 0, nil
 }
 
 // Release implements Codec.

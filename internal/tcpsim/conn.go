@@ -84,6 +84,7 @@ type Conn struct {
 	ctxID      uint64
 	txFree     []*txBuf     // recycled segment buffers
 	sendFree   []*sendEvent // recycled SendMessage descriptors
+	prefix     [4]byte      // the length prefix of the message being encoded
 
 	// receiver state. rxPending/appStream are consumed from a head index
 	// and compacted (see compact) instead of re-sliced, so their
@@ -123,13 +124,20 @@ type txChunk struct {
 	chunk Chunk
 }
 
-// txBuf is a pooled segment buffer: trySend packs chunk bytes and record
-// descriptors into it, and retransmitFrom copies one chunk into it. The
-// NIC's Release returns it once the payload has been cut into wire
-// packets, so no NIC job or packet ever aliases a queued chunk.
+// txBuf is a pooled segment descriptor. A first transmission of
+// record-free chunks lists the queued chunks as the segment's parts,
+// which the NIC gathers into packets when it cuts the segment. That is
+// safe because no ACK can cover bytes never sent, so no chunk is
+// released before the cut, and a codec never writes into a queued
+// chunk. Offloaded records are copied into bytes instead, because the
+// NIC seals the transmitted copy in place while the queued chunk keeps
+// its plaintext shell for retransmission; retransmitFrom copies one
+// chunk into bytes too. The NIC's Release returns the descriptor once
+// the payload has been cut into wire packets.
 type txBuf struct {
 	c       *Conn
-	bytes   []byte
+	parts   [][]byte // queued chunk bytes of a gathered first transmission
+	bytes   []byte   // private copy of an offloaded or retransmitted segment
 	recs    []nicsim.RecordDesc
 	seq     int64        // stream offset of a retransmission
 	keys    *tlsrec.AEAD // AEAD of a retransmission's recs
@@ -139,7 +147,7 @@ type txBuf struct {
 // Run implements sim.Action: the softirq completion of a
 // retransmission submits the copied chunk.
 func (tb *txBuf) Run() {
-	tb.c.sendSegment(tb.seq, tb.bytes, tb.recs, tb.keys, tb.release)
+	tb.c.sendSegment(tb.seq, len(tb.bytes), tb)
 }
 
 // getTxBuf takes a segment buffer from the connection's free list.
@@ -154,6 +162,7 @@ func (c *Conn) getTxBuf() *txBuf {
 	tb := &txBuf{c: c}
 	//smt:coldpath -- one Release hook per pooled buffer, bound at refill
 	tb.release = func() {
+		tb.parts = tb.parts[:0]
 		tb.bytes = tb.bytes[:0]
 		tb.recs = tb.recs[:0]
 		tb.keys = nil
@@ -163,33 +172,25 @@ func (c *Conn) getTxBuf() *txBuf {
 }
 
 // sendEvent is one SendMessage in flight, pooled per connection with
-// its framing buffer and chunk list. Its first Run completes the
-// syscall and copy charge and encodes the framed message; its second
-// completes the encode charge and queues the chunks for transmission.
+// its chunk list. SendMessage encodes the message into it; its first
+// Run completes the syscall and copy charge and charges the encode
+// cost, and its second completes that charge and queues the chunks
+// for transmission.
 type sendEvent struct {
 	c       *Conn
-	frame   []byte  // msg behind the 4-byte length prefix of RPC framing
-	chunks  []Chunk // the encoded message, copied out of codec scratch
-	encoded bool    // the next Run queues chunks
-}
-
-// framed writes msg behind the 4-byte length prefix of RPC framing into
-// buf, reusing its capacity.
-func framed(buf, msg []byte) []byte {
-	if cap(buf) < 4+len(msg) {
-		//smt:coldpath -- framing-buffer growth; steady state reuses the descriptor's buffer
-		buf = make([]byte, 4+len(msg))
-	}
-	buf = buf[:4+len(msg)]
-	binary.BigEndian.PutUint32(buf, uint32(len(msg)))
-	copy(buf[4:], msg)
-	return buf
+	chunks  []Chunk  // the encoded message, copied out of codec scratch
+	cpu     sim.Time // the encode cost, charged by the first Run
+	charged bool     // the next Run queues chunks
 }
 
 // SendMessage writes one length-prefixed message to the stream. Syscall,
 // copy and codec (crypto) costs charge on the connection's app thread.
-// msg is copied before SendMessage returns, so a borrowed OnMessage
-// slice can be sent back as is.
+// The codec encodes msg before SendMessage returns, reading it and never
+// writing it, so a borrowed OnMessage slice can be sent back as is and a
+// caller may reuse its buffer at once. Sends on one connection complete
+// in call order on its one app thread, so encoding at the call gives
+// each record the sequence number, and the same bytes, that encoding at
+// the syscall's completion would.
 func (c *Conn) SendMessage(msg []byte) {
 	if c.closed {
 		//smt:allow panic -- Send-API misuse by the harness; bytes on a closed conn would corrupt the stream accounting
@@ -210,23 +211,23 @@ func (c *Conn) SendMessage(msg []byte) {
 		//smt:coldpath -- sendEvent free-list refill; steady state reuses pooled descriptors
 		e = &sendEvent{c: c}
 	}
-	e.frame = framed(e.frame, msg)
+	// The codec's chunk list is scratch that the next EncodeMessage
+	// overwrites, and a second SendMessage encodes before this one
+	// queues, so the list is copied into the event.
+	binary.BigEndian.PutUint32(c.prefix[:], uint32(len(msg)))
+	chunks, cpu := c.codec.EncodeMessage(c.prefix[:], msg)
+	e.chunks, e.cpu = append(e.chunks[:0], chunks...), cpu
 	cm := c.host.CM
-	sendCost := cm.Syscall + cm.Copy(len(e.frame)) + cm.TCPPerConn*sim.Time(c.host.StreamConns)
+	sendCost := cm.Syscall + cm.Copy(len(c.prefix)+len(msg)) + cm.TCPPerConn*sim.Time(c.host.StreamConns)
 	c.host.App[c.appThread%len(c.host.App)].AcquireAction(sendCost, e)
 }
 
-// Run implements sim.Action. The codec does not retain the framing
-// buffer (see Codec.EncodeStream), so a later SendMessage reuses it.
-// The codec's chunk list is scratch that the next EncodeStream
-// overwrites, and a second SendMessage on the same app thread encodes
-// before this one queues, so the list is copied here.
+// Run implements sim.Action.
 func (e *sendEvent) Run() {
 	c := e.c
-	if !e.encoded {
-		chunks, cpu := c.codec.EncodeStream(e.frame)
-		e.chunks, e.encoded = append(e.chunks[:0], chunks...), true
-		c.host.App[c.appThread%len(c.host.App)].AcquireAction(cpu+c.host.CM.TCPTxSegment, e)
+	if !e.charged {
+		e.charged = true
+		c.host.App[c.appThread%len(c.host.App)].AcquireAction(e.cpu+c.host.CM.TCPTxSegment, e)
 	} else {
 		e.queue()
 	}
@@ -240,7 +241,7 @@ func (e *sendEvent) queue() {
 		c.chunks = append(c.chunks, txChunk{seq: c.highWater, chunk: ch})
 		c.highWater += int64(len(ch.Bytes))
 	}
-	e.chunks, e.encoded = e.chunks[:0], false
+	e.chunks, e.charged = e.chunks[:0], false
 	c.sendFree = append(c.sendFree, e)
 	c.trySend()
 }
@@ -261,11 +262,18 @@ func (c *Conn) OnHandshake(fn func(payload []byte)) { c.onHandshake = fn }
 // performs (the setsockopt(TLS_TX/TLS_RX) analog for kTLS). It must
 // run before any stream data flows in either direction: the record
 // layer has no re-keying mid-stream, so replacing the codec once
-// ciphertext is in flight desynchronizes both ends by design.
+// ciphertext is in flight desynchronizes both ends by design. A message
+// is encoded when SendMessage is called, so SetCodec after the first
+// SendMessage is refused: that message would go out under the old
+// codec.
 func (c *Conn) SetCodec(codec Codec) {
 	if codec == nil {
 		//smt:allow panic -- wiring bug: clearing the codec mid-stream would silently fall back to plaintext
 		panic("tcpsim: SetCodec(nil)")
+	}
+	if c.Stats.MsgsSent > 0 {
+		//smt:allow panic -- wiring bug: messages already encoded under the old codec would reach the peer's new one
+		panic("tcpsim: SetCodec after SendMessage")
 	}
 	c.codec = codec
 }
@@ -317,18 +325,19 @@ func (c *Conn) PeerPort() uint16 { return c.peerPort }
 
 // trySend transmits queued chunks within the window as TSO segments of
 // whole chunks (records never straddle segments, the kTLS-hw layout).
-// Segments are assembled into pooled buffers the NIC hands back after
-// cutting; the copy is semantically load-bearing for kTLS-hw, where the
-// NIC seals the transmitted copy while the queued chunk keeps its
-// plaintext shell for retransmission.
+// A segment of record-free chunks is handed to the NIC as the list of
+// its queued chunks, which the NIC gathers into packets; one with
+// offloaded records is copied into the descriptor's buffer for the NIC
+// to seal (see txBuf).
 func (c *Conn) trySend() {
 	for c.sndNxt < c.sndUna+window {
 		var (
 			tb      = c.getTxBuf()
-			seg     = tb.bytes[:0]
+			parts   = tb.parts[:0]
 			recs    = tb.recs[:0]
 			keys    *tlsrec.AEAD
 			started = c.sndNxt
+			n       int
 		)
 		for i := range c.chunks {
 			tc := &c.chunks[i]
@@ -336,51 +345,62 @@ func (c *Conn) trySend() {
 			if end <= c.sndNxt {
 				continue // already sent
 			}
-			if tc.seq != started+int64(len(seg)) {
+			if tc.seq != started+int64(n) {
 				break // non-contiguous (shouldn't happen)
 			}
-			if len(seg)+len(tc.chunk.Bytes) > wire.MaxTSOSegment {
+			if n+len(tc.chunk.Bytes) > wire.MaxTSOSegment {
 				break
 			}
-			if started+int64(len(seg))+int64(len(tc.chunk.Bytes)) > c.sndUna+window {
+			if started+int64(n)+int64(len(tc.chunk.Bytes)) > c.sndUna+window {
 				break
 			}
 			for _, r := range tc.chunk.Records {
-				r.Off += len(seg)
+				r.Off += n
 				recs = append(recs, r)
 			}
 			if tc.chunk.Keys != nil {
 				keys = tc.chunk.Keys
 			}
-			seg = append(seg, tc.chunk.Bytes...)
+			parts = append(parts, tc.chunk.Bytes)
+			n += len(tc.chunk.Bytes)
 		}
-		tb.bytes, tb.recs = seg, recs
-		if len(seg) == 0 {
+		tb.parts, tb.recs, tb.keys = parts, recs, keys
+		if n == 0 {
 			tb.release()
 			return
 		}
-		c.sendSegment(started, seg, recs, keys, tb.release)
-		c.sndNxt = started + int64(len(seg))
+		if len(recs) > 0 {
+			for _, p := range parts {
+				tb.bytes = append(tb.bytes, p...)
+			}
+			tb.parts = parts[:0]
+		}
+		c.sendSegment(started, n, tb)
+		c.sndNxt = started + int64(n)
 	}
 }
 
-// sendSegment submits one TSO segment at stream offset seq, for NIC
-// sealing of recs under keys when both are set. release recycles the
-// payload buffer once the NIC has cut it.
-func (c *Conn) sendSegment(seq int64, payload []byte, recs []nicsim.RecordDesc, keys *tlsrec.AEAD, release func()) {
+// sendSegment submits the n-byte TSO segment tb describes at stream
+// offset seq, for NIC sealing of its records when it has keys. The
+// NIC's Release recycles tb once it has cut the payload.
+func (c *Conn) sendSegment(seq int64, n int, tb *txBuf) {
 	pkt := c.host.NIC.AcquirePacket()
 	pkt.IP = wire.IPv4Header{TTL: 64, Protocol: wire.ProtoTCP, Src: c.host.Addr, Dst: c.peerAddr}
 	pkt.Overlay = wire.OverlayHeader{
 		SrcPort: c.localPort, DstPort: c.peerPort,
 		Type:      wire.TypeData,
 		TSOOffset: uint32(seq), // TCP sequence number
-		MsgLen:    uint32(len(payload)),
+		MsgLen:    uint32(n),
 	}
-	pkt.Payload = payload // borrowed until the NIC cuts; release recycles
-	seg := nicsim.TxSegment{Pkt: pkt, MTU: c.cfg.MTU, Release: release}
-	if len(recs) > 0 && keys != nil {
+	seg := nicsim.TxSegment{Pkt: pkt, MTU: c.cfg.MTU, Release: tb.release}
+	if len(tb.parts) > 0 {
+		seg.Parts = tb.parts // read until the NIC cuts; Release recycles
+	} else {
+		pkt.Payload = tb.bytes // borrowed until the NIC cuts; Release recycles
+	}
+	if recs := tb.recs; len(recs) > 0 && tb.keys != nil {
 		seg.Records = recs
-		seg.Keys = keys
+		seg.Keys = tb.keys
 		seg.CtxID = c.ctxID
 		first := recs[0].Seq
 		if c.nicNext != first {
@@ -601,10 +621,9 @@ func compact(buf []byte, head int) ([]byte, int) {
 }
 
 // deliverCycle is one read() of the application's receive loop: it
-// decodes up to TCPDeliverBatch bytes into appStream (PlainCodec's
-// plaintext aliases rxPending, so the copy happens here, not in the
-// app closure) and charges the app core, whose completion parses
-// messages out of appStream.
+// decodes up to TCPDeliverBatch bytes of rxPending straight into
+// appStream and charges the app core, whose completion parses messages
+// out of appStream.
 //
 //smt:hotroot
 func (c *Conn) deliverCycle() {
@@ -615,7 +634,10 @@ func (c *Conn) deliverCycle() {
 	}
 	data := c.rxPending[c.rxHead : c.rxHead+n]
 	c.rxHead += n
-	plain, cpu, err := c.codec.DecodeStream(data)
+	// The previous cycle's messages have all been handed out, so the
+	// parsed prefix of appStream can be reclaimed.
+	c.appStream, c.appHead = compact(c.appStream, c.appHead)
+	plain, cpu, err := c.codec.DecodeStreamTo(c.appStream, data)
 	if err != nil {
 		c.rxSched = false
 		c.Stats.DecodeErrors++
@@ -625,10 +647,7 @@ func (c *Conn) deliverCycle() {
 		c.Close()
 		return
 	}
-	// The previous cycle's messages have all been handed out, so the
-	// parsed prefix of appStream can be reclaimed.
-	c.appStream, c.appHead = compact(c.appStream, c.appHead)
-	c.appStream = append(c.appStream, plain...)
+	c.appStream = plain
 	total := cm.EpollDispatch + cm.Syscall + cm.TCPDeliver + cm.Copy(len(data)) + cpu +
 		cm.TCPPerConn*sim.Time(c.host.StreamConns)
 	if c.drainFn == nil {

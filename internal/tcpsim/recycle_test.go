@@ -55,9 +55,10 @@ var streamCodecs = []streamCodec{
 
 // TestStreamCodecAllocs pins the chunk pool: once a codec has had its
 // chunks released, encoding a message of 64 B or 64 KB (several chunks)
-// and releasing every chunk allocates nothing.
+// behind its length prefix and releasing every chunk allocates nothing.
 func TestStreamCodecAllocs(t *testing.T) {
 	keys, _ := ktls.PairKeys(3)
+	prefix := []byte{0, 0, 0, 0}
 	for _, sc := range streamCodecs {
 		c, err := sc.make(cost.Default(), keys)
 		if err != nil {
@@ -66,7 +67,7 @@ func TestStreamCodecAllocs(t *testing.T) {
 		for _, n := range []int{64, 64 << 10} {
 			data := bytes.Repeat([]byte{0x5a}, n)
 			cycle := func() {
-				chunks, _ := c.EncodeStream(data)
+				chunks, _ := c.EncodeMessage(prefix, data)
 				for _, ch := range chunks {
 					c.Release(ch)
 				}
@@ -108,12 +109,12 @@ type checkedCodec struct {
 	chunks  int
 }
 
-func (c *checkedCodec) EncodeStream(data []byte) ([]tcpsim.Chunk, sim.Time) {
-	chunks, cpu := c.Codec.EncodeStream(data)
+func (c *checkedCodec) EncodeMessage(prefix, msg []byte) ([]tcpsim.Chunk, sim.Time) {
+	chunks, cpu := c.Codec.EncodeMessage(prefix, msg)
 	for _, ch := range chunks {
 		p := &ch.Bytes[0]
 		if c.queued[p] {
-			c.t.Fatalf("%s: EncodeStream handed out the buffer of a chunk that is still queued", c.name)
+			c.t.Fatalf("%s: EncodeMessage handed out the buffer of a chunk that is still queued", c.name)
 		}
 		c.queued[p], c.buffers[p] = true, true
 		c.chunks++

@@ -214,6 +214,42 @@ func TestEmptyMessagePanics(t *testing.T) {
 	cli.SendMessage(nil)
 }
 
+// TestSetCodecAfterSendPanics drives SetCodec's stream-data contract: a
+// message is encoded when SendMessage is called, so a codec installed
+// after it would leave that message under the old one. SetCodec before
+// any data is the handshake's normal step; after a send it is refused
+// as a wiring bug, as SetCodec(nil) is, and the message still arrives
+// whole under the codec it was encoded with.
+func TestSetCodecAfterSendPanics(t *testing.T) {
+	w := newWorld(12)
+	cli, srv := connect(t, w, Config{})
+	cli.SetCodec(&PlainCodec{})
+	var got []byte
+	srv.OnMessage(func(m []byte) { got = append([]byte(nil), m...) })
+	msg := pattern(3000)
+	cli.SendMessage(msg)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetCodec after SendMessage must panic")
+			}
+		}()
+		cli.SetCodec(&PlainCodec{})
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetCodec(nil) must panic")
+			}
+		}()
+		srv.SetCodec(nil)
+	}()
+	w.eng.Run()
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("message after the refused SetCodec: %d bytes, want %d", len(got), len(msg))
+	}
+}
+
 func TestCloseStopsTraffic(t *testing.T) {
 	w := newWorld(11)
 	cli, _ := connect(t, w, Config{})
@@ -226,16 +262,26 @@ func TestCloseStopsTraffic(t *testing.T) {
 	cli.SendMessage(pattern(10))
 }
 
+// TestFramingHelper checks FramedRange, which cuts a range of the
+// framed message prefix ‖ msg into its prefix and message parts, on
+// every range of a small message: the two parts concatenate to the
+// range, and each is a slice of its own input.
 func TestFramingHelper(t *testing.T) {
-	f := framed(nil, []byte("abc"))
-	if len(f) != 7 || f[3] != 3 || !bytes.Equal(f[4:], []byte("abc")) {
-		t.Fatalf("framed = %v", f)
-	}
-	// A buffer is reused, and a shorter message leaves no stale tail
-	// behind its prefix.
-	g := framed(f, []byte("z"))
-	if &g[0] != &f[0] || len(g) != 5 || g[3] != 1 || g[4] != 'z' {
-		t.Fatalf("framed after reuse = %v", g)
+	prefix, msg := []byte{0, 0, 0, 3}, []byte("abc")
+	framed := append(append([]byte(nil), prefix...), msg...)
+	for off := 0; off <= len(framed); off++ {
+		for end := off; end <= len(framed); end++ {
+			head, body := FramedRange(prefix, msg, off, end)
+			if got := append(append([]byte(nil), head...), body...); !bytes.Equal(got, framed[off:end]) {
+				t.Fatalf("FramedRange(%d, %d) = %q ‖ %q, want %q", off, end, head, body, framed[off:end])
+			}
+			if len(head) > 0 && &head[0] != &prefix[off] {
+				t.Fatalf("FramedRange(%d, %d): head is not a slice of the prefix", off, end)
+			}
+			if len(body) > 0 && &body[0] != &msg[max(off-len(prefix), 0)] {
+				t.Fatalf("FramedRange(%d, %d): body is not a slice of the message", off, end)
+			}
+		}
 	}
 }
 
@@ -252,12 +298,12 @@ func fill(n int, seed byte) []byte {
 // TestBorrowedMessageDescendingSizes echoes two back-to-back bursts of
 // messages of descending size, each with its own fill, over one
 // connection. The bursts span many read cycles, so the receive buffers
-// compact around unconsumed tails and framing buffers are recycled from
-// larger messages to smaller ones; each message is checked byte for
-// byte inside its own callback, so a recycled buffer that leaked a
-// stale tail or an earlier message's bytes would show. The lossy run
-// retransmits retained chunks long after their framing buffers went
-// back to the pool.
+// compact around unconsumed tails and send descriptors and chunks are
+// recycled from larger messages to smaller ones; each message is
+// checked byte for byte inside its own callback, so a recycled buffer
+// that leaked a stale tail or an earlier message's bytes would show.
+// The lossy run retransmits retained chunks long after the echoed
+// message they were encoded from was handed back to the connection.
 func TestBorrowedMessageDescendingSizes(t *testing.T) {
 	for _, loss := range []float64{0, 0.02} {
 		t.Run(fmt.Sprintf("loss=%v", loss), func(t *testing.T) {
@@ -304,6 +350,6 @@ func testBorrowedMessageDescendingSizes(t *testing.T, loss float64) {
 		t.Fatalf("requests %d, echoes %d, want %d each", requests, echoed, rounds*len(sizes))
 	}
 	if len(cli.sendFree) == 0 || len(srv.sendFree) == 0 {
-		t.Fatal("send descriptors and their framing buffers are not recycled")
+		t.Fatal("send descriptors are not recycled")
 	}
 }

@@ -35,7 +35,14 @@ func (a *AEAD) SealInPlace(buf []byte, hdrOff, innerLen int, seq uint64) error {
 // the transmit-side layout the NIC's SealInPlace later completes. buf must
 // be long enough to hold the whole record.
 func WriteRecordShell(buf []byte, hdrOff int, contentType byte, plaintext []byte, padLen int) int {
-	innerLen := len(plaintext) + 1 + padLen
+	return WriteRecordShellParts(buf, hdrOff, contentType, plaintext, nil, padLen)
+}
+
+// WriteRecordShellParts is WriteRecordShell over a plaintext given in
+// two parts, head ‖ body (see SealRecordParts).
+func WriteRecordShellParts(buf []byte, hdrOff int, contentType byte, head, body []byte, padLen int) int {
+	n := len(head) + len(body)
+	innerLen := n + 1 + padLen
 	total := wire.RecordHeaderLen + innerLen + wire.GCMTagLen
 	ctLen := innerLen + wire.GCMTagLen
 	buf[hdrOff] = wire.RecordTypeApplicationData
@@ -43,11 +50,11 @@ func WriteRecordShell(buf []byte, hdrOff int, contentType byte, plaintext []byte
 	buf[hdrOff+2] = 0x03
 	buf[hdrOff+3] = byte(ctLen >> 8)
 	buf[hdrOff+4] = byte(ctLen)
-	body := hdrOff + wire.RecordHeaderLen
-	copy(buf[body:], plaintext)
-	buf[body+len(plaintext)] = contentType
+	at := hdrOff + wire.RecordHeaderLen
+	copy(buf[at+copy(buf[at:], head):], body)
+	buf[at+n] = contentType
 	// Zero the padding and reserved tag space in chunks.
-	for i := body + len(plaintext) + 1; i < hdrOff+total; i += copy(buf[i:hdrOff+total], zeros[:]) {
+	for i := at + n + 1; i < hdrOff+total; i += copy(buf[i:hdrOff+total], zeros[:]) {
 	}
 	return total
 }

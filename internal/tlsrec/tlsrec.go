@@ -118,7 +118,15 @@ func appendZeros(dst []byte, n int) []byte {
 // content type is contentType (RecordTypeApplicationData on the data
 // path).
 func (a *AEAD) SealRecord(dst []byte, seq uint64, contentType byte, plaintext []byte, padLen int) ([]byte, error) {
-	inner := len(plaintext) + 1 + padLen // TLSInnerPlaintext: content ‖ type ‖ zeros
+	return a.SealRecordParts(dst, seq, contentType, plaintext, nil, padLen)
+}
+
+// SealRecordParts is SealRecord over a plaintext given in two parts,
+// head ‖ body, sealed as one record. A stream codec seals a message's
+// length prefix with its first bytes this way, without first copying
+// the two into one buffer.
+func (a *AEAD) SealRecordParts(dst []byte, seq uint64, contentType byte, head, body []byte, padLen int) ([]byte, error) {
+	inner := len(head) + len(body) + 1 + padLen // TLSInnerPlaintext: content ‖ type ‖ zeros
 	if inner > wire.MaxTLSRecord+1 {
 		return nil, ErrRecordTooBig
 	}
@@ -130,13 +138,14 @@ func (a *AEAD) SealRecord(dst []byte, seq uint64, contentType byte, plaintext []
 	dst = hdr.AppendTo(dst)
 
 	// Build the inner plaintext in place at the tail of dst.
-	body := len(dst)
-	dst = append(dst, plaintext...)
+	at := len(dst)
+	dst = append(dst, head...)
+	dst = append(dst, body...)
 	dst = append(dst, contentType)
 	dst = appendZeros(dst, padLen)
 	// Re-slice the AAD after the appends: they may have grown dst.
 	aad := dst[hdrStart : hdrStart+wire.RecordHeaderLen]
-	sealed := a.aead.Seal(dst[:body], a.nonceInto(seq), dst[body:], aad)
+	sealed := a.aead.Seal(dst[:at], a.nonceInto(seq), dst[at:], aad)
 	return sealed, nil
 }
 

@@ -142,6 +142,15 @@ func (p *Packet) SetPayload(b []byte) {
 	p.Payload = p.buf
 }
 
+// AppendPayload copies b onto the end of the packet's own payload: the
+// gathering form of SetPayload, for a payload cut from several buffers.
+// The payload must be the packet's own storage (as after Reset or
+// SetPayload), never a borrowed one.
+func (p *Packet) AppendPayload(b []byte) {
+	p.buf = append(p.buf[:len(p.Payload)], b...)
+	p.Payload = p.buf
+}
+
 // CopyFrom makes p a deep copy of src using p's own storage (the pooled
 // counterpart of Clone).
 func (p *Packet) CopyFrom(src *Packet) {
