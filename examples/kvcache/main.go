@@ -20,12 +20,7 @@ func main() {
 	)
 	fmt.Printf("YCSB-B, %d B values, %d closed-loop clients:\n\n", valueSize, clients)
 	for _, spec := range experiments.RedisLineup() {
-		sys, err := experiments.BuildRedis(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kvcache:", err)
-			os.Exit(1)
-		}
-		r, err := experiments.MeasureRedis(sys, ycsb.WorkloadB, valueSize, clients, 2024)
+		r, err := experiments.MeasureRedis(spec, ycsb.WorkloadB, valueSize, clients, 2024)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kvcache:", err)
 			os.Exit(1)

@@ -149,9 +149,6 @@ type nicQueue struct {
 	used bool   // a segment has gone out on this queue
 }
 
-// HW reports whether the codec uses NIC TLS offload.
-func (c *Codec) HW() bool { return c.hw }
-
 // Alloc returns the session's bit allocation.
 func (c *Codec) Alloc() tlsrec.BitAllocation { return c.alloc }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"smt/internal/cpusim"
 	"smt/internal/homa"
@@ -36,7 +36,7 @@ type Socket struct {
 	host        *cpusim.Host
 	cfg         Config
 	nextSession uint64
-	sessions    map[uint64]*Codec // sessionBase -> codec, for stats
+	sessions    []*Codec // in registration (session-base) order, for stats
 }
 
 // unregistered is the codec in place before key registration: it rejects
@@ -74,11 +74,7 @@ func NewSocket(host *cpusim.Host, cfg Config) *Socket {
 	if !cfg.Alloc.Valid() {
 		cfg.Alloc = tlsrec.DefaultAllocation
 	}
-	s := &Socket{host: host, cfg: cfg, sessions: make(map[uint64]*Codec)}
-	s.Socket = homa.NewSocket(host, cfg.Transport, func(addr uint32, port uint16) homa.Codec {
-		return unregistered{}
-	})
-	return s
+	return &Socket{Socket: homa.NewSocket(host, cfg.Transport, unregistered{}), host: host, cfg: cfg}
 }
 
 // RegisterSession installs the negotiated keys for a peer — the
@@ -92,7 +88,7 @@ func (s *Socket) RegisterSession(peerAddr uint32, peerPort uint16, keys SessionK
 		return nil, err
 	}
 	s.Socket.SetCodec(peerAddr, peerPort, codec)
-	s.sessions[base] = codec
+	s.sessions = append(s.sessions, codec)
 	return codec, nil
 }
 
@@ -112,21 +108,11 @@ func (s *Socket) Send(dstAddr uint32, dstPort uint16, payload []byte, appThread 
 	return s.Socket.Send(dstAddr, dstPort, payload, appThread)
 }
 
-// Codecs returns the registered session codecs in session-base order
-// (stats inspection; callers index into the result, so the order must
-// not depend on map iteration).
+// Codecs returns a copy of the registered session codecs in
+// registration order, the order RegisterSession hands out their session
+// bases (stats inspection).
 func (s *Socket) Codecs() []*Codec {
-	bases := make([]uint64, 0, len(s.sessions))
-	//smt:allow determinism -- keys are sorted before use; iteration order never escapes
-	for b := range s.sessions {
-		bases = append(bases, b)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	out := make([]*Codec, 0, len(bases))
-	for _, b := range bases {
-		out = append(out, s.sessions[b])
-	}
-	return out
+	return slices.Clone(s.sessions)
 }
 
 // PairSessions wires two SMT sockets with mirrored session keys, the

@@ -19,7 +19,7 @@ func testFig8Shape(t *testing.T) {
 	nsys := len(lineup)
 	rows := make([]Fig8Row, len(values)*nsys)
 	ForEach(len(rows), 0, func(i int) {
-		rows[i] = must(MeasureRedis(must(BuildRedis(lineup[i%nsys])), ycsb.WorkloadB, values[i/nsys], 64, 99))
+		rows[i] = must(MeasureRedis(lineup[i%nsys], ycsb.WorkloadB, values[i/nsys], 64, 99))
 	})
 	get := func(valueSize int) map[string]float64 {
 		out := map[string]float64{}
@@ -64,7 +64,7 @@ func testFig9Shape(t *testing.T) {
 	nsys := len(lineup)
 	flat := make([]Fig9Row, len(depths)*nsys)
 	ForEach(len(flat), 0, func(i int) {
-		flat[i] = must(MeasureNVMeoF(must(BuildSystem(lineup[i%nsys])), depths[i/nsys], 12))
+		flat[i] = must(MeasureNVMeoF(lineup[i%nsys], depths[i/nsys], 12))
 	})
 	rows := map[string]map[int]Fig9Row{}
 	for _, r := range flat {

@@ -353,9 +353,7 @@ func (d *Dialer) validatePolicy() error {
 }
 
 func (d *Dialer) setupHomaServer() {
-	srv := d.wr.msg.open(d.w.Server, homa.Config{Port: ServerPort})
-	d.echo.sock = srv
-	srv.OnMessage(func(dv homa.Delivery) { d.echo.serve(dv.Payload, dv.AppThread, dv.Src, dv.SrcPort, nil) })
+	srv := d.wr.listen(d.w, d.w.Server, 0, false, nil, d.echo.serve)
 	if smt, ok := srv.(*core.Socket); ok {
 		d.hs = newSMTHsServer(smt)
 	}
@@ -376,7 +374,10 @@ func (d *Dialer) setupTCPServer() {
 		if d.srvConns != nil {
 			d.srvConns[hsKey{c.PeerAddr(), c.PeerPort()}] = c
 		}
-		c.OnMessage(func(m []byte) { d.echo.serve(m, c.AppThread(), 0, 0, c) })
+		c.OnMessage(func(m []byte) {
+			d.w.checkDelivery(m)
+			d.echo.serve(m, c.AppThread(), replyTo{conn: c})
+		})
 	})
 }
 

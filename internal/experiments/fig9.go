@@ -20,16 +20,21 @@ type Fig9Row struct {
 }
 
 // MeasureNVMeoF runs FIO-style 4 KB random reads at the given iodepth
-// over one transport system. The in-kernel paths replace the app-level
-// echo handler: the target submits to the simulated SSD and responds
-// with the block; the initiator completes in kernel context. We model
-// the in-kernel discount by the smaller fixed costs and (for the
-// message-transport port) one extra copy of the 4 KB payload (§5.4).
-func MeasureNVMeoF(sys System, iodepth int, seed int64, pa ...*pointAudit) (Fig9Row, error) {
+// over one stack. The in-kernel paths replace the app-level echo
+// handler: the target submits to the simulated SSD and responds with
+// the block; the initiator completes in kernel context. We model the
+// in-kernel discount by the smaller fixed costs and (for the
+// message-transport port, every homa stack) one extra copy of the 4 KB
+// payload (§5.4).
+func MeasureNVMeoF(spec StackSpec, iodepth int, seed int64, pa ...*pointAudit) (Fig9Row, error) {
+	sys, err := BuildSystem(spec)
+	if err != nil {
+		return Fig9Row{}, err
+	}
 	w := audited(NewWorld(seed), pa)
 	ssd := nvmeof.NewSSD(w.Eng, nvmeof.DefaultChannels, nvmeof.DefaultReadLatency)
 	costs := nvmeof.DefaultCosts(w.CM)
-	extraCopy := sys.Name == "Homa" || sys.Name == "SMT-sw" || sys.Name == "SMT-hw"
+	extraCopy := spec.Transport == TransportHoma
 
 	var cl *rpc.ClosedLoop
 	lat := &stats.Histogram{}

@@ -132,11 +132,7 @@ func init() {
 						Seed:   333,
 						Labels: Labels{"system": stack.Name, "workload": wl.String(), "value": itoa(v)},
 						Run: func(seed int64, pa *pointAudit) (Values, error) {
-							sys, err := BuildRedis(stack)
-							if err != nil {
-								return nil, err
-							}
-							r, err := MeasureRedis(sys, wl, v, 64, seed, pa)
+							r, err := MeasureRedis(stack, wl, v, 64, seed, pa)
 							return Values{"ops_per_sec": r.OpsPerSec}, err
 						},
 					})
@@ -155,11 +151,7 @@ func init() {
 					Seed:   444,
 					Labels: Labels{"system": stack.Name, "iodepth": itoa(d)},
 					Run: func(seed int64, pa *pointAudit) (Values, error) {
-						sys, err := BuildSystem(stack)
-						if err != nil {
-							return nil, err
-						}
-						r, err := MeasureNVMeoF(sys, d, seed, pa)
+						r, err := MeasureNVMeoF(stack, d, seed, pa)
 						return Values{"p50_us": r.P50Us, "p99_us": r.P99Us, "iops": r.IOPS}, err
 					},
 				})

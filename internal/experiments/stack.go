@@ -10,6 +10,8 @@ import (
 	"smt/internal/cpusim"
 	"smt/internal/homa"
 	"smt/internal/ktls"
+	"smt/internal/rpc"
+	"smt/internal/sim"
 	"smt/internal/tcpls"
 	"smt/internal/tcpsim"
 )
@@ -17,8 +19,10 @@ import (
 // This file is the composable stack catalogue: the paper's design-space
 // decomposition (Table 1) as an API. A stack under test is not an opaque
 // closure but a StackSpec — a transport crossed with a record layer —
-// and resolve turns it into the sockets and codecs every harness
-// (BuildFabric, BuildRedis, NewDialer) is built from. The runnable
+// and resolve turns it into the sockets and codecs every harness is
+// built from: the pre-paired ones (BuildFabric's echo service and
+// MeasureRedis) open their endpoints through its listen and connect,
+// and the churn NewDialer dials over the same parts. The runnable
 // matrix is therefore open: every buildable spec runs on every World
 // shape (two-host and switched fabric), and combinations the
 // decomposition cannot express (a bytestream record layer on a message
@@ -124,33 +128,6 @@ func (r *streamRecord) mustCodec(cm *cost.Model, keys ktls.Keys) tcpsim.Codec {
 	return c
 }
 
-// serverCodecs is the tcpsim.Listen codec factory of a pre-keyed
-// listener: each accepted connection derives its own mirrored keys from
-// the record layer's label and the client half of its 4-tuple
-// (ktls.ConnKeys), so no two connections in any world share keys. A nil
-// record is plaintext.
-func (r *streamRecord) serverCodecs(cm *cost.Model) func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
-	if r == nil {
-		return nil
-	}
-	return func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
-		_, sk := ktls.ConnKeys(r.label, peerAddr, peerPort)
-		return r.mustCodec(cm, sk)
-	}
-}
-
-// clientCodecs is the matching tcpsim.Dial codec factory for a client
-// at addr.
-func (r *streamRecord) clientCodecs(cm *cost.Model, addr uint32) func(localPort uint16) tcpsim.Codec {
-	if r == nil {
-		return nil
-	}
-	return func(localPort uint16) tcpsim.Codec {
-		ck, _ := ktls.ConnKeys(r.label, addr, localPort)
-		return r.mustCodec(cm, ck)
-	}
-}
-
 // streamRecordFor maps a spec onto its bytestream record constructor;
 // nil means plaintext. Specs whose record layer has no bytestream form
 // get a descriptive error.
@@ -202,17 +179,6 @@ func (m *msgTransport) open(host *cpusim.Host, cfg homa.Config) msgSock {
 	return core.NewSocket(host, core.Config{Transport: cfg, HWOffload: m.hw})
 }
 
-// pair pre-pairs client socket cli with the server socket srv bound on
-// ServerPort: SMT sessions get mirrored keys derived from seed
-// (core.PairSessions), the state both ends reach after a handshake.
-// Homa has no session to install.
-func (m *msgTransport) pair(cli, srv msgSock, seed byte) error {
-	if !m.smt {
-		return nil
-	}
-	return core.PairSessions(cli.(*core.Socket), cli.Port(), srv.(*core.Socket), ServerPort, seed)
-}
-
 // wiring is a StackSpec resolved into the parts every harness builds
 // it from: the message transport's sockets (msg, homa stacks) or the
 // bytestream record layer (rec, tcp stacks; nil for plaintext TCP).
@@ -224,7 +190,7 @@ type wiring struct {
 }
 
 // resolve decides the transport × record matrix for every harness —
-// BuildFabric, BuildRedis and NewDialer all build from its wiring. A
+// BuildFabric, MeasureRedis and NewDialer all build from its wiring. A
 // combination the decomposition cannot express gets a descriptive
 // error naming the stack and the record layer; a stream record layer
 // is validated here, once, so no harness can fail on it later.
@@ -267,10 +233,130 @@ func (wr wiring) declare(w *World) {
 	}
 }
 
+// --- the two endpoint halves every pre-paired harness builds on ---
+//
+// Both pre-establish every session before measuring, as the paper's
+// harness does: the figure experiments measure steady state. Dialed
+// connections, with a live key exchange, are the churn Dialer's
+// (dial.go).
+
+// replyTo is the way back to a request's sender: the server socket and
+// the sender's (addr, port) on a message transport, or the accepted
+// connection on a bytestream.
+type replyTo struct {
+	sock msgSock
+	addr uint32
+	port uint16
+	conn *tcpsim.Conn
+}
+
+// send transmits a response from app thread thread.
+func (to replyTo) send(payload []byte, thread int) {
+	if to.conn != nil {
+		to.conn.SendMessage(payload)
+		return
+	}
+	to.sock.Send(to.addr, to.port, payload, thread)
+}
+
+// listen opens the stack's server endpoint on host: a socket bound on
+// ServerPort, or a listener on serverPortK that keys each accepted
+// connection from the record layer's label and the client half of its
+// 4-tuple (ktls.ConnKeys), so no two connections in any world share
+// keys. Every request it accepts reaches the world's Check hook, then
+// serve, with the app thread it was delivered to and the way back.
+// threads is the socket's homa.Config.AppThreads (nil: every app
+// thread); a listener hands the listed threads to connections in turn.
+// The returned socket is the one connect pairs clients with, nil for a
+// bytestream stack.
+func (wr wiring) listen(w *World, host *cpusim.Host, mtu int, noTSO bool, threads []int, serve func(req []byte, thread int, to replyTo)) msgSock {
+	if wr.msg != nil {
+		srv := wr.msg.open(host, homa.Config{Port: ServerPort, MTU: mtu, NoTSO: noTSO, AppThreads: threads})
+		srv.OnMessage(func(d homa.Delivery) {
+			w.checkDelivery(d.Payload)
+			serve(d.Payload, d.AppThread, replyTo{sock: srv, addr: d.Src, port: d.SrcPort})
+		})
+		return srv
+	}
+	var codecs func(peerAddr uint32, peerPort uint16) tcpsim.Codec
+	if rec := wr.rec; rec != nil {
+		codecs = func(peerAddr uint32, peerPort uint16) tcpsim.Codec {
+			_, sk := ktls.ConnKeys(rec.label, peerAddr, peerPort)
+			return rec.mustCodec(w.CM, sk)
+		}
+	}
+	next := 0
+	tcpsim.Listen(host, serverPortK, tcpsim.Config{MTU: mtu}, codecs, func() int {
+		t := next % AppThreads
+		if threads != nil {
+			t = threads[next%len(threads)]
+		}
+		next++
+		return t
+	}, func(c *tcpsim.Conn) {
+		c.OnMessage(func(m []byte) {
+			w.checkDelivery(m)
+			serve(m, c.AppThread(), replyTo{conn: c})
+		})
+	})
+	return nil
+}
+
+// connect opens one client endpoint on host against the endpoint listen
+// opened on server: a socket whose SMT session with srv is keyed from
+// seed (core.PairSessions, the state both ends reach after a handshake;
+// Homa has no session), or one connection per stream, each keyed like
+// the listener's. Every response it accepts reaches the world's Check
+// hook, then onResp with its RPC request ID. The returned sender issues
+// a request on a stream.
+func (wr wiring) connect(w *World, host, server *cpusim.Host, srv msgSock, streams, mtu int, noTSO bool, seed byte, onResp func(reqID uint64)) (func(stream int, req []byte), error) {
+	accept := func(m []byte) {
+		w.checkDelivery(m)
+		if id, _, err := rpc.Decode(m); err == nil {
+			onResp(id)
+		}
+	}
+	if wr.msg != nil {
+		cli := wr.msg.open(host, homa.Config{MTU: mtu, NoTSO: noTSO})
+		if wr.msg.smt {
+			if err := core.PairSessions(cli.(*core.Socket), cli.Port(), srv.(*core.Socket), ServerPort, seed); err != nil {
+				return nil, fmt.Errorf("%s: pair sessions: %w", wr.name, err)
+			}
+		}
+		cli.OnMessage(func(d homa.Delivery) { accept(d.Payload) })
+		return func(stream int, req []byte) {
+			cli.Send(server.Addr, ServerPort, req, stream%AppThreads)
+		}, nil
+	}
+	var codecs func(localPort uint16) tcpsim.Codec
+	if rec := wr.rec; rec != nil {
+		codecs = func(localPort uint16) tcpsim.Codec {
+			ck, _ := ktls.ConnKeys(rec.label, host.Addr, localPort)
+			return rec.mustCodec(w.CM, ck)
+		}
+	}
+	conns := make([]*tcpsim.Conn, streams)
+	for i := range conns {
+		conns[i] = tcpsim.Dial(host, i%AppThreads, tcpsim.Config{MTU: mtu}, codecs, server.Addr, serverPortK, nil)
+		conns[i].OnMessage(accept)
+	}
+	return func(stream int, req []byte) { conns[stream].SendMessage(req) }, nil
+}
+
+// establish runs the bytestream stacks' connection setup before
+// measurement starts; message-transport sockets have none.
+func (wr wiring) establish(w *World) {
+	if wr.msg == nil {
+		w.Eng.RunUntil(w.Eng.Now() + 5*sim.Millisecond)
+	}
+}
+
 // BuildFabric composes a runnable FabricSystem from a spec: the echo
-// wiring of its transport (world.go) over the sockets or record layer
-// resolve chose. A combination the decomposition cannot express returns
-// a descriptive error; nothing in the build path panics on bad input.
+// service (world.go) on one listen and a connect per client host, over
+// the sockets or record layer resolve chose. Each client pair gets its
+// own session keys, as one TLS handshake per flow 5-tuple would produce
+// (§4.2). A combination the decomposition cannot express returns a
+// descriptive error; nothing in the build path panics on bad input.
 // The composed Setup declares the spec's encryption policy to the
 // world's wire auditor.
 func BuildFabric(spec StackSpec) (FabricSystem, error) {
@@ -278,13 +364,23 @@ func BuildFabric(spec StackSpec) (FabricSystem, error) {
 	if err != nil {
 		return FabricSystem{}, err
 	}
-	setup := fabricOverTCP
-	if wr.msg != nil {
-		setup = fabricOverMsg
-	}
 	return FabricSystem{Name: wr.name, Setup: func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
 		wr.declare(w)
-		return setup(wr, w, clients, server, cfg, done)
+		e := &echoServer{w: w, host: server}
+		srv := wr.listen(w, server, cfg.MTU, cfg.NoTSO, nil, e.serve)
+		sends := make([]func(int, []byte), len(clients))
+		for ci, ch := range clients {
+			send, err := wr.connect(w, ch, server, srv, cfg.StreamsPerClient, cfg.MTU, cfg.NoTSO, byte(11+ci), func(id uint64) { done(ci, id) })
+			if err != nil {
+				return nil, fmt.Errorf("client %d: %w", ci, err)
+			}
+			sends[ci] = send
+		}
+		wr.establish(w)
+		return func(client, stream int, reqID uint64, size, respSize int) {
+			e.encBuf = rpc.AppendEncode(e.encBuf, reqID, uint32(respSize), size)
+			sends[client](stream, e.encBuf)
+		}, nil
 	}}, nil
 }
 

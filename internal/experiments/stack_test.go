@@ -8,6 +8,7 @@ import (
 	"smt/internal/netsim"
 	"smt/internal/rpc"
 	"smt/internal/sim"
+	"smt/internal/ycsb"
 )
 
 // allTransports × allRecords spans the full design-space matrix,
@@ -61,24 +62,27 @@ func TestStackCatalogue(t *testing.T) {
 	}
 }
 
-// TestStackMatrix builds every cell of the transport × record matrix
-// through all three harness builders — BuildFabric, BuildRedis and
-// NewDialer at the cell's ChurnPolicyFor — which share one resolver:
-// the buildable half composes in all three, the rest fails in all three
-// with the same descriptive error naming the stack and the record
-// layer — never a panic, never a silent omission.
+// TestStackMatrix runs every cell of the transport × record matrix
+// through all three harnesses — BuildFabric, MeasureRedis on one stream
+// and NewDialer at the cell's ChurnPolicyFor — which share one resolver:
+// the buildable half composes in all three and completes Redis
+// operations, the rest fails in all three with the same descriptive
+// error naming the stack and the record layer — never a panic, never a
+// silent omission.
 func TestStackMatrix(t *testing.T) {
 	for _, tr := range allTransports {
 		for _, rec := range allRecords {
 			spec := StackSpec{Transport: tr, Record: rec}
 			sys, err := BuildFabric(spec)
-			redis, rerr := BuildRedis(spec)
+			redis, rerr := MeasureRedis(spec, ycsb.WorkloadB, 64, 1, 1)
 			_, derr := NewDialer(NewWorld(1), spec, DialConfig{Policy: ChurnPolicyFor(spec)})
 			if buildableCells[tr][rec] {
 				if err != nil || rerr != nil || derr != nil {
-					t.Errorf("%s × %s should build: BuildFabric %v, BuildRedis %v, NewDialer %v", tr, rec, err, rerr, derr)
-				} else if sys.Name == "" || sys.Setup == nil || redis.name == "" || redis.setup == nil {
+					t.Errorf("%s × %s should build: BuildFabric %v, MeasureRedis %v, NewDialer %v", tr, rec, err, rerr, derr)
+				} else if sys.Name == "" || sys.Setup == nil {
 					t.Errorf("%s × %s built an empty system", tr, rec)
+				} else if redis.System != spec.name() || redis.OpsPerSec <= 0 {
+					t.Errorf("%s × %s: Redis row %+v, want %s completing operations", tr, rec, redis, spec.name())
 				}
 				continue
 			}
@@ -91,11 +95,11 @@ func TestStackMatrix(t *testing.T) {
 				t.Errorf("%s × %s error %q does not name the stack and the record layer", tr, rec, msg)
 			}
 			for _, b := range []struct {
-				builder string
+				harness string
 				err     error
-			}{{"BuildRedis", rerr}, {"NewDialer", derr}} {
+			}{{"MeasureRedis", rerr}, {"NewDialer", derr}} {
 				if b.err == nil || b.err.Error() != msg {
-					t.Errorf("%s × %s: %s error %v, want BuildFabric's %q", tr, rec, b.builder, b.err, msg)
+					t.Errorf("%s × %s: %s error %v, want BuildFabric's %q", tr, rec, b.harness, b.err, msg)
 				}
 			}
 		}
@@ -124,10 +128,6 @@ func TestStackMatrix(t *testing.T) {
 	}
 	if _, err := BuildFabric(StackSpec{Transport: TransportTCP, Record: "psp"}); err == nil || !strings.Contains(err.Error(), "unknown record layer") {
 		t.Errorf("unknown record layer should be named, got %v", err)
-	}
-	// BuildRedis rejects the same cells with the same story.
-	if _, err := BuildRedis(StackSpec{Transport: TransportHoma, Record: RecordTCPLS}); err == nil || !strings.Contains(err.Error(), "bytestream") {
-		t.Errorf("redis homa × tcpls error should explain the mismatch, got %v", err)
 	}
 }
 

@@ -24,8 +24,8 @@
 // The systems under test are composed, not hardwired: a StackSpec names
 // a transport × record-layer cell, resolve (stack.go) decides which
 // sockets and codecs it is built from, and BuildFabric runs the echo
-// wiring of its transport in this file (fabricOverMsg, fabricOverTCP) —
-// see stack.go for the registry and the buildable matrix.
+// service in this file on the wiring's listen and connect — see
+// stack.go for the registry and the buildable matrix.
 //
 // Worlds come in two shapes. NewWorld builds the paper's two-host
 // back-to-back testbed; NewFabricWorld builds an N-host fabric from a
@@ -36,16 +36,12 @@
 package experiments
 
 import (
-	"fmt"
-
 	"smt/internal/audit"
 	"smt/internal/cost"
 	"smt/internal/cpusim"
-	"smt/internal/homa"
 	"smt/internal/netsim"
 	"smt/internal/rpc"
 	"smt/internal/sim"
-	"smt/internal/tcpsim"
 	"smt/internal/wire"
 )
 
@@ -185,21 +181,13 @@ func (f FabricSystem) System() System {
 	}}
 }
 
-// --- the echo wirings BuildFabric chooses between ---
-//
-// Both pre-establish every session before measuring, as the paper's
-// harness does: the figure experiments measure steady state. Dialed
-// connections, with a live key exchange, are the churn Dialer's
-// (dial.go).
-
-// echoServer is the server side of an echo wiring. Each accepted
-// request charges AppLogic on the app thread it was delivered to; the
-// charge's completion, a pooled echoReply, encodes and sends the
-// response.
+// echoServer is the service BuildFabric wires on the stack's listen
+// (stack.go). Each accepted request charges AppLogic on the app thread
+// it was delivered to; the charge's completion, a pooled echoReply,
+// encodes and sends the response.
 type echoServer struct {
 	w    *World
 	host *cpusim.Host
-	sock msgSock // message-transport stacks: the server socket
 	// encBuf is the world's RPC-payload scratch: the transports read the
 	// payload synchronously in Send (encoding or copying it) and never
 	// write it, and the whole world runs on one goroutine, so one buffer
@@ -209,24 +197,18 @@ type echoServer struct {
 	free   []*echoReply
 }
 
-// echoReply is one response waiting for its AppLogic charge: to
-// (dst, dstPort) through the server socket, or on conn for a
-// bytestream stack.
+// echoReply is one response waiting for its AppLogic charge.
 type echoReply struct {
 	e        *echoServer
 	id       uint64
 	respSize int
 	thread   int
-	dst      uint32
-	dstPort  uint16
-	conn     *tcpsim.Conn
+	to       replyTo
 }
 
-// serve answers the request payload delivered on thread, from
-// (src, srcPort) or on conn.
-func (e *echoServer) serve(payload []byte, thread int, src uint32, srcPort uint16, conn *tcpsim.Conn) {
-	e.w.checkDelivery(payload)
-	id, respSize, err := rpc.Decode(payload)
+// serve answers the request delivered on thread.
+func (e *echoServer) serve(req []byte, thread int, to replyTo) {
+	id, respSize, err := rpc.Decode(req)
 	if err != nil {
 		return
 	}
@@ -238,8 +220,7 @@ func (e *echoServer) serve(payload []byte, thread int, src uint32, srcPort uint1
 		//smt:coldpath -- echoReply free-list refill; steady state reuses pooled replies
 		r = &echoReply{e: e}
 	}
-	r.id, r.respSize, r.thread = id, int(respSize), thread
-	r.dst, r.dstPort, r.conn = src, srcPort, conn
+	r.id, r.respSize, r.thread, r.to = id, int(respSize), thread, to
 	e.host.App[thread%len(e.host.App)].AcquireAction(e.w.CM.AppLogic, r)
 }
 
@@ -247,79 +228,9 @@ func (e *echoServer) serve(payload []byte, thread int, src uint32, srcPort uint1
 func (r *echoReply) Run() {
 	e := r.e
 	e.encBuf = rpc.AppendEncode(e.encBuf, r.id, 0, r.respSize)
-	if r.conn != nil {
-		r.conn.SendMessage(e.encBuf)
-	} else {
-		e.sock.Send(r.dst, r.dstPort, e.encBuf, r.thread)
-	}
-	r.conn = nil
+	r.to.send(e.encBuf, r.thread)
+	r.to = replyTo{}
 	e.free = append(e.free, r)
-}
-
-// fabricOverMsg wires the echo service over a message-transport stack:
-// one server socket delivering into every app thread, and one socket
-// per client pre-paired with it.
-func fabricOverMsg(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-	srv := wr.msg.open(server, homa.Config{Port: ServerPort, MTU: cfg.MTU, NoTSO: cfg.NoTSO})
-	e := &echoServer{w: w, host: server, sock: srv}
-	srv.OnMessage(func(d homa.Delivery) { e.serve(d.Payload, d.AppThread, d.Src, d.SrcPort, nil) })
-	clis := make([]msgSock, len(clients))
-	for ci, ch := range clients {
-		cli := wr.msg.open(ch, homa.Config{MTU: cfg.MTU, NoTSO: cfg.NoTSO})
-		// Each client pair gets its own session keys, as one TLS
-		// handshake per flow 5-tuple would produce (§4.2).
-		if err := wr.msg.pair(cli, srv, byte(11+ci)); err != nil {
-			return nil, fmt.Errorf("%s: pair sessions for client %d: %w", wr.name, ci, err)
-		}
-		cli.OnMessage(func(d homa.Delivery) {
-			w.checkDelivery(d.Payload)
-			if id, _, err := rpc.Decode(d.Payload); err == nil {
-				done(ci, id)
-			}
-		})
-		clis[ci] = cli
-	}
-	return func(client, stream int, reqID uint64, size, respSize int) {
-		e.encBuf = rpc.AppendEncode(e.encBuf, reqID, uint32(respSize), size)
-		clis[client].Send(server.Addr, ServerPort, e.encBuf, stream%AppThreads)
-	}, nil
-}
-
-// fabricOverTCP wires the echo service over a bytestream stack: one
-// connection per (client, stream), keyed per connection through the
-// stack's stream record layer (plaintext when it has none).
-func fabricOverTCP(wr wiring, w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
-	e := &echoServer{w: w, host: server}
-	tcfg := tcpsim.Config{MTU: cfg.MTU}
-	nextThread := 0
-	tcpsim.Listen(server, serverPortK, tcfg, wr.rec.serverCodecs(w.CM), func() int {
-		t := nextThread
-		nextThread = (nextThread + 1) % AppThreads
-		return t
-	}, func(c *tcpsim.Conn) {
-		c.OnMessage(func(m []byte) { e.serve(m, c.AppThread(), 0, 0, c) })
-	})
-	conns := make([][]*tcpsim.Conn, len(clients))
-	for ci, ch := range clients {
-		cliCodecs := wr.rec.clientCodecs(w.CM, ch.Addr)
-		conns[ci] = make([]*tcpsim.Conn, cfg.StreamsPerClient)
-		for i := range conns[ci] {
-			c := tcpsim.Dial(ch, i%AppThreads, tcfg, cliCodecs, server.Addr, serverPortK, nil)
-			c.OnMessage(func(m []byte) {
-				w.checkDelivery(m)
-				if id, _, err := rpc.Decode(m); err == nil {
-					done(ci, id)
-				}
-			})
-			conns[ci][i] = c
-		}
-	}
-	// Pre-establish all connections before measurement.
-	w.Eng.RunUntil(w.Eng.Now() + 5*sim.Millisecond)
-	return func(client, stream int, reqID uint64, size, respSize int) {
-		e.encBuf = rpc.AppendEncode(e.encBuf, reqID, uint32(respSize), size)
-		conns[client][stream].SendMessage(e.encBuf)
-	}, nil
 }
 
 // mtuOrDefault resolves an MTU argument.

@@ -86,10 +86,11 @@ func (k peerKey) port() uint16 { return uint16(k) }
 // (codec, message ID spaces) is kept in peer structs, matching an SMT
 // session per flow 5-tuple.
 type Socket struct {
-	host  *cpusim.Host
-	cfg   Config
-	port  uint16
-	newCo func(peer peerKey) Codec
+	host *cpusim.Host
+	cfg  Config
+	port uint16
+	// codec is every new peer's codec until SetCodec replaces it.
+	codec Codec
 
 	peers       idmap.Map[*peer] // by peerKey
 	onMessage   func(Delivery)
@@ -161,21 +162,20 @@ func (p *peer) markDone(id uint64) {
 	p.done.Put(id, struct{}{})
 }
 
-// NewSocket binds a socket on host. codecFactory builds the per-peer
-// codec (session); pass nil for vanilla Homa.
-func NewSocket(host *cpusim.Host, cfg Config, codecFactory func(peerAddr uint32, peerPort uint16) Codec) *Socket {
+// NewSocket binds a socket on host. codec is every peer's codec until
+// SetCodec installs its session; nil is one PlainCodec shared by every
+// peer, vanilla Homa.
+func NewSocket(host *cpusim.Host, cfg Config, codec Codec) *Socket {
 	if cfg.MTU == 0 {
 		cfg.MTU = wire.DefaultMTU
 	}
 	if cfg.Proto == 0 {
 		cfg.Proto = wire.ProtoHoma
 	}
-	s := &Socket{host: host, cfg: cfg}
-	if codecFactory == nil {
-		shared := &PlainCodec{}
-		codecFactory = func(uint32, uint16) Codec { return shared }
+	if codec == nil {
+		codec = &PlainCodec{}
 	}
-	s.newCo = func(pk peerKey) Codec { return codecFactory(pk.addr(), pk.port()) }
+	s := &Socket{host: host, cfg: cfg, codec: codec}
 	if cfg.Port == 0 {
 		cfg.Port = host.AllocPort()
 	}
@@ -258,7 +258,7 @@ func (s *Socket) peerFor(pk peerKey) *peer {
 //
 //smt:coldpath peer setup runs once per (addr, port) pair
 func (s *Socket) newPeer(pk peerKey) *peer {
-	return &peer{key: pk, codec: s.newCo(pk)}
+	return &peer{key: pk, codec: s.codec}
 }
 
 // Peer returns the codec associated with a peer, creating the peer state

@@ -190,11 +190,6 @@ func (n *NIC) Queues() int { return len(n.queues) }
 // the owning way for stacks on this host to build transmit packets.
 func (n *NIC) AcquirePacket() *wire.Packet { return n.net.AcquirePacket() }
 
-// HasContext reports whether a live flow context exists for id.
-func (n *NIC) HasContext(id uint64) bool {
-	return n.ctxs.Has(id)
-}
-
 // ContextSeq returns the context's current expected sequence number, for
 // tests and the Fig. 2 demo.
 func (n *NIC) ContextSeq(id uint64) (uint64, bool) {

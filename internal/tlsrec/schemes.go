@@ -2,59 +2,14 @@ package tlsrec
 
 import "smt/internal/wire"
 
-// SeqScheme names the three record-numbering designs of Figure 4. All
-// three feed a 64-bit number into the same IV-XOR nonce construction;
-// they differ in what the number identifies.
-type SeqScheme int
-
-// The compared schemes.
-const (
-	SchemeTLSTCP SeqScheme = iota // per-connection record counter
-	SchemeSMT                     // per-message: message ID ‖ record index
-	SchemeQUIC                    // per-packet number
-)
-
-// String names the scheme.
-func (s SeqScheme) String() string {
-	switch s {
-	case SchemeTLSTCP:
-		return "TLS/TCP per-connection"
-	case SchemeSMT:
-		return "SMT per-message composite"
-	case SchemeQUIC:
-		return "QUIC per-packet"
-	default:
-		return "unknown"
-	}
-}
-
-// StreamSeq is the TLS/TCP scheme: one monotonically incrementing counter
-// for the whole connection.
+// StreamSeq is TLS/TCP's record numbering (Figure 4): one monotonically
+// incrementing counter for the whole connection.
 type StreamSeq struct{ next uint64 }
 
 // Next returns the sequence number for the next record and advances.
 func (s *StreamSeq) Next() uint64 {
 	n := s.next
 	s.next++
-	return n
-}
-
-// PacketSeq is the QUIC scheme: the packet number is the sequence input;
-// receivers accept any *new* higher-or-lower number but never a repeat,
-// tracked with a window. We model the replay filter with a MsgIDGuard
-// (structurally identical: unique-forever numbers, out-of-order arrival).
-type PacketSeq struct {
-	next  uint64
-	Guard *MsgIDGuard
-}
-
-// NewPacketSeq returns a QUIC-style packet number source and replay guard.
-func NewPacketSeq() *PacketSeq { return &PacketSeq{Guard: NewMsgIDGuard()} }
-
-// Next returns the next packet number.
-func (p *PacketSeq) Next() uint64 {
-	n := p.next
-	p.next++
 	return n
 }
 

@@ -1,11 +1,14 @@
 // Package tlsrec implements the TLS 1.3 record protection layer used by
 // SMT and the baselines: AES-GCM AEAD with the RFC 8446 nonce
 // construction, record framing, padding-based length concealment, and the
-// three record-sequence-number schemes compared in Figure 4 of the paper:
+// two record-sequence-number schemes of the paper's Figure 4 that the
+// stacks use:
 //
 //   - TLS/TCP: one per-connection 64-bit counter,
-//   - SMT: a composite number (message ID ‖ intra-message record index),
-//   - QUIC: a per-packet number.
+//   - SMT: a composite number (message ID ‖ intra-message record index).
+//
+// Figure 4's third, QUIC's per-packet number, is not modelled: no
+// transport here numbers its records per packet.
 //
 // It also provides the replay guards SMT needs: per-message in-order
 // record tracking and session-wide message-ID uniqueness (§4.4, §6.1).

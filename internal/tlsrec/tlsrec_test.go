@@ -402,24 +402,6 @@ func TestStreamAndPacketSeq(t *testing.T) {
 	if s.Next() != 0 || s.Next() != 1 {
 		t.Fatal("StreamSeq not sequential")
 	}
-	p := NewPacketSeq()
-	if p.Next() != 0 || p.Next() != 1 {
-		t.Fatal("PacketSeq not sequential")
-	}
-	if err := p.Guard.Accept(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Guard.Accept(0); !errors.Is(err, ErrReplay) {
-		t.Fatal("QUIC-style guard must reject duplicate packet numbers")
-	}
-}
-
-func TestSchemeString(t *testing.T) {
-	for _, s := range []SeqScheme{SchemeTLSTCP, SchemeSMT, SchemeQUIC, SeqScheme(99)} {
-		if s.String() == "" {
-			t.Fatal("empty scheme name")
-		}
-	}
 }
 
 // Property: seal/open round-trips arbitrary plaintext and padding.
