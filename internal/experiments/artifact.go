@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,18 +33,6 @@ func (a *Artifact) Encode(w io.Writer) error {
 	return enc.Encode(a)
 }
 
-// DecodeArtifact reads an artifact back from JSON.
-func DecodeArtifact(r io.Reader) (*Artifact, error) {
-	var a Artifact
-	if err := json.NewDecoder(r).Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode artifact: %w", err)
-	}
-	if a.Version != ArtifactVersion {
-		return nil, fmt.Errorf("experiments: artifact version %d, want %d", a.Version, ArtifactVersion)
-	}
-	return &a, nil
-}
-
 // WriteArtifact writes the artifact to path (atomically via a temp file
 // in the same directory, so a crashed run never leaves a torn JSON).
 func WriteArtifact(path string, a *Artifact) error {
@@ -66,14 +53,4 @@ func WriteArtifact(path string, a *Artifact) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// ReadArtifact reads an artifact from path.
-func ReadArtifact(path string) (*Artifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeArtifact(f)
 }

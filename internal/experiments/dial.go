@@ -4,10 +4,13 @@
 //
 // Two pieces live here:
 //
-//   - Wire conduits (smtConduit, tcpConduit) that carry handshake
-//     flights as wire.TypeHandshake packets through the simulated
-//     network, so exchange latency reflects the actual fabric RTT and
-//     the flights are visible to (and exempted by) the audit tap.
+//   - The conduit, one per dial, that carries the exchange's flights
+//     as wire.TypeHandshake packets through the simulated network
+//     (homa.Socket.SendHandshake or tcpsim.Conn.SendHandshake), so
+//     exchange latency reflects the actual fabric RTT and the flights
+//     are visible to (and exempted by) the audit tap. Every flight to
+//     an SMT server lands on its one socket; the Dialer's pending map
+//     routes it to its conduit.
 //   - The Dialer used by the churn experiment: per-connection dialing
 //     under a HandshakePolicy (1-RTT, 0-RTT via dcdns ticket, or
 //     session resumption), with app traffic admitted only after keys
@@ -26,12 +29,11 @@ import (
 	"smt/internal/rpc"
 	"smt/internal/sim"
 	"smt/internal/tcpsim"
-	"smt/internal/wire"
 )
 
 // hsFiller backs every handshake flight's payload bytes. The flights'
 // content is opaque to the simulation (only sizes and Table 2 costs
-// matter); senders copy out of it synchronously and nothing writes it.
+// matter); the packets copy out of it and nothing writes it.
 var hsFiller = make([]byte, handshake.FlightSHLOCert)
 
 // hsKey identifies one in-flight exchange by the client half of the
@@ -63,106 +65,22 @@ func (f *flightRx) feed(n int) {
 	}
 }
 
-// --- SMT/homa conduit ---
-
-// smtHsServer demultiplexes handshake flights arriving at one server
-// core.Socket to their per-connection conduits. Handshake packets are
-// NOT auto-released by the homa receive path, so the handlers release
-// them here after reading the length.
-type smtHsServer struct {
-	srv     *core.Socket
-	srvHost *cpusim.Host
-	pending map[hsKey]*smtConduit
+// conduit carries one dialed exchange's flights as TypeHandshake
+// packets: a sender toward each side, and a flightRx at each side that
+// the side's handshake hook feeds.
+type conduit struct {
+	sendSrv, sendCli func(flight []byte)
+	toSrv, toCli     flightRx
 }
 
-func newSMTHsServer(srv *core.Socket) *smtHsServer {
-	h := &smtHsServer{srv: srv, srvHost: srv.Host(), pending: make(map[hsKey]*smtConduit)}
-	srv.OnHandshake(func(pkt *wire.Packet, _ int) {
-		k := hsKey{pkt.IP.Src, pkt.Overlay.SrcPort}
-		n := len(pkt.Payload)
-		pkt.Release()
-		if c := h.pending[k]; c != nil {
-			c.toSrv.feed(n)
-		}
-	})
-	return h
-}
-
-// exchange runs one key exchange between cli (bound on cliHost) and
-// the server socket, flights carried over the fabric. done also fires
-// on failure (Result.Err).
-func (h *smtHsServer) exchange(cliHost *cpusim.Host, cli *core.Socket, opts handshake.Options, done func(handshake.Result)) error {
-	k := hsKey{cliHost.Addr, cli.Port()}
-	c := &smtConduit{h: h, cli: cli, key: k}
-	cli.OnHandshake(func(pkt *wire.Packet, _ int) {
-		n := len(pkt.Payload)
-		pkt.Release()
-		c.toCli.feed(n)
-	})
-	h.pending[k] = c
-	return handshake.ExchangeOver(c, cliHost, h.srvHost, opts, func(res handshake.Result) {
-		delete(h.pending, k)
-		done(res)
-	})
-}
-
-// smtConduit carries one exchange's flights as TypeHandshake packets
-// between a client core.Socket and the shared server socket.
-type smtConduit struct {
-	h            *smtHsServer
-	cli          *core.Socket
-	key          hsKey
-	toSrv, toCli flightRx
-}
-
-func (c *smtConduit) ToServer(size int, deliver func()) {
+func (c *conduit) ToServer(size int, deliver func()) {
 	c.toSrv.expect(size, deliver)
-	sendHomaFlight(c.cli.Socket, c.h.srvHost.Addr, ServerPort, size)
+	c.sendSrv(hsFiller[:size])
 }
 
-func (c *smtConduit) ToClient(size int, deliver func()) {
+func (c *conduit) ToClient(size int, deliver func()) {
 	c.toCli.expect(size, deliver)
-	sendHomaFlight(c.h.srv.Socket, c.key.addr, c.key.port, size)
-}
-
-// sendHomaFlight cuts a size-byte flight at the socket's MTU and
-// transmits the pieces as single-packet handshake sends.
-func sendHomaFlight(s *homa.Socket, dstAddr uint32, dstPort uint16, size int) {
-	per := s.Config().MTU - wire.IPv4HeaderLen - wire.OverlayHeaderLen
-	for off := 0; off < size; off += per {
-		n := size - off
-		if n > per {
-			n = per
-		}
-		s.SendHandshake(dstAddr, dstPort, hsFiller[:n], 0)
-	}
-}
-
-// --- TCP conduit ---
-
-// tcpConduit carries one exchange's flights over an established
-// client/server tcpsim.Conn pair (Aux=3 handshake packets, outside
-// the stream sequence space).
-type tcpConduit struct {
-	cli, srv     *tcpsim.Conn
-	toSrv, toCli flightRx
-}
-
-func newTCPConduit(cli, srv *tcpsim.Conn) *tcpConduit {
-	c := &tcpConduit{cli: cli, srv: srv}
-	cli.OnHandshake(func(p []byte) { c.toCli.feed(len(p)) })
-	srv.OnHandshake(func(p []byte) { c.toSrv.feed(len(p)) })
-	return c
-}
-
-func (c *tcpConduit) ToServer(size int, deliver func()) {
-	c.toSrv.expect(size, deliver)
-	c.cli.SendHandshake(hsFiller[:size])
-}
-
-func (c *tcpConduit) ToClient(size int, deliver func()) {
-	c.toCli.expect(size, deliver)
-	c.srv.SendHandshake(hsFiller[:size])
+	c.sendCli(hsFiller[:size])
 }
 
 // installStreamCodecs converts an exchange result to the kTLS key
@@ -273,12 +191,15 @@ type Dialer struct {
 	Resolver *dcdns.Resolver
 	serverID *handshake.Identity
 
-	// hs demultiplexes handshake flights at the server socket of an SMT
-	// stack (nil otherwise).
-	hs *smtHsServer
+	// smtSrv is an SMT stack's server socket, and pending routes each
+	// flight arriving there to its exchange's conduit by the client half
+	// of the 4-tuple (both nil otherwise).
+	smtSrv  *core.Socket
+	pending map[hsKey]*conduit
 
 	// srvConns holds an encrypted TCP-family stack's accepted
-	// connections for their key exchange (nil otherwise).
+	// connections until their dial's key exchange starts (nil
+	// otherwise).
 	srvConns map[hsKey]*tcpsim.Conn
 
 	// resumption master secrets by client host address (HSResume).
@@ -355,7 +276,12 @@ func (d *Dialer) validatePolicy() error {
 func (d *Dialer) setupHomaServer() {
 	srv := d.wr.listen(d.w, d.w.Server, 0, false, nil, d.echo.serve)
 	if smt, ok := srv.(*core.Socket); ok {
-		d.hs = newSMTHsServer(smt)
+		d.smtSrv, d.pending = smt, make(map[hsKey]*conduit)
+		smt.OnHandshake(func(src uint32, srcPort uint16, flight []byte) {
+			if flights := d.pending[hsKey{src, srcPort}]; flights != nil {
+				flights.toSrv.feed(len(flight))
+			}
+		})
 	}
 }
 
@@ -464,7 +390,7 @@ func (d *Dialer) dialHoma(client *cpusim.Host, thread int, conn *DialedConn, onR
 		cli.Send(d.w.Server.Addr, ServerPort, d.echo.encBuf, thread)
 	}
 	conn.Close = cli.Close
-	if d.hs == nil {
+	if d.smtSrv == nil {
 		ready(nil) // plain Homa is connectionless: usable immediately
 		return
 	}
@@ -475,7 +401,15 @@ func (d *Dialer) dialHoma(client *cpusim.Host, thread int, conn *DialedConn, onR
 		return
 	}
 	conn.TicketHit = hit
-	err = d.hs.exchange(client, smtCli, opts, func(res handshake.Result) {
+	k := hsKey{client.Addr, smtCli.Port()}
+	flights := &conduit{
+		sendSrv: func(flight []byte) { smtCli.SendHandshake(d.w.Server.Addr, ServerPort, flight, 0) },
+		sendCli: func(flight []byte) { d.smtSrv.SendHandshake(k.addr, k.port, flight, 0) },
+	}
+	smtCli.OnHandshake(func(_ uint32, _ uint16, flight []byte) { flights.toCli.feed(len(flight)) })
+	d.pending[k] = flights
+	err = handshake.ExchangeOver(flights, client, d.w.Server, opts, func(res handshake.Result) {
+		delete(d.pending, k)
 		d.noteResult(client, res)
 		if res.Err != nil {
 			ready(res.Err)
@@ -485,7 +419,7 @@ func (d *Dialer) dialHoma(client *cpusim.Host, thread int, conn *DialedConn, onR
 			ready(err)
 			return
 		}
-		if _, err := d.hs.srv.RegisterSession(client.Addr, smtCli.Port(), res.Server); err != nil {
+		if _, err := d.smtSrv.RegisterSession(k.addr, k.port, res.Server); err != nil {
 			ready(err)
 			return
 		}
@@ -502,7 +436,9 @@ func (d *Dialer) dialTCP(client *cpusim.Host, thread int, conn *DialedConn, onRe
 			ready(nil)
 			return
 		}
-		srvConn := d.srvConns[hsKey{client.Addr, cliConn.LocalPort()}]
+		k := hsKey{client.Addr, cliConn.LocalPort()}
+		srvConn := d.srvConns[k]
+		delete(d.srvConns, k)
 		if srvConn == nil {
 			ready(fmt.Errorf("dial %s: SYN-ACK with no accepted server conn", d.wr.name))
 			return
@@ -513,8 +449,10 @@ func (d *Dialer) dialTCP(client *cpusim.Host, thread int, conn *DialedConn, onRe
 			return
 		}
 		opts.SrvThread = srvConn.AppThread()
-		conduit := newTCPConduit(cliConn, srvConn)
-		err = handshake.ExchangeOver(conduit, client, d.w.Server, opts, func(res handshake.Result) {
+		flights := &conduit{sendSrv: cliConn.SendHandshake, sendCli: srvConn.SendHandshake}
+		cliConn.OnHandshake(func(flight []byte) { flights.toCli.feed(len(flight)) })
+		srvConn.OnHandshake(func(flight []byte) { flights.toSrv.feed(len(flight)) })
+		err = handshake.ExchangeOver(flights, client, d.w.Server, opts, func(res handshake.Result) {
 			d.noteResult(client, res)
 			if res.Err != nil {
 				ready(res.Err)

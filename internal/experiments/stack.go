@@ -358,13 +358,17 @@ func (wr wiring) establish(w *World) {
 // (§4.2). A combination the decomposition cannot express returns a
 // descriptive error; nothing in the build path panics on bad input.
 // The composed Setup declares the spec's encryption policy to the
-// world's wire auditor.
+// world's wire auditor; it rejects NoTSO on a bytestream stack, whose
+// connections always hand the NIC whole TSO segments.
 func BuildFabric(spec StackSpec) (FabricSystem, error) {
 	wr, err := resolve(spec)
 	if err != nil {
 		return FabricSystem{}, err
 	}
 	return FabricSystem{Name: wr.name, Setup: func(w *World, clients []*cpusim.Host, server *cpusim.Host, cfg FabricConfig, done func(int, uint64)) (func(int, int, uint64, int, int), error) {
+		if cfg.NoTSO && wr.msg == nil {
+			return nil, fmt.Errorf("stack %s: NoTSO cuts packets in the message transport's software path; a TCP bytestream has no software cut", wr.name)
+		}
 		wr.declare(w)
 		e := &echoServer{w: w, host: server}
 		srv := wr.listen(w, server, cfg.MTU, cfg.NoTSO, nil, e.serve)

@@ -84,6 +84,15 @@ func TestStackMatrix(t *testing.T) {
 				} else if redis.System != spec.name() || redis.OpsPerSec <= 0 {
 					t.Errorf("%s × %s: Redis row %+v, want %s completing operations", tr, rec, redis, spec.name())
 				}
+				// NoTSO is the message transport's software cut: a
+				// bytestream stack must refuse it, not measure with TSO.
+				_, nerr := MeasureRTT(sys.System(), 64, 0, true, 7)
+				if tr == TransportHoma && nerr != nil {
+					t.Errorf("%s × %s: MeasureRTT with NoTSO: %v", tr, rec, nerr)
+				}
+				if tr == TransportTCP && (nerr == nil || !strings.Contains(nerr.Error(), spec.name()) || !strings.Contains(nerr.Error(), "NoTSO")) {
+					t.Errorf("%s × %s: MeasureRTT with NoTSO: error %v, want one naming the stack and NoTSO", tr, rec, nerr)
+				}
 				continue
 			}
 			if err == nil {

@@ -190,6 +190,32 @@ func TestFig12Shapes(t *testing.T) {
 	}
 }
 
+// TestPerSideCPU pins each mode's Table 2 CPU at the client and at the
+// server separately. Fig. 12 and churn's handshake CPU share see only
+// sums, so an operation moved between a client row and a server row
+// would pass both.
+func TestPerSideCPU(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want [5][2]sim.Time // CliCPU, SrvCPU per mode, in Mode order
+	}{
+		{"default", Options{}, [5][2]sim.Time{
+			{930_700, 609_700}, {237_000, 483_600}, {283_100, 655_600}, {99_500, 125_600}, {188_200, 390_600},
+		}},
+		{"pregen+short-chain", Options{PreGeneratedKeys: true, ShortChain: true}, [5][2]sim.Time{
+			{618_032, 541_800}, {237_000, 483_600}, {283_100, 655_600}, {99_500, 125_600}, {188_200, 390_600},
+		}},
+	} {
+		for m, want := range tc.want {
+			res := runMode(t, Mode(m), tc.opts)
+			if got := [2]sim.Time{res.CliCPU, res.SrvCPU}; got != want {
+				t.Errorf("%s %v: CliCPU, SrvCPU = %d, %d ns; want %d, %d ns", tc.name, Mode(m), got[0], got[1], want[0], want[1])
+			}
+		}
+	}
+}
+
 func TestRSAVariantSlowerServer(t *testing.T) {
 	ec := runMode(t, Init1RTT, Options{}).Done
 	rsa := runMode(t, Init1RTT, Options{RSA: true}).Done

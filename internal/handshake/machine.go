@@ -121,6 +121,79 @@ func opCost(op Op, opts Options) sim.Time {
 	return c
 }
 
+// secretKind says how a variant forms the exchange's shared secret
+// from the material ExchangeOver drew.
+type secretKind int
+
+const (
+	secretEph    secretKind = iota // ECDH of the two ephemeral shares
+	secretTicket                   // ECDH against the ticket's long-term share: the SMT-key
+	secretPSK                      // the per-connection resumption PSK
+	secretPSKEph                   // the PSK, then an ephemeral ECDH (psk_dhe_ke)
+)
+
+// variant is one Fig. 12 key exchange in the shape §4.5 and Table 2 give
+// every variant: client operations, the CHLO, server operations, one
+// server flight, then client operations.
+type variant struct {
+	cliOps     []Op // client, before the CHLO
+	srvOps     []Op // server, on the CHLO
+	finOps     []Op // client, on the server flight
+	flight     int  // the server flight's size
+	transcript string
+	secret     secretKind
+}
+
+// variants holds the five Fig. 12 modes. In every mode keys are usable
+// at the client once it has processed the server flight: Fig. 12 counts
+// completion there (the client's Finished can accompany first data).
+var variants = [...]variant{
+	// The standard TLS 1.3 handshake: the server flight carries the
+	// certificate chain and CertVerify, which the client verifies.
+	Init1RTT: {
+		cliOps: []Op{C1p1KeyGen, C1p2OthersGen},
+		srvOps: []Op{S1ProcessCHLO, S2p1KeyGen, S2p2ECDH, S2p3SHLOGen, S2p4EECertEncode, S2p5CertVerifyGen, S2p6SecretDerive},
+		finOps: []Op{C2p1ProcessSHLO, C2p2ECDH, C2p3SecretDerive, C3p1DecodeCert, C3p2VerifyCert, C4p1BuildSignData, C4p2VerifyCertVerify, C5ProcessFinished},
+		flight: FlightSHLOCert, transcript: "init-1rtt", secret: secretEph,
+	},
+	// The SMT-ticket (server long-term share + cert) came from DNS ahead
+	// of time, already verified (no C1.1, C3.1, C3.2; S2.1 pre-generated)
+	// — §4.5.2. The CHLO carries 0-RTT data under the SMT-key. The server
+	// derives it too (ECDH plus the extra application key derivation),
+	// records the CHLO random against replay (§4.5.3) and finishes.
+	Init0RTT: {
+		cliOps: []Op{C1p2OthersGen, C2p2ECDH, C2p3SecretDerive},
+		srvOps: []Op{S1ProcessCHLO, S2p2ECDH, S2p3SHLOGen, S2p6SecretDerive, S2p6SecretDerive, S3ProcessFinished},
+		finOps: []Op{C2p1ProcessSHLO, C2p3SecretDerive, C5ProcessFinished},
+		flight: FlightSHLOShort, transcript: "smt-ticket", secret: secretTicket,
+	},
+	// Forward secrecy: as Init0RTT, but the server also replies with an
+	// ephemeral share and both sides switch to the fs-key (extra
+	// S2.2-class and C2.2-class exchanges).
+	Init0RTTFS: {
+		cliOps: []Op{C1p2OthersGen, C2p2ECDH, C2p3SecretDerive},
+		srvOps: []Op{S1ProcessCHLO, S2p2ECDH, S2p6SecretDerive, S2p2ECDH, S2p3SHLOGen},
+		finOps: []Op{C2p1ProcessSHLO, C2p2ECDH, C2p3SecretDerive},
+		flight: FlightSHLOShort, transcript: "smt-ticket-fs", secret: secretEph,
+	},
+	// PSK resumption: no certificate processing; keys pre-generated at
+	// both ends (§5.6).
+	Rsmp: {
+		cliOps: []Op{C1p2OthersGen},
+		srvOps: []Op{S1ProcessCHLO, S2p3SHLOGen, S2p6SecretDerive},
+		finOps: []Op{C2p1ProcessSHLO, C2p3SecretDerive, C5ProcessFinished},
+		flight: FlightSHLOShort, transcript: "resumption", secret: secretPSK,
+	},
+	// Resumption with a fresh ECDHE (psk_dhe_ke): the S2.2 + C2.2 pair,
+	// ≈354 µs — the margin the paper reports.
+	RsmpFS: {
+		cliOps: []Op{C1p2OthersGen},
+		srvOps: []Op{S1ProcessCHLO, S2p3SHLOGen, S2p6SecretDerive, S2p2ECDH},
+		finOps: []Op{C2p1ProcessSHLO, C2p3SecretDerive, C5ProcessFinished, C2p2ECDH},
+		flight: FlightSHLOShort, transcript: "resumption", secret: secretPSKEph,
+	},
+}
+
 // Exchange runs the selected key-exchange variant between client and
 // server hosts in virtual time, performing the real ECDH/HKDF crypto
 // and charging Table 2 costs on the hosts' app cores. done receives
@@ -142,6 +215,10 @@ func Exchange(cliHost, srvHost *cpusim.Host, oneWay sim.Time, opts Options, done
 // so a given (seed, call sequence) reproduces the same keys — the
 // serial-vs-parallel determinism contract every artifact obeys.
 func ExchangeOver(conduit Conduit, cliHost, srvHost *cpusim.Host, opts Options, done func(Result)) error {
+	if opts.Mode < 0 || int(opts.Mode) >= len(variants) {
+		return fmt.Errorf("handshake: unknown mode %d", opts.Mode)
+	}
+	v := &variants[opts.Mode]
 	eng := cliHost.Eng
 	rng := eng.Rand()
 
@@ -166,7 +243,7 @@ func ExchangeOver(conduit Conduit, cliHost, srvHost *cpusim.Host, opts Options, 
 		return fmt.Errorf("handshake: ticket share does not match server identity")
 	}
 	var psk []byte
-	if opts.Mode == Rsmp || opts.Mode == RsmpFS {
+	if v.secret == secretPSK || v.secret == secretPSKEph {
 		nonce := make([]byte, 16)
 		if _, err := io.ReadFull(rng, nonce); err != nil {
 			return fmt.Errorf("handshake: resumption nonce: %w", err)
@@ -186,140 +263,49 @@ func ExchangeOver(conduit Conduit, cliHost, srvHost *cpusim.Host, opts Options, 
 	}
 
 	var cliCPU, srvCPU sim.Time
-
-	fail := func(err error) {
-		done(Result{Done: eng.Now(), Err: err, CliCPU: cliCPU, SrvCPU: srvCPU})
-	}
-	finish := func(secret []byte, transcript string) {
-		ck, sk := DeriveKeys(secret, []byte(transcript))
-		done(Result{
-			Done:   eng.Now(),
-			Client: ck, Server: sk,
-			Master: ResumptionMaster(secret, []byte(transcript)),
-			CliCPU: cliCPU, SrvCPU: srvCPU,
-		})
-	}
-
-	chargeCli := func(ops []Op, fn func()) {
+	// The chain's closures capture the threads, not opts: each closure
+	// would carry its own copy of opts.
+	cliThread, srvThread := opts.CliThread, opts.SrvThread
+	charge := func(host *cpusim.Host, thread int, cpu *sim.Time, ops []Op, fn func()) {
 		var total sim.Time
 		for _, op := range ops {
 			total += opCost(op, opts)
 		}
-		cliCPU += total
-		cliHost.RunApp(opts.CliThread, total, fn)
+		*cpu += total
+		host.RunApp(thread, total, fn)
 	}
-	chargeSrv := func(ops []Op, fn func()) {
-		var total sim.Time
-		for _, op := range ops {
-			total += opCost(op, opts)
+	finish := func() {
+		res := Result{Done: eng.Now(), CliCPU: cliCPU, SrvCPU: srvCPU}
+		var secret []byte
+		var err error
+		switch v.secret {
+		case secretEph:
+			secret, err = cliEph.ECDH(srvEph.PublicKey())
+		case secretTicket:
+			secret, err = cliEph.ECDH(srvID.LongDH.PublicKey())
+		case secretPSK:
+			secret = psk
+		case secretPSKEph:
+			secret, err = cliEph.ECDH(srvEph.PublicKey())
+			secret = append(psk, secret...)
 		}
-		srvCPU += total
-		srvHost.RunApp(opts.SrvThread, total, fn)
+		if err != nil {
+			res.Err = fmt.Errorf("handshake: %s ecdh: %w", v.transcript, err)
+		} else {
+			res.Client, res.Server = DeriveKeys(secret, []byte(v.transcript))
+			res.Master = ResumptionMaster(secret, []byte(v.transcript))
+		}
+		done(res)
 	}
 
-	switch opts.Mode {
-	case Init1RTT:
-		// CHLO → (server flight) → SHLO..Finished → (client verify) →
-		// Finished → server processes. Keys usable at client after its
-		// verification; Fig. 12 counts handshake completion at the
-		// client (its Finished can accompany first data).
-		chargeCli([]Op{C1p1KeyGen, C1p2OthersGen}, func() {
-			conduit.ToServer(FlightCHLO, func() {
-				chargeSrv([]Op{S1ProcessCHLO, S2p1KeyGen, S2p2ECDH, S2p3SHLOGen, S2p4EECertEncode, S2p5CertVerifyGen, S2p6SecretDerive}, func() {
-					conduit.ToClient(FlightSHLOCert, func() {
-						chargeCli([]Op{C2p1ProcessSHLO, C2p2ECDH, C2p3SecretDerive, C3p1DecodeCert, C3p2VerifyCert, C4p1BuildSignData, C4p2VerifyCertVerify, C5ProcessFinished}, func() {
-							secret, err := cliEph.ECDH(srvEph.PublicKey())
-							if err != nil {
-								fail(fmt.Errorf("handshake: 1-rtt ecdh: %w", err))
-								return
-							}
-							finish(secret, "init-1rtt")
-						})
-					})
+	charge(cliHost, cliThread, &cliCPU, v.cliOps, func() {
+		conduit.ToServer(FlightCHLO, func() {
+			charge(srvHost, srvThread, &srvCPU, v.srvOps, func() {
+				conduit.ToClient(v.flight, func() {
+					charge(cliHost, cliThread, &cliCPU, v.finOps, finish)
 				})
 			})
 		})
-
-	case Init0RTT, Init0RTTFS:
-		// The SMT-ticket (server long-term share + cert) came from DNS
-		// ahead of time and is already verified (removes C1.1, C3.1,
-		// C3.2; S2.1 is pre-generated) — §4.5.2.
-		chargeCli([]Op{C1p2OthersGen, C2p2ECDH, C2p3SecretDerive}, func() {
-			smtSecret, err := cliEph.ECDH(srvID.LongDH.PublicKey())
-			if err != nil {
-				fail(fmt.Errorf("handshake: smt-key ecdh: %w", err))
-				return
-			}
-			conduit.ToServer(FlightCHLO, func() { // CHLO + 0-RTT data flight
-				if opts.Mode == Init0RTT {
-					// Server derives the SMT-key (its own ECDH against
-					// the client's ephemeral plus the extra application
-					// key derivation), records the CHLO random for
-					// replay defense (§4.5.3), and finishes the
-					// exchange; the client confirms via the server's
-					// Finished.
-					chargeSrv([]Op{S1ProcessCHLO, S2p2ECDH, S2p3SHLOGen, S2p6SecretDerive, S2p6SecretDerive, S3ProcessFinished}, func() {
-						conduit.ToClient(FlightSHLOShort, func() {
-							chargeCli([]Op{C2p1ProcessSHLO, C2p3SecretDerive, C5ProcessFinished}, func() {
-								finish(smtSecret, "smt-ticket")
-							})
-						})
-					})
-					return
-				}
-				// Forward secrecy: the server also replies with an
-				// ephemeral share; both sides derive the fs-key
-				// (extra S2.2-class and C2.2-class exchanges).
-				chargeSrv([]Op{S1ProcessCHLO, S2p2ECDH, S2p6SecretDerive, S2p2ECDH, S2p3SHLOGen}, func() {
-					conduit.ToClient(FlightSHLOShort, func() {
-						chargeCli([]Op{C2p1ProcessSHLO, C2p2ECDH, C2p3SecretDerive}, func() {
-							fsSecret, err := cliEph.ECDH(srvEph.PublicKey())
-							if err != nil {
-								fail(fmt.Errorf("handshake: fs ecdh: %w", err))
-								return
-							}
-							finish(fsSecret, "smt-ticket-fs")
-						})
-					})
-				})
-			})
-		})
-
-	case Rsmp, RsmpFS:
-		// PSK resumption: no certificate processing; keys pre-generated
-		// at both ends (§5.6). RsmpFS adds a fresh ECDHE (psk_dhe_ke):
-		// the S2.2 + C2.2 pair, ≈354 µs — the margin the paper reports.
-		chargeCli([]Op{C1p2OthersGen}, func() {
-			conduit.ToServer(FlightCHLO, func() {
-				srvOps := []Op{S1ProcessCHLO, S2p3SHLOGen, S2p6SecretDerive}
-				if opts.Mode == RsmpFS {
-					srvOps = append(srvOps, S2p2ECDH)
-				}
-				chargeSrv(srvOps, func() {
-					conduit.ToClient(FlightSHLOShort, func() {
-						cliOps := []Op{C2p1ProcessSHLO, C2p3SecretDerive, C5ProcessFinished}
-						if opts.Mode == RsmpFS {
-							cliOps = append(cliOps, C2p2ECDH)
-						}
-						chargeCli(cliOps, func() {
-							secret := psk
-							if opts.Mode == RsmpFS {
-								s, err := cliEph.ECDH(srvEph.PublicKey())
-								if err != nil {
-									fail(fmt.Errorf("handshake: psk_dhe ecdh: %w", err))
-									return
-								}
-								secret = append(secret, s...)
-							}
-							finish(secret, "resumption")
-						})
-					})
-				})
-			})
-		})
-
-	default:
-		return fmt.Errorf("handshake: unknown mode %d", opts.Mode)
-	}
+	})
 	return nil
 }

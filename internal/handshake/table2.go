@@ -7,6 +7,7 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
+	"slices"
 	"time"
 
 	"smt/internal/hkdfx"
@@ -26,15 +27,26 @@ type Table2Row struct {
 	MeasRSAUs  float64
 }
 
-// timeIt runs fn `iters` times and returns mean microseconds.
+// table2Batches is how many timed batches each measured row takes.
+const table2Batches = 5
+
+// timeIt runs fn in table2Batches batches of iters calls and returns the
+// median batch's mean in microseconds, as bench/'s ladder does: a batch
+// that another process preempted moves the median by one rank, not by
+// its delay.
 func timeIt(iters int, fn func()) float64 {
-	//smt:allow determinism -- Table 2 is a real-crypto wall-clock microbenchmark, excluded from the determinism battery
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		fn()
+	var us [table2Batches]float64
+	for b := range us {
+		//smt:allow determinism -- Table 2 is a real-crypto wall-clock microbenchmark, excluded from the determinism battery
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			fn()
+		}
+		//smt:allow determinism -- Table 2 is a real-crypto wall-clock microbenchmark, excluded from the determinism battery
+		us[b] = float64(time.Since(start).Nanoseconds()) / 1e3 / float64(iters)
 	}
-	//smt:allow determinism -- Table 2 is a real-crypto wall-clock microbenchmark, excluded from the determinism battery
-	return float64(time.Since(start).Microseconds()) / float64(iters)
+	slices.Sort(us[:])
+	return us[table2Batches/2]
 }
 
 // MeasureTable2 reproduces Table 2: per-operation handshake costs, run

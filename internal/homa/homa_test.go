@@ -282,6 +282,35 @@ func TestEchoRoundTrip(t *testing.T) {
 	t.Logf("64B Homa RTT: %v", rtt)
 }
 
+// TestHandshakePacketsReleased: a handshake flight is cut at the MTU,
+// and homa returns every handshake packet it receives to the pool once
+// the OnHandshake hook returns, or at once when no hook is registered.
+func TestHandshakePacketsReleased(t *testing.T) {
+	flight := pattern(3000) // three packets at the default MTU
+	for _, hook := range []bool{false, true} {
+		w := newWorld(21)
+		srv := NewSocket(w.b, Config{Port: 100}, nil)
+		cli := NewSocket(w.a, Config{}, nil)
+		var got []byte
+		if hook {
+			srv.OnHandshake(func(src uint32, srcPort uint16, payload []byte) {
+				if src != 1 || srcPort != cli.Port() {
+					t.Errorf("handshake from %d:%d, want 1:%d", src, srcPort, cli.Port())
+				}
+				got = append(got, payload...)
+			})
+		}
+		w.eng.At(0, func() { cli.SendHandshake(2, 100, flight, 0) })
+		w.eng.Run()
+		if hook && !bytes.Equal(got, flight) {
+			t.Errorf("hook saw %d bytes, want the %d-byte flight", len(got), len(flight))
+		}
+		if out := w.net.OutstandingPackets(); out != 0 {
+			t.Errorf("hook=%v: %d packets outstanding after the flight", hook, out)
+		}
+	}
+}
+
 func TestEmptyMessagePanics(t *testing.T) {
 	w := newWorld(13)
 	cli := NewSocket(w.a, Config{}, nil)
@@ -331,7 +360,7 @@ func TestMessageIDsPerPeerMonotonic(t *testing.T) {
 func TestStringer(t *testing.T) {
 	w := newWorld(17)
 	s := NewSocket(w.a, Config{}, nil)
-	if s.String() == "" || s.Host() != w.a || s.Config().MTU == 0 {
+	if s.String() == "" || s.Host() != w.a || s.cfg.MTU == 0 {
 		t.Fatal("accessors broken")
 	}
 }

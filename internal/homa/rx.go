@@ -131,10 +131,10 @@ func (h *handler) HandlePacket(pkt *wire.Packet, core int) {
 		// Reserved: the peer signals it is alive but not sending yet.
 		pkt.Release()
 	case wire.TypeHandshake:
-		// Not released: the key-exchange layer may retain the payload.
 		if s.onHandshake != nil {
-			s.onHandshake(pkt, core)
+			s.onHandshake(pkt.IP.Src, pkt.Overlay.SrcPort, pkt.Payload)
 		}
+		pkt.Release()
 	}
 }
 

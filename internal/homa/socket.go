@@ -94,7 +94,7 @@ type Socket struct {
 
 	peers       idmap.Map[*peer] // by peerKey
 	onMessage   func(Delivery)
-	onHandshake func(*wire.Packet, int)
+	onHandshake func(src uint32, srcPort uint16, payload []byte)
 	closed      bool
 	// activeIn counts registered-but-undelivered incoming messages,
 	// driving the SRPT bookkeeping cost.
@@ -191,28 +191,32 @@ func (s *Socket) Port() uint16 { return s.port }
 // Host returns the owning host.
 func (s *Socket) Host() *cpusim.Host { return s.host }
 
-// Config returns the socket configuration.
-func (s *Socket) Config() Config { return s.cfg }
-
 // OnMessage registers the delivery callback (one per socket). The
 // Delivery's Payload is borrowed until fn returns.
 func (s *Socket) OnMessage(fn func(Delivery)) { s.onMessage = fn }
 
-// OnHandshake registers a raw handler for TypeHandshake packets; the
+// OnHandshake registers the receiver for TypeHandshake packets; the
 // key-exchange layer (§4.5) uses it to run before session keys exist.
-func (s *Socket) OnHandshake(fn func(*wire.Packet, int)) { s.onHandshake = fn }
+// fn sees each packet's source and payload bytes, valid only for the
+// duration of the call: the packet returns to the pool when fn returns.
+func (s *Socket) OnHandshake(fn func(src uint32, srcPort uint16, payload []byte)) { s.onHandshake = fn }
 
-// SendHandshake transmits a single-packet handshake payload to a peer
-// from softirq context (first-RTT key exchange traffic).
-func (s *Socket) SendHandshake(dstAddr uint32, dstPort uint16, payload []byte, core int) {
-	pkt := s.host.NIC.AcquirePacket()
-	pkt.IP = wire.IPv4Header{TTL: 64, Protocol: s.cfg.Proto, Src: s.host.Addr, Dst: dstAddr}
-	pkt.Overlay = wire.OverlayHeader{
-		SrcPort: s.port, DstPort: dstPort,
-		Type: wire.TypeHandshake, MsgLen: uint32(len(payload)),
+// SendHandshake transmits one opaque handshake flight to a peer as
+// TypeHandshake packets on the NIC queue of softirq core `core`, cut at
+// the MTU in software. Flights bypass the message machinery (no grants, no
+// retransmission); the packets copy their bytes out of flight.
+func (s *Socket) SendHandshake(dstAddr uint32, dstPort uint16, flight []byte, core int) {
+	per := s.cfg.MTU - wire.IPv4HeaderLen - wire.OverlayHeaderLen
+	for off := 0; off < len(flight); off += per {
+		pkt := s.host.NIC.AcquirePacket()
+		pkt.IP = wire.IPv4Header{TTL: 64, Protocol: s.cfg.Proto, Src: s.host.Addr, Dst: dstAddr}
+		pkt.Overlay = wire.OverlayHeader{
+			SrcPort: s.port, DstPort: dstPort,
+			Type: wire.TypeHandshake, MsgLen: uint32(len(flight)),
+		}
+		pkt.SetPayload(flight[off:min(off+per, len(flight))])
+		s.host.NIC.SendSegment(s.host.SoftirqQueue(core), &nicsim.TxSegment{Pkt: pkt, MTU: s.cfg.MTU, NoTSO: true})
 	}
-	pkt.SetPayload(payload)
-	s.host.NIC.SendSegment(s.host.SoftirqQueue(core), &nicsim.TxSegment{Pkt: pkt, MTU: s.cfg.MTU, NoTSO: true})
 }
 
 // pop takes the most recently freed entry of the free list *free, or

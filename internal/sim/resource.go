@@ -67,17 +67,3 @@ func (r *Resource) QueueDelay() Time {
 	}
 	return d
 }
-
-// Utilization reports Busy time as a fraction of elapsed virtual time
-// since start (0 if no time has elapsed).
-func (r *Resource) Utilization(since Time) float64 {
-	elapsed := r.eng.Now() - since
-	if elapsed <= 0 {
-		return 0
-	}
-	u := float64(r.Busy) / float64(elapsed)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}

@@ -457,8 +457,7 @@ func TestResourceQueueDelayAndUtilization(t *testing.T) {
 		}
 	})
 	e.RunUntil(200)
-	u := r.Utilization(0)
-	if u != 0.5 {
+	if u := float64(r.Busy) / float64(e.Now()); u != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", u)
 	}
 }

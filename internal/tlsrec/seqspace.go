@@ -68,28 +68,6 @@ func (a BitAllocation) String() string {
 	return fmt.Sprintf("%d+%d", a.MsgIDBits, a.RecIdxBits)
 }
 
-// SpaceTracker enforces TLS's order-protection property *within* one
-// record sequence number space (one SMT message, §6.1): records must
-// arrive with strictly incrementing indexes, exactly like TLS over TCP.
-// The underlying transport (Homa) already provides reliable in-order byte
-// delivery within a message, so any violation here indicates tampering.
-type SpaceTracker struct {
-	next uint64
-}
-
-// Accept validates the next record index; on success the expected index
-// advances.
-func (s *SpaceTracker) Accept(recIdx uint64) error {
-	if recIdx != s.next {
-		return fmt.Errorf("%w: got record %d, want %d", ErrOutOfOrder, recIdx, s.next)
-	}
-	s.next++
-	return nil
-}
-
-// Next reports the next expected record index.
-func (s *SpaceTracker) Next() uint64 { return s.next }
-
 // MsgIDGuard enforces message-ID uniqueness across a secure session
 // (§4.4.1, non-replayability in §6.1). IDs may arrive out of order
 // (messages are delivered unordered), so the guard keeps a contiguous

@@ -36,7 +36,6 @@ var (
 	ErrBadRecord    = errors.New("tlsrec: malformed record")
 	ErrRecordTooBig = errors.New("tlsrec: plaintext exceeds maximum record size")
 	ErrReplay       = errors.New("tlsrec: replayed message ID")
-	ErrOutOfOrder   = errors.New("tlsrec: record out of order within its space")
 	ErrOverflow     = errors.New("tlsrec: sequence component exceeds allocated bits")
 )
 

@@ -307,24 +307,6 @@ func TestFig5Table(t *testing.T) {
 	}
 }
 
-func TestSpaceTracker(t *testing.T) {
-	var s SpaceTracker
-	for i := uint64(0); i < 5; i++ {
-		if err := s.Accept(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Accept(4); !errors.Is(err, ErrOutOfOrder) {
-		t.Fatalf("duplicate record: %v", err)
-	}
-	if err := s.Accept(6); !errors.Is(err, ErrOutOfOrder) {
-		t.Fatalf("gap: %v", err)
-	}
-	if s.Next() != 5 {
-		t.Fatalf("next = %d", s.Next())
-	}
-}
-
 func TestMsgIDGuardSequential(t *testing.T) {
 	g := NewMsgIDGuard()
 	for i := uint64(0); i < 100; i++ {

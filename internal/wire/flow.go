@@ -10,15 +10,6 @@ type Flow struct {
 	Proto            uint8
 }
 
-// Reverse returns the flow seen from the opposite direction.
-func (f Flow) Reverse() Flow {
-	return Flow{
-		SrcIP: f.DstIP, DstIP: f.SrcIP,
-		SrcPort: f.DstPort, DstPort: f.SrcPort,
-		Proto: f.Proto,
-	}
-}
-
 // String formats the flow as proto src -> dst.
 func (f Flow) String() string {
 	return fmt.Sprintf("proto=%d %d:%d->%d:%d", f.Proto, f.SrcIP, f.SrcPort, f.DstIP, f.DstPort)
@@ -45,8 +36,7 @@ func (f Flow) FastHash() uint64 {
 
 // Packet is the unit the network simulator moves around: decoded headers
 // plus payload bytes. Headers are kept decoded to avoid re-parsing at
-// every hop, but MarshalBinary/UnmarshalBinary produce and consume the
-// exact wire image so tests can exercise real encode/decode.
+// every hop; WireLen sizes the wire image they stand for.
 //
 // Steady-state packets come from a PacketPool and own their payload
 // storage (Payload aliases the packet's internal buffer, filled via
@@ -58,10 +48,6 @@ type Packet struct {
 	IP      IPv4Header
 	Overlay OverlayHeader
 	Payload []byte
-
-	// TSOSegLen, when a packet represents an un-split TSO segment inside
-	// the host, holds the full segment length; zero on the wire.
-	TSOSegLen int
 
 	// Tampered marks a packet whose payload was mutated by fault
 	// injection (netsim corruption). It is simulator metadata, not wire
@@ -90,36 +76,10 @@ func (p *Packet) WireLen() int {
 	return IPv4HeaderLen + OverlayHeaderLen + len(p.Payload)
 }
 
-// MarshalBinary serializes the packet to its exact wire image.
-func (p *Packet) MarshalBinary() ([]byte, error) {
-	p.IP.TotalLen = uint16(p.WireLen())
-	b := make([]byte, 0, p.WireLen())
-	b = p.IP.AppendTo(b)
-	b = p.Overlay.AppendTo(b)
-	b = append(b, p.Payload...)
-	return b, nil
-}
-
-// UnmarshalBinary parses a wire image produced by MarshalBinary. The
-// payload is copied out of data.
-func (p *Packet) UnmarshalBinary(data []byte) error {
-	if err := p.IP.DecodeFromBytes(data); err != nil {
-		return err
-	}
-	if err := p.Overlay.DecodeFromBytes(data[IPv4HeaderLen:]); err != nil {
-		return err
-	}
-	payload := data[IPv4HeaderLen+OverlayHeaderLen:]
-	p.buf = append(p.buf[:0], payload...)
-	p.Payload = p.buf
-	p.TSOSegLen = 0
-	return nil
-}
-
 // Clone returns a deep copy of the packet (payload included). The copy is
 // unpooled: it owns fresh memory and Release on it is a no-op.
 func (p *Packet) Clone() *Packet {
-	q := &Packet{IP: p.IP, Overlay: p.Overlay, TSOSegLen: p.TSOSegLen, Tampered: p.Tampered}
+	q := &Packet{IP: p.IP, Overlay: p.Overlay, Tampered: p.Tampered}
 	q.Payload = append([]byte(nil), p.Payload...)
 	return q
 }
@@ -129,7 +89,6 @@ func (p *Packet) Clone() *Packet {
 func (p *Packet) Reset() {
 	p.IP = IPv4Header{}
 	p.Overlay = OverlayHeader{}
-	p.TSOSegLen = 0
 	p.Tampered = false
 	p.Payload = p.buf[:0]
 }
@@ -156,7 +115,6 @@ func (p *Packet) AppendPayload(b []byte) {
 func (p *Packet) CopyFrom(src *Packet) {
 	p.IP = src.IP
 	p.Overlay = src.Overlay
-	p.TSOSegLen = src.TSOSegLen
 	p.Tampered = src.Tampered
 	p.SetPayload(src.Payload)
 }
