@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"smt/internal/cpusim"
 	"smt/internal/kvstore"
 	"smt/internal/rpc"
 	"smt/internal/sim"
@@ -26,11 +27,6 @@ var (
 	}
 )
 
-// kvWrap embeds a request id ahead of the kvstore request.
-func kvWrap(reqID uint64, req []byte) []byte {
-	return append(rpc.Encode(reqID, 0, rpc.MinSize), req...)
-}
-
 // MeasureRedis runs one (stack, workload, value size) cell of Figure 8:
 // a kvstore server behind the stack's listen, driven by one client
 // endpoint with streams closed-loop streams. The server is
@@ -48,19 +44,8 @@ func MeasureRedis(spec StackSpec, w8 ycsb.Workload, valueSize, streams int, seed
 	gen := ycsb.New(w8, fig8Keys, seed)
 	gen.MaxScanLen = 20
 	wr.declare(w)
-	store := kvstore.New(w.CM, fig8Keys, valueSize)
-	srv := wr.listen(w, w.Server, 0, false, []int{0}, func(m []byte, thread int, to replyTo) {
-		id, _, err := rpc.Decode(m)
-		if err != nil {
-			return
-		}
-		req, err := kvstore.DecodeRequest(m[rpc.MinSize:])
-		if err != nil {
-			return
-		}
-		resp, cpu := store.Execute(req)
-		w.Server.RunApp(thread, cpu, func() { to.send(kvWrap(id, resp), thread) })
-	})
+	kv := &kvServer{host: w.Server, store: kvstore.New(w.CM, fig8Keys, valueSize)}
+	srv := wr.listen(w, w.Server, 0, false, []int{0}, kv.serve)
 	var cl *rpc.ClosedLoop
 	send, err := wr.connect(w, w.Client, w.Server, srv, streams, 0, false, 31, func(id uint64) { cl.Done(id) })
 	if err != nil {
@@ -68,6 +53,9 @@ func MeasureRedis(spec StackSpec, w8 ycsb.Workload, valueSize, streams int, seed
 	}
 	wr.establish(w)
 	value := make([]byte, valueSize)
+	// reqBuf is the world's request scratch: the transports read a
+	// request only during the send call (see echoServer.encBuf).
+	var reqBuf []byte
 	cl = rpc.NewClosedLoop(w.Eng, func(stream int, reqID uint64) {
 		op := gen.Next()
 		var req kvstore.Request
@@ -79,7 +67,8 @@ func MeasureRedis(spec StackSpec, w8 ycsb.Workload, valueSize, streams int, seed
 		case ycsb.OpScan:
 			req = kvstore.Request{Cmd: kvstore.CmdScan, Key: op.Key, ScanLen: uint16(op.ScanLen)}
 		}
-		send(stream, kvWrap(reqID, kvstore.EncodeRequest(req)))
+		reqBuf = kvstore.EncodeRequest(rpc.AppendHeader(reqBuf[:0], reqID, 0), req)
+		send(stream, reqBuf)
 	})
 	start := w.Eng.Now()
 	warm := start + 5*sim.Millisecond
@@ -88,4 +77,54 @@ func MeasureRedis(spec StackSpec, w8 ycsb.Workload, valueSize, streams int, seed
 	w.Eng.RunUntil(stop)
 	cl.Stop()
 	return Fig8Row{System: wr.name, Workload: w8, Value: valueSize, OpsPerSec: cl.Throughput()}, nil
+}
+
+// kvServer is the Redis analog behind MeasureRedis's listen. Each
+// request runs against the store when it arrives; its CPU is charged on
+// the app thread it was delivered to, and the charge's completion, a
+// pooled kvReply, sends the response.
+type kvServer struct {
+	host  *cpusim.Host
+	store *kvstore.Store
+	free  []*kvReply
+}
+
+// kvReply is one response waiting for its CPU charge: the RPC header
+// and the store's response, in a buffer the reply keeps across uses.
+type kvReply struct {
+	s      *kvServer
+	buf    []byte
+	thread int
+	to     replyTo
+}
+
+// serve answers the request m delivered on thread.
+func (s *kvServer) serve(m []byte, thread int, to replyTo) {
+	id, _, err := rpc.Decode(m)
+	if err != nil {
+		return
+	}
+	req, err := kvstore.DecodeRequest(m[rpc.MinSize:])
+	if err != nil {
+		return
+	}
+	var r *kvReply
+	if l := len(s.free); l > 0 {
+		r = s.free[l-1]
+		s.free = s.free[:l-1]
+	} else {
+		//smt:coldpath -- kvReply free-list refill; steady state reuses pooled replies
+		r = &kvReply{s: s}
+	}
+	var cpu sim.Time
+	r.buf, cpu = s.store.Execute(rpc.AppendHeader(r.buf[:0], id, 0), req)
+	r.thread, r.to = thread, to
+	s.host.App[thread%len(s.host.App)].AcquireAction(cpu, r)
+}
+
+// Run implements sim.Action.
+func (r *kvReply) Run() {
+	r.to.send(r.buf, r.thread)
+	r.to = replyTo{}
+	r.s.free = append(r.s.free, r)
 }

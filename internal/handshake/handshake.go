@@ -12,17 +12,19 @@
 package handshake
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
+	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"io"
 	"math/big"
 
 	"smt/internal/core"
-	"smt/internal/hkdfx"
 	"smt/internal/sim"
 	"smt/internal/tlsrec"
 	"smt/internal/wire"
@@ -173,23 +175,40 @@ func NewIdentityRand(r io.Reader) (*Identity, error) {
 	return &Identity{SigKey: sig, LongDH: dh, CertRaw: cert[:]}, nil
 }
 
-// genECDHKey draws a P-256 private key from r. The stdlib's
+// p256Order is n, the order of the P-256 base point, big-endian.
+var p256Order = [32]byte{
+	0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+	0xbc, 0xe6, 0xfa, 0xad, 0xa7, 0x17, 0x9e, 0x84, 0xf3, 0xb9, 0xca, 0xc2, 0xfc, 0x63, 0x25, 0x51,
+}
+
+// DrawScalar draws a P-256 private scalar from r. The stdlib's
 // GenerateKey may consume reader bytes in version-dependent ways (and
 // ignores custom readers entirely in FIPS mode), so for reproducibility
-// the scalar is read directly and rejection-sampled: NewPrivateKey
+// the scalar is read directly and rejection-sampled: 32 bytes at a time
+// until 0 < d < n, the check ecdh.P256().NewPrivateKey makes, which
 // rejects the ≈2⁻³² fraction of 32-byte strings outside the group
-// order, in which case the next draw is tried.
-func genECDHKey(r io.Reader) (*ecdh.PrivateKey, error) {
-	buf := make([]byte, 32)
+// order. Drawing costs no curve arithmetic; building the key pair,
+// a ScalarBaseMult, is left to the caller that uses it.
+func DrawScalar(r io.Reader) ([]byte, error) {
+	d := make([]byte, len(p256Order))
 	for i := 0; i < 128; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if _, err := io.ReadFull(r, d); err != nil {
 			return nil, fmt.Errorf("handshake: key material: %w", err)
 		}
-		if k, err := ecdh.P256().NewPrivateKey(buf); err == nil {
-			return k, nil
+		if [32]byte(d) != [32]byte{} && bytes.Compare(d, p256Order[:]) < 0 { // 0 < d < n
+			return d, nil
 		}
 	}
 	return nil, fmt.Errorf("handshake: no valid P-256 scalar after 128 draws")
+}
+
+// genECDHKey draws a P-256 key pair from r.
+func genECDHKey(r io.Reader) (*ecdh.PrivateKey, error) {
+	d, err := DrawScalar(r)
+	if err != nil {
+		return nil, err
+	}
+	return ecdh.P256().NewPrivateKey(d)
 }
 
 // ecdsaFromECDH views a P-256 ECDH private key as an ECDSA signing key
@@ -249,27 +268,58 @@ func (t *Ticket) Verify(pub *ecdsa.PublicKey, now sim.Time) error {
 	return nil
 }
 
-// DeriveKeys turns an ECDH shared secret and transcript into mirrored
-// session keys for the two directions (client sees them as tx=client,
-// rx=server).
-func DeriveKeys(secret, transcript []byte) (client core.SessionKeys, server core.SessionKeys) {
-	master := hkdfx.Extract(nil, secret)
-	cKey := hkdfx.DeriveSecret(master, "c ap traffic", transcript)
-	sKey := hkdfx.DeriveSecret(master, "s ap traffic", transcript)
-	ck := hkdfx.ExpandLabel(cKey, "key", nil, tlsrec.Key128)
-	civ := hkdfx.ExpandLabel(cKey, "iv", nil, wire.GCMNonceLen)
-	sk := hkdfx.ExpandLabel(sKey, "key", nil, tlsrec.Key128)
-	siv := hkdfx.ExpandLabel(sKey, "iv", nil, wire.GCMNonceLen)
+// keySchedule derives an exchange's mirrored session keys (the client
+// sees them as tx=client, rx=server) and its resumption master secret
+// (the TLS 1.3 resumption_master_secret analog) from the shared secret
+// and transcript. A later Rsmp/RsmpFS exchange feeds the master back as
+// Options.PriorSecret; each resumed connection then expands it with a
+// fresh nonce into a per-connection PSK.
+//
+// The schedule is RFC 8446's: HKDF-Extract of the secret, Derive-Secret
+// of the client and server traffic secrets and the resumption master
+// over the transcript hash, then HKDF-Expand-Label of each traffic
+// secret's key and IV. It runs one Extract, hashes the transcript once,
+// and keys one HMAC per secret, reused across that secret's labels.
+func keySchedule(secret, transcript []byte) (client, server core.SessionKeys, master []byte) {
+	const keyLen, ivLen = tlsrec.Key128, wire.GCMNonceLen
+	var info, sum []byte // scratch: one HkdfLabel, one HMAC block
+	// expand fills dst with HKDF-Expand-Label(secret, label, context,
+	// len(dst)), hkdfx.ExpandLabel's bytes, where m is an HMAC keyed
+	// with secret. dst is at most one SHA-256 block long, so HKDF-Expand
+	// is the single block HMAC(secret, HkdfLabel ‖ 0x01).
+	expand := func(dst []byte, m hash.Hash, label string, context []byte) {
+		const prefix = "tls13 "
+		info = append(info[:0], byte(len(dst)>>8), byte(len(dst)), byte(len(prefix)+len(label)))
+		info = append(append(info, prefix...), label...)
+		info = append(append(append(info, byte(len(context))), context...), 1)
+		m.Reset()
+		m.Write(info)
+		sum = m.Sum(sum[:0])
+		copy(dst, sum)
+	}
+	prk := hmac.New(sha256.New, make([]byte, sha256.Size)) // RFC 5869's zero salt
+	prk.Write(secret)
+	th := sha256.Sum256(transcript)
+	m := hmac.New(sha256.New, prk.Sum(nil))
+	var cSecret, sSecret [sha256.Size]byte
+	expand(cSecret[:], m, "c ap traffic", th[:])
+	expand(sSecret[:], m, "s ap traffic", th[:])
+	// One allocation holds every output, each clipped to its length.
+	out := make([]byte, 2*(keyLen+ivLen)+sha256.Size)
+	cut := func(n int) []byte {
+		b := out[:n:n]
+		out = out[n:]
+		return b
+	}
+	ck, civ, sk, siv := cut(keyLen), cut(ivLen), cut(keyLen), cut(ivLen)
+	master = cut(sha256.Size)
+	expand(master, m, "res master", th[:])
+	for _, dir := range [...]struct{ secret, key, iv []byte }{{cSecret[:], ck, civ}, {sSecret[:], sk, siv}} {
+		traffic := hmac.New(sha256.New, dir.secret)
+		expand(dir.key, traffic, "key", nil)
+		expand(dir.iv, traffic, "iv", nil)
+	}
 	client = core.SessionKeys{TxKey: ck, TxIV: civ, RxKey: sk, RxIV: siv}
 	server = core.SessionKeys{TxKey: sk, TxIV: siv, RxKey: ck, RxIV: civ}
 	return
-}
-
-// ResumptionMaster derives a session's resumption master secret (the
-// TLS 1.3 resumption_master_secret analog) from the exchange's shared
-// secret and transcript. A later Rsmp/RsmpFS exchange feeds it back as
-// Options.PriorSecret; each resumed connection then expands it with a
-// fresh nonce into a per-connection PSK.
-func ResumptionMaster(secret, transcript []byte) []byte {
-	return hkdfx.DeriveSecret(hkdfx.Extract(nil, secret), "res master", transcript)
 }

@@ -2,10 +2,13 @@ package handshake
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"smt/internal/cost"
 	"smt/internal/cpusim"
+	"smt/internal/hkdfx"
 	"smt/internal/netsim"
 	"smt/internal/sim"
 )
@@ -291,6 +294,119 @@ func TestOpNames(t *testing.T) {
 	for _, m := range []Mode{Init1RTT, Init0RTT, Init0RTTFS, Rsmp, RsmpFS, Mode(99)} {
 		if m.String() == "" {
 			t.Fatal("unnamed mode")
+		}
+	}
+}
+
+// TestExchangeKeysPinned pins every mode's key bytes and RNG use: a
+// SHA-256 over Client, Server and Master, and the engine RNG's next
+// Uint64 after the exchange. It runs each mode with a throwaway server
+// identity (the Fig. 12 setting) and as churn dials it (a pinned
+// identity, its ticket, a prior session's master), so a change to how
+// the exchange draws scalars, builds key pairs or runs its key schedule
+// that moves a key byte or an RNG draw fails here.
+func TestExchangeKeysPinned(t *testing.T) {
+	type pin struct {
+		keys string
+		next uint64
+	}
+	for _, tc := range []struct {
+		name   string
+		dialed bool
+		want   [5]pin // in Mode order
+	}{
+		// Init's two rows agree: drawing the identity before the
+		// scalars swaps the client's scalar and the long-term share,
+		// and ECDH is symmetric.
+		{"throwaway", false, [5]pin{
+			{"6b02bd05ffd07423ff523fd7dd4488cbd896f958995dacf748ab4931c15a8b1b", 11239168150708129139},
+			{"edafe7244ecf76ed31866c525d97866ec240247135f821a2e2f30e410e6a6edd", 11239168150708129139},
+			{"3540315e52fbea37883b86a9ca381c7ec39f6df0c26c4ec44fff20c1a6755cfa", 11239168150708129139},
+			{"0c37807c2553f81a8e8de90de10aa5cf91411cb87dc9d608177a0ea86dcbe60c", 6941261091797652072},
+			{"1d47c8c2a37a65629eba458cf3e6287d9b38c6e5209b7d3af7d4da41da97510f", 6941261091797652072},
+		}},
+		{"dialed", true, [5]pin{
+			{"772d8a9cdaca3199d52efc313530214a8ca7d3ab0f3d8236c524a59bce06a909", 11239168150708129139},
+			{"edafe7244ecf76ed31866c525d97866ec240247135f821a2e2f30e410e6a6edd", 11239168150708129139},
+			{"b41b2cc124408615893cd14eb3be856463addc1e9e470dc090e9026ae1db46dc", 11239168150708129139},
+			{"fa131b8abbad50c5f2a5d282ac5333731d373d01e0ac30a9b276d60f0f3d09df", 3328451335138149956},
+			{"4785b36e6854d1dd485298f45621b0496187ba3b600e5752776a12433be87317", 3328451335138149956},
+		}},
+	} {
+		for m := range tc.want {
+			eng, cli, srv := hosts(t)
+			opts := Options{Mode: Mode(m)}
+			if tc.dialed {
+				id, err := NewIdentityRand(eng.Rand())
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.ServerID = id
+				switch opts.Mode {
+				case Init0RTT, Init0RTTFS:
+					if opts.Ticket, err = NewTicket(id, sim.Time(1<<62)); err != nil {
+						t.Fatal(err)
+					}
+				case Rsmp, RsmpFS:
+					prior := sha256.Sum256([]byte("prior session"))
+					opts.PriorSecret = prior[:]
+				}
+			}
+			var res Result
+			eng.At(0, func() {
+				if err := Exchange(cli, srv, 2*sim.Microsecond, opts, func(r Result) { res = r }); err != nil {
+					t.Error(err)
+				}
+			})
+			eng.RunUntil(100 * sim.Millisecond)
+			if res.Err != nil || res.Master == nil {
+				t.Fatalf("%s %v: exchange did not complete: %v", tc.name, Mode(m), res.Err)
+			}
+			h := sha256.New()
+			for _, b := range [][]byte{
+				res.Client.TxKey, res.Client.TxIV, res.Client.RxKey, res.Client.RxIV,
+				res.Server.TxKey, res.Server.TxIV, res.Server.RxKey, res.Server.RxIV, res.Master,
+			} {
+				h.Write(b)
+			}
+			got := pin{hex.EncodeToString(h.Sum(nil)), eng.Rand().Uint64()}
+			if got != tc.want[m] {
+				t.Errorf("%s %v: keys %s, next Uint64 %d; want %s, %d", tc.name, Mode(m), got.keys, got.next, tc.want[m].keys, tc.want[m].next)
+			}
+		}
+	}
+}
+
+// TestKeyScheduleMatchesHKDF checks keySchedule against RFC 8446's
+// schedule written out with hkdfx, one call per step: Extract,
+// Derive-Secret of each traffic secret and the resumption master, and
+// ExpandLabel of each key and IV.
+func TestKeyScheduleMatchesHKDF(t *testing.T) {
+	for i, tc := range []struct{ secret, transcript string }{
+		{"an ecdh shared secret of 32 bytes", "init-1rtt"},
+		{"a psk of 32 bytes ‖ an ecdh secret of 32 more bytes", "resumption"},
+		{"", ""},
+		{"x", "a transcript longer than one sha-256 block, so that its hash takes two compressions, not one"},
+	} {
+		secret, transcript := []byte(tc.secret), []byte(tc.transcript)
+		master := hkdfx.Extract(nil, secret)
+		cs := hkdfx.DeriveSecret(master, "c ap traffic", transcript)
+		ss := hkdfx.DeriveSecret(master, "s ap traffic", transcript)
+		want := [][]byte{
+			hkdfx.ExpandLabel(cs, "key", nil, 16), hkdfx.ExpandLabel(cs, "iv", nil, 12),
+			hkdfx.ExpandLabel(ss, "key", nil, 16), hkdfx.ExpandLabel(ss, "iv", nil, 12),
+			hkdfx.DeriveSecret(master, "res master", transcript),
+		}
+		client, server, res := keySchedule(secret, transcript)
+		got := [][]byte{client.TxKey, client.TxIV, client.RxKey, client.RxIV, res}
+		mirrored := [][]byte{server.RxKey, server.RxIV, server.TxKey, server.TxIV, res}
+		for j := range want {
+			if !bytes.Equal(got[j], want[j]) || !bytes.Equal(mirrored[j], want[j]) {
+				t.Fatalf("case %d output %d: client %x, server %x; want %x", i, j, got[j], mirrored[j], want[j])
+			}
+			if cap(got[j]) != len(want[j]) {
+				t.Fatalf("case %d output %d: capacity %d past its %d bytes", i, j, cap(got[j]), len(want[j]))
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package handshake
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"fmt"
 	"io"
 
@@ -159,8 +160,10 @@ var variants = [...]variant{
 	// The SMT-ticket (server long-term share + cert) came from DNS ahead
 	// of time, already verified (no C1.1, C3.1, C3.2; S2.1 pre-generated)
 	// — §4.5.2. The CHLO carries 0-RTT data under the SMT-key. The server
-	// derives it too (ECDH plus the extra application key derivation),
-	// records the CHLO random against replay (§4.5.3) and finishes.
+	// derives it too (ECDH plus the extra application key derivation)
+	// and finishes. It keeps no replay state: nothing records the CHLO
+	// random, so a replayed CHLO goes undetected, where §4.5.3 has the
+	// server reject one within the ticket's lifetime.
 	Init0RTT: {
 		cliOps: []Op{C1p2OthersGen, C2p2ECDH, C2p3SecretDerive},
 		srvOps: []Op{S1ProcessCHLO, S2p2ECDH, S2p3SHLOGen, S2p6SecretDerive, S2p6SecretDerive, S3ProcessFinished},
@@ -222,14 +225,15 @@ func ExchangeOver(conduit Conduit, cliHost, srvHost *cpusim.Host, opts Options, 
 	eng := cliHost.Eng
 	rng := eng.Rand()
 
-	// Draw all key material up front: ephemeral shares for each side,
+	// Draw all key material up front: ephemeral scalars for each side,
 	// the server identity when the caller didn't pin one, and the
-	// per-connection resumption PSK.
-	cliEph, err := genECDHKey(rng)
+	// per-connection resumption PSK. Every mode draws both scalars, so
+	// the RNG stream is the same whatever the variant uses.
+	cliScalar, err := DrawScalar(rng)
 	if err != nil {
 		return fmt.Errorf("handshake: client ephemeral: %w", err)
 	}
-	srvEph, err := genECDHKey(rng)
+	srvScalar, err := DrawScalar(rng)
 	if err != nil {
 		return fmt.Errorf("handshake: server ephemeral: %w", err)
 	}
@@ -259,6 +263,20 @@ func ExchangeOver(conduit Conduit, cliHost, srvHost *cpusim.Host, opts Options, 
 			if _, err := io.ReadFull(rng, psk); err != nil {
 				return fmt.Errorf("handshake: resumption psk: %w", err)
 			}
+		}
+	}
+	// Build only the ephemeral key pairs the variant's secret uses: each
+	// costs a ScalarBaseMult. The ECDH needs the client's private key
+	// and the server's public share (or the ticket's long-term share).
+	var cliEph, srvEph *ecdh.PrivateKey
+	if v.secret != secretPSK {
+		if cliEph, err = ecdh.P256().NewPrivateKey(cliScalar); err != nil {
+			return fmt.Errorf("handshake: client ephemeral: %w", err)
+		}
+	}
+	if v.secret == secretEph || v.secret == secretPSKEph {
+		if srvEph, err = ecdh.P256().NewPrivateKey(srvScalar); err != nil {
+			return fmt.Errorf("handshake: server ephemeral: %w", err)
 		}
 	}
 
@@ -292,8 +310,7 @@ func ExchangeOver(conduit Conduit, cliHost, srvHost *cpusim.Host, opts Options, 
 		if err != nil {
 			res.Err = fmt.Errorf("handshake: %s ecdh: %w", v.transcript, err)
 		} else {
-			res.Client, res.Server = DeriveKeys(secret, []byte(v.transcript))
-			res.Master = ResumptionMaster(secret, []byte(v.transcript))
+			res.Client, res.Server, res.Master = keySchedule(secret, []byte(v.transcript))
 		}
 		done(res)
 	}

@@ -30,15 +30,14 @@ type Request struct {
 	Value   []byte // for SET
 }
 
-// EncodeRequest serializes a request: cmd(1) key(8) scanlen(2) vlen(4) value.
-func EncodeRequest(r Request) []byte {
-	b := make([]byte, 15+len(r.Value))
-	b[0] = r.Cmd
-	binary.BigEndian.PutUint64(b[1:], r.Key)
-	binary.BigEndian.PutUint16(b[9:], r.ScanLen)
-	binary.BigEndian.PutUint32(b[11:], uint32(len(r.Value)))
-	copy(b[15:], r.Value)
-	return b
+// EncodeRequest appends a serialized request to dst and returns the
+// extended slice: cmd(1) key(8) scanlen(2) vlen(4) value.
+func EncodeRequest(dst []byte, r Request) []byte {
+	dst = append(dst, r.Cmd)
+	dst = binary.BigEndian.AppendUint64(dst, r.Key)
+	dst = binary.BigEndian.AppendUint16(dst, r.ScanLen)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Value)))
+	return append(dst, r.Value...)
 }
 
 // DecodeRequest parses a request.
@@ -69,20 +68,26 @@ type Store struct {
 }
 
 // New creates a store preloaded with `keys` records of valueSize bytes.
+// One slab backs every preloaded value, each a sub-slice clipped to its
+// length.
 func New(cm *cost.Model, keys uint64, valueSize int) *Store {
 	s := &Store{cm: cm, vals: make(map[uint64][]byte, keys)}
+	slab := make([]byte, int(keys)*valueSize)
 	for k := uint64(0); k < keys; k++ {
-		v := make([]byte, valueSize)
+		off := int(k) * valueSize
+		v := slab[off : off+valueSize : off+valueSize]
 		binary.BigEndian.PutUint64(v, k) // recognizable content
 		s.vals[k] = v
 	}
 	return s
 }
 
-// Execute runs a request against the database, returning the response
-// payload and the application CPU cost (parse + hash op + value copy),
-// which the caller charges on the server's single thread.
-func (s *Store) Execute(req Request) (resp []byte, cpu sim.Time) {
+// Execute runs a request against the database, appending the response
+// payload to dst, and returns the extended slice and the application
+// CPU cost (parse + hash op + value copy), which the caller charges on
+// the server's single thread. No stored value aliases req or the
+// response: SET copies the request's value in.
+func (s *Store) Execute(dst []byte, req Request) (resp []byte, cpu sim.Time) {
 	// Parse + dispatch cost.
 	cpu = s.cm.AppLogic
 	switch req.Cmd {
@@ -91,32 +96,33 @@ func (s *Store) Execute(req Request) (resp []byte, cpu sim.Time) {
 		v, ok := s.vals[req.Key]
 		if !ok {
 			s.Misses++
-			return []byte{0}, cpu
+			return append(dst, 0), cpu
 		}
 		cpu += s.cm.Copy(len(v))
-		out := make([]byte, 1+len(v))
-		out[0] = 1
-		copy(out[1:], v)
-		return out, cpu
+		return append(append(dst, 1), v...), cpu
 	case CmdSet:
 		s.Sets++
-		v := append([]byte(nil), req.Value...)
-		s.vals[req.Key] = v
-		cpu += s.cm.Copy(len(v))
-		return []byte{1}, cpu
+		if v, ok := s.vals[req.Key]; ok && len(v) == len(req.Value) {
+			copy(v, req.Value)
+		} else {
+			s.vals[req.Key] = append([]byte(nil), req.Value...)
+		}
+		cpu += s.cm.Copy(len(req.Value))
+		return append(dst, 1), cpu
 	case CmdScan:
 		s.Scans++
-		out := []byte{1}
+		base := len(dst)
+		dst = append(dst, 1)
 		for i := uint16(0); i < req.ScanLen; i++ {
 			v, ok := s.vals[(req.Key+uint64(i))%uint64(len(s.vals))]
 			if !ok {
 				continue
 			}
-			out = append(out, v...)
+			dst = append(dst, v...)
 		}
-		cpu += s.cm.Copy(len(out)) + sim.Time(req.ScanLen)*200*sim.Nanosecond
-		return out, cpu
+		cpu += s.cm.Copy(len(dst)-base) + sim.Time(req.ScanLen)*200*sim.Nanosecond
+		return dst, cpu
 	default:
-		return []byte{0}, cpu
+		return append(dst, 0), cpu
 	}
 }

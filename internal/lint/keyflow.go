@@ -5,7 +5,8 @@ package lint
 // string, a JSON artifact, or a plaintext wire payload. The taint
 // sources are the places secrets are minted or stored —
 // core.SessionKeys values, the handshake's master/resumption secrets
-// (Result.Master, Options.PriorSecret, handshake.ResumptionMaster), and
+// (Result.Master, Options.PriorSecret), the outputs of its key
+// schedule and its drawn P-256 scalars (handshake.DrawScalar), and
 // every hkdfx output. Taint propagates through assignments, slicing,
 // conversions, append/copy, and interprocedurally through first-party
 // calls via per-function summaries (see summary.go); calls into the

@@ -384,7 +384,10 @@ func (tw *taintWalker) secretField(sel *ast.SelectorExpr) bool {
 }
 
 // secretSourceCall reports whether the call's callee mints key material:
-// any hkdfx function, or handshake.ResumptionMaster.
+// any hkdfx function, the handshake's scalar draw (handshake.DrawScalar,
+// whose bytes come from a reader), or its key schedule
+// (handshake.keySchedule, whose HMACs are standard-library calls that
+// would otherwise cut the taint).
 func secretSourceCall(fn *types.Func) bool {
 	if fn.Pkg() == nil {
 		return false
@@ -393,7 +396,7 @@ func secretSourceCall(fn *types.Func) bool {
 	case "smt/internal/hkdfx":
 		return true
 	case "smt/internal/handshake":
-		return fn.Name() == "ResumptionMaster"
+		return fn.Name() == "DrawScalar" || fn.Name() == "keySchedule"
 	}
 	return false
 }

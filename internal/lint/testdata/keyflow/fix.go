@@ -1,15 +1,17 @@
 // Package keyfix is analysis-only fixture data for the keyflow
-// analyzer: key material (core.SessionKeys, hkdfx outputs) flowing into
-// each of the three sink families, the transitive flavor through a
-// helper's summary, and the declassification cuts (lengths, errors)
-// that keep the rule quiet on legitimate code.
+// analyzer: key material (core.SessionKeys, hkdfx outputs, drawn P-256
+// scalars) flowing into each of the three sink families, the transitive
+// flavor through a helper's summary, and the declassification cuts
+// (lengths, errors) that keep the rule quiet on legitimate code.
 package keyfix
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"smt/internal/core"
+	"smt/internal/handshake"
 	"smt/internal/hkdfx"
 	"smt/internal/wire"
 )
@@ -20,6 +22,16 @@ var Sink any
 func errString() error {
 	k := hkdfx.Expand([]byte("prk"), []byte("info"), 16)
 	return fmt.Errorf("derived key %x", k) // want "key material flows into a formatted string"
+}
+
+// scalarErr reports a drawn private scalar in an error: the scalar is
+// a key, though its bytes come from a reader, not from hkdfx.
+func scalarErr(r io.Reader) error {
+	d, err := handshake.DrawScalar(r)
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("drew scalar %x", d) // want "key material flows into a formatted string"
 }
 
 func artifact(keys core.SessionKeys) {

@@ -63,6 +63,13 @@ func AppendEncode(b []byte, reqID uint64, respSize uint32, size int) []byte {
 	return b
 }
 
+// AppendHeader appends an RPC header carrying reqID and respSize to b:
+// the payload Encode builds at MinSize, for callers that append their
+// own body behind it.
+func AppendHeader(b []byte, reqID uint64, respSize uint32) []byte {
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(b, reqID), respSize)
+}
+
 // BodyValid reports whether an RPC payload's body matches the Encode
 // filler pattern (body byte at offset i is byte(i)). The header bytes
 // carry arbitrary values and are not checked. Fault-injection tests use

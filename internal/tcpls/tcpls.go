@@ -104,9 +104,15 @@ func (c *Codec) EncodeMessage(prefix, msg []byte) ([]tcpsim.Chunk, sim.Time) {
 func (c *Codec) Release(ch tcpsim.Chunk) { c.pool.Put(ch) }
 
 // DecodeStreamTo implements tcpsim.Codec: open the complete records in
-// order straight into dst, then strip each one's stream header. A
-// record that fails ends the stream with ErrAuth, and every later call
-// fails on it again.
+// order straight into dst, each streamHeaderLen bytes before dst's end.
+// A record's stream header then lands over dst's last bytes, which are
+// saved first and restored once the header is checked, and its app
+// bytes land at dst's end, where they belong: nothing is moved. A dst
+// shorter than the header has no room before its end (a connection
+// keeps tcpsim.DecodeHeadroom bytes once it has consumed any), so its
+// record opens at the end and the app bytes slide down over the header.
+// A record that fails ends the stream with ErrAuth, and every later
+// call fails on it again.
 func (c *Codec) DecodeStreamTo(dst, data []byte) ([]byte, sim.Time, error) {
 	var cpu sim.Time
 	for {
@@ -118,17 +124,27 @@ func (c *Codec) DecodeStreamTo(dst, data []byte) ([]byte, sim.Time, error) {
 		seq := c.rxSeq.Next()
 		base := len(dst)
 		dst = slices.Grow(dst, len(rec)) // the decrypt never reallocates (see ktls)
-		ext, ct, err := c.rx.OpenRecordTo(dst, seq, rec)
+		at := base - streamHeaderLen
+		if at < 0 {
+			at = base
+		}
+		var saved [streamHeaderLen]byte
+		copy(saved[:], dst[at:base])
+		ext, ct, err := c.rx.OpenRecordTo(dst[:at], seq, rec)
 		cpu += c.cm.CryptoSW(len(rec)) + c.cm.TCPLSRecord
-		if err != nil || ct != wire.RecordTypeApplicationData || len(ext)-base < streamHeaderLen ||
-			int(binary.BigEndian.Uint32(ext[base+4:])) != len(ext)-base-streamHeaderLen {
+		valid := err == nil && ct == wire.RecordTypeApplicationData && len(ext)-at >= streamHeaderLen &&
+			int(binary.BigEndian.Uint32(ext[at+4:])) == len(ext)-at-streamHeaderLen
+		// Put back the bytes the header (or a failed decrypt) overwrote.
+		copy(dst[at:base], saved[:])
+		if !valid {
 			c.AuthFailures++
 			c.rxRecs.Retain(rec)
 			return dst, cpu, ErrAuth
 		}
 		c.RecordsOpened++
-		// Strip the stream header in place: slide the app bytes down.
-		inner := ext[base:]
-		dst = ext[:base+copy(inner, inner[streamHeaderLen:])]
+		if at == base {
+			ext = ext[:base+copy(ext[base:], ext[base+streamHeaderLen:])]
+		}
+		dst = ext
 	}
 }

@@ -55,8 +55,11 @@ type Codec interface {
 	// DecodeStreamTo consumes in-order received stream bytes, appends
 	// any newly available plaintext stream bytes to dst and returns the
 	// extended slice, plus the receive-side CPU cost (decryption
-	// happens here — in recvmsg context). dst's existing bytes are
-	// never modified. data is only read during the call.
+	// happens here — in recvmsg context). dst's existing bytes hold
+	// their values when it returns; a codec may write over them during
+	// the call and restore them. Once the connection has consumed any
+	// of its stream, dst is at least DecodeHeadroom bytes long. data is
+	// only read during the call.
 	DecodeStreamTo(dst, data []byte) ([]byte, sim.Time, error)
 	// Release returns a chunk EncodeMessage produced, once and only
 	// once the cumulative ACK covers all of it. A partly acknowledged
@@ -72,6 +75,13 @@ func FramedRange(prefix, msg []byte, off, end int) (head, body []byte) {
 	p := len(prefix)
 	return prefix[min(off, p):min(end, p)], msg[max(off-p, 0):max(end-p, 0)]
 }
+
+// DecodeHeadroom is how many consumed plaintext bytes a connection
+// keeps in front of the unparsed stream it hands DecodeStreamTo as dst,
+// so a codec whose records carry a header ahead of their app bytes can
+// open each record over dst's last bytes and leave the app bytes where
+// they belong (tcpls's 8-byte stream header).
+const DecodeHeadroom = 8
 
 // maxChunk bounds a chunk to one TSO segment so the packing loop in the
 // connection always makes progress.

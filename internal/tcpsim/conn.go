@@ -520,7 +520,7 @@ func (c *Conn) handleData(pkt *wire.Packet) {
 	case seq == c.rcvNxt:
 		// No slice of rxPending outlives deliverCycle, so the consumed
 		// prefix can be reclaimed even while a cycle is scheduled.
-		c.rxPending, c.rxHead = compact(c.rxPending, c.rxHead)
+		c.rxPending, c.rxHead = compact(c.rxPending, c.rxHead, 0)
 		c.rxPending = append(c.rxPending, data...)
 		c.rcvNxt += int64(len(data))
 		advanced = true
@@ -610,14 +610,15 @@ func (c *Conn) scheduleDelivery() {
 	c.host.Eng.After(cm.WakeupLatency, c.deliverFn)
 }
 
-// compact drops buf's consumed prefix buf[:head] once it is at least
-// half of buf, moving the unconsumed tail to the front so the capacity
-// is reused. The move costs at most one byte per byte consumed.
-func compact(buf []byte, head int) ([]byte, int) {
-	if head == 0 || 2*head < len(buf) {
+// compact drops buf's consumed prefix buf[:head], all but its last keep
+// bytes, once the prefix is at least half of buf, moving the rest to the
+// front so the capacity is reused. The move costs at most one byte per
+// byte consumed.
+func compact(buf []byte, head, keep int) ([]byte, int) {
+	if head <= keep || 2*head < len(buf) {
 		return buf, head
 	}
-	return buf[:copy(buf, buf[head:])], 0
+	return buf[:copy(buf, buf[head-keep:])], keep
 }
 
 // deliverCycle is one read() of the application's receive loop: it
@@ -635,8 +636,9 @@ func (c *Conn) deliverCycle() {
 	data := c.rxPending[c.rxHead : c.rxHead+n]
 	c.rxHead += n
 	// The previous cycle's messages have all been handed out, so the
-	// parsed prefix of appStream can be reclaimed.
-	c.appStream, c.appHead = compact(c.appStream, c.appHead)
+	// parsed prefix of appStream can be reclaimed, but for the codec's
+	// headroom.
+	c.appStream, c.appHead = compact(c.appStream, c.appHead, DecodeHeadroom)
 	plain, cpu, err := c.codec.DecodeStreamTo(c.appStream, data)
 	if err != nil {
 		c.rxSched = false

@@ -43,9 +43,11 @@ func sealedStream(t *testing.T, enc tcpsim.Codec, msgs [][]byte) (stream, framed
 // windows that split record headers and leave records straddling the
 // cut, and in runs of fixed-size batches (a byte at a time, 7 bytes,
 // one recv cycle). The plaintext appended behind dst's existing bytes
-// must equal the framed input, and those bytes must stay untouched. A
-// flipped ciphertext byte must end the stream in the codec's
-// authentication error, on that call and on every later one.
+// must equal the framed input, and those bytes must hold their values.
+// dst starts longer than any record header a codec opens over it, and
+// again empty and shorter than tcpls's stream header. A flipped
+// ciphertext byte must end the stream in the codec's authentication
+// error, on that call and on every later one.
 func TestDecodeStreamSplitPoints(t *testing.T) {
 	cli, srv := ktls.PairKeys(9)
 	msgs := [][]byte{content(40000, 1), content(1, 2), content(ktls.RecPlain-4, 3), content(3000, 4)}
@@ -64,7 +66,7 @@ func TestDecodeStreamSplitPoints(t *testing.T) {
 			default:
 				authErr = ktls.ErrAuth
 			}
-			const prefix = "bytes already in dst"
+			prefix := "bytes already in dst"
 			decode := func(stream []byte, cuts []int) ([]byte, error) {
 				dec, err := sc.make(cost.Default(), srv)
 				if err != nil {
@@ -78,14 +80,17 @@ func TestDecodeStreamSplitPoints(t *testing.T) {
 						if _, _, again := dec.DecodeStreamTo(dst, stream[cut:]); !errors.Is(again, err) {
 							t.Fatalf("call after %v returned %v", err, again)
 						}
-						return dst, err
+						break
 					}
 					from = cut
 				}
 				if string(dst[:len(prefix)]) != prefix {
 					t.Fatalf("cuts %v: dst's existing bytes changed to %q", cuts, dst[:len(prefix)])
 				}
-				return dst[len(prefix):], nil
+				if err != nil && !bytes.HasPrefix(framed, dst[len(prefix):]) {
+					t.Fatalf("cuts %v: the plaintext before the failed record changed", cuts)
+				}
+				return dst[len(prefix):], err
 			}
 			check := func(what string, cuts []int) {
 				got, err := decode(stream, cuts)
@@ -110,14 +115,37 @@ func TestDecodeStreamSplitPoints(t *testing.T) {
 				}
 				check(fmt.Sprintf("%d-byte batches", batch), cuts)
 			}
-			if authErr == nil {
-				return // plaintext TCP has nothing to authenticate
+			if authErr != nil {
+				bad := append([]byte(nil), stream...)
+				bad[bounds[1]+100] ^= 0x01 // a ciphertext byte of the second record
+				for _, cut := range []int{bounds[1] + 50, bounds[1] + 150, bounds[1] + 3, bounds[0]} {
+					if _, err := decode(bad, []int{cut}); !errors.Is(err, authErr) {
+						t.Fatalf("flipped byte, cut at %d: error %v, want %v", cut, err, authErr)
+					}
+				}
+				bad[bounds[1]+100] ^= 0x01
+				bad[100] ^= 0x01 // a ciphertext byte of the first record
+				if _, err := decode(bad, nil); !errors.Is(err, authErr) {
+					t.Fatalf("flipped byte in the first record: error %v, want %v", err, authErr)
+				}
 			}
-			bad := append([]byte(nil), stream...)
-			bad[bounds[1]+100] ^= 0x01 // a ciphertext byte of the second record
-			for _, cut := range []int{bounds[1] + 50, bounds[1] + 150, bounds[1] + 3} {
-				if _, err := decode(bad, []int{cut}); !errors.Is(err, authErr) {
-					t.Fatalf("flipped byte, cut at %d: error %v, want %v", cut, err, authErr)
+			// A dst shorter than a record header: the first record has
+			// no room before dst's end, the later ones do.
+			for _, prefix = range []string{"", "short"} {
+				for _, batch := range []int{7, cost.Default().TCPDeliverBatch} {
+					var cuts []int
+					for cut := batch; cut < len(stream); cut += batch {
+						cuts = append(cuts, cut)
+					}
+					check(fmt.Sprintf("dst %q, %d-byte batches", prefix, batch), cuts)
+				}
+				check(fmt.Sprintf("dst %q, cut", prefix), []int{bounds[0] + 3})
+				if authErr != nil {
+					bad := append([]byte(nil), stream...)
+					bad[100] ^= 0x01 // a ciphertext byte of the first record
+					if _, err := decode(bad, []int{bounds[0]}); !errors.Is(err, authErr) {
+						t.Fatalf("dst %q, flipped byte: error %v, want %v", prefix, err, authErr)
+					}
 				}
 			}
 		})
