@@ -34,10 +34,7 @@ const RecSpan = 16000
 
 // SessionKeys is the keying material registered on a socket after the
 // TLS 1.3 handshake (§4.2): one AEAD per direction.
-type SessionKeys struct {
-	TxKey, TxIV []byte // protects messages this endpoint sends
-	RxKey, RxIV []byte // verifies messages it receives
-}
+type SessionKeys = tlsrec.Keys
 
 // CodecStats counts codec-level events for the ablations.
 type CodecStats struct {
@@ -148,9 +145,6 @@ type nicQueue struct {
 	next uint64 // record sequence number the context expects next
 	used bool   // a segment has gone out on this queue
 }
-
-// Alloc returns the session's bit allocation.
-func (c *Codec) Alloc() tlsrec.BitAllocation { return c.alloc }
 
 // MaxMessageSize is the largest message the record-index field can carry.
 func (c *Codec) MaxMessageSize() int { return c.maxMsg }

@@ -58,15 +58,6 @@ func (r *Resolver) Register(name string, id *handshake.Identity) error {
 	return nil
 }
 
-// Identity returns the registered identity for name (nil if absent) —
-// the server-side credentials a dialed exchange verifies against.
-func (r *Resolver) Identity(name string) *handshake.Identity {
-	if rec, ok := r.records[name]; ok {
-		return rec.id
-	}
-	return nil
-}
-
 // Lookup returns the current SMT-ticket for name, re-minting it if the
 // stored one expired (hourly rotation).
 func (r *Resolver) Lookup(name string) (*handshake.Ticket, error) {

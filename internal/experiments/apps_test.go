@@ -81,7 +81,7 @@ func testFig9Shape(t *testing.T) {
 	}
 	// iodepth 8: the paper reports up to 16/21 % P99 reduction; device
 	// queueing dominates our tail, so require SMT at worst at parity
-	// with kTLS and never slower by more than 3 % (see EXPERIMENTS.md).
+	// with kTLS and never slower by more than 3 %.
 	if rows["SMT-sw"][8].P99Us > rows["kTLS-sw"][8].P99Us*1.03 {
 		t.Errorf("iodepth 8: SMT-sw P99 (%.1f) should not exceed kTLS-sw (%.1f)",
 			rows["SMT-sw"][8].P99Us, rows["kTLS-sw"][8].P99Us)

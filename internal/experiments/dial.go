@@ -25,7 +25,6 @@ import (
 	"smt/internal/dcdns"
 	"smt/internal/handshake"
 	"smt/internal/homa"
-	"smt/internal/ktls"
 	"smt/internal/rpc"
 	"smt/internal/sim"
 	"smt/internal/tcpsim"
@@ -83,16 +82,14 @@ func (c *conduit) ToClient(size int, deliver func()) {
 	c.sendCli(hsFiller[:size])
 }
 
-// installStreamCodecs converts an exchange result to the kTLS key
-// shape and installs the mirrored codecs on both connection ends.
+// installStreamCodecs installs the mirrored codecs an exchange result
+// keys on both connection ends.
 func installStreamCodecs(w *World, rec *streamRecord, cliConn, srvConn *tcpsim.Conn, res handshake.Result) error {
-	ck := ktls.Keys{TxKey: res.Client.TxKey, TxIV: res.Client.TxIV, RxKey: res.Client.RxKey, RxIV: res.Client.RxIV}
-	sk := ktls.Keys{TxKey: res.Server.TxKey, TxIV: res.Server.TxIV, RxKey: res.Server.RxKey, RxIV: res.Server.RxIV}
-	cc, err := rec.newCodec(w.CM, ck)
+	cc, err := rec.newCodec(w.CM, res.Client)
 	if err != nil {
 		return err
 	}
-	sc, err := rec.newCodec(w.CM, sk)
+	sc, err := rec.newCodec(w.CM, res.Server)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"smt/internal/nvmeof"
 	"smt/internal/rpc"
 	"smt/internal/sim"
-	"smt/internal/stats"
 )
 
 // Fig9Depths is the Figure 9 iodepth grid.
@@ -33,11 +32,9 @@ func MeasureNVMeoF(spec StackSpec, iodepth int, seed int64, pa ...*pointAudit) (
 	}
 	w := audited(NewWorld(seed), pa)
 	ssd := nvmeof.NewSSD(w.Eng, nvmeof.DefaultChannels, nvmeof.DefaultReadLatency)
-	costs := nvmeof.DefaultCosts(w.CM)
 	extraCopy := spec.Transport == TransportHoma
 
 	var cl *rpc.ClosedLoop
-	lat := &stats.Histogram{}
 	// Reuse the generic echo systems; the SSD latency is charged at the
 	// server by delaying the response via the SSD model, and the
 	// in-kernel discounts/extra copy adjust the path.
@@ -55,8 +52,8 @@ func MeasureNVMeoF(spec StackSpec, iodepth int, seed int64, pa ...*pointAudit) (
 		// responds immediately on delivery, we instead pre-charge the
 		// SSD access on the request path: the response leaves after
 		// media + fabric time, which preserves the latency composition.
-		ssd.Read(lba, func(block []byte) {
-			extra := costs.TargetFixed + costs.ClientFixed
+		ssd.Read(lba, func() {
+			extra := nvmeof.TargetFixed + nvmeof.ClientFixed
 			if extraCopy {
 				extra += w.CM.Copy(nvmeof.BlockSize)
 			}
@@ -71,14 +68,12 @@ func MeasureNVMeoF(spec StackSpec, iodepth int, seed int64, pa ...*pointAudit) (
 	cl.Start(iodepth, warm, stop)
 	w.Eng.RunUntil(stop)
 	cl.Stop()
-	lat.Merge(&cl.Latency)
-	// Add the SSD media time into the reported latency (it precedes the
-	// fabric exchange in this arrangement).
-	base := float64(nvmeof.DefaultReadLatency) / 1e3
+	// The loop stamps each IO before the SSD read starts, so every
+	// latency sample already holds the media time.
 	return Fig9Row{
 		System: sys.Name, IODepth: iodepth,
-		P50Us: float64(lat.P50())/1e3 + base,
-		P99Us: float64(lat.P99())/1e3 + base,
+		P50Us: float64(cl.Latency.P50()) / 1e3,
+		P99Us: float64(cl.Latency.P99()) / 1e3,
 		IOPS:  cl.Throughput(),
 	}, nil
 }

@@ -55,8 +55,6 @@ type Options struct {
 	// C3.2. Only Init1RTT verifies a certificate chain, so every other
 	// mode charges no C3.2 and is unaffected by it.
 	ShortChain bool
-	// RSA switches the signature rows to 2048-bit RSA costs.
-	RSA bool
 
 	// ServerID is the server's long-term identity. nil generates a
 	// throwaway identity from the engine RNG (the microbenchmark
@@ -102,14 +100,6 @@ type Result struct {
 func opCost(op Op, opts Options) sim.Time {
 	c := OpCosts[op]
 	switch op {
-	case S2p5CertVerifyGen:
-		if opts.RSA {
-			c = RSACertVerifyGen
-		}
-	case C4p2VerifyCertVerify:
-		if opts.RSA {
-			c = RSAVerifyCertVerify
-		}
 	case C3p2VerifyCert:
 		if opts.ShortChain {
 			c = sim.Time(float64(c) * (1 - ShortChainSpeedup))

@@ -127,9 +127,6 @@ func (h *handler) HandlePacket(pkt *wire.Packet, core int) {
 	case wire.TypeAck:
 		s.rxAck(pkt)
 		pkt.Release()
-	case wire.TypeBusy:
-		// Reserved: the peer signals it is alive but not sending yet.
-		pkt.Release()
 	case wire.TypeHandshake:
 		if s.onHandshake != nil {
 			s.onHandshake(pkt.IP.Src, pkt.Overlay.SrcPort, pkt.Payload)

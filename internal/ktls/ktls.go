@@ -58,10 +58,7 @@ func (m Mode) String() string {
 const RecPlain = 16000
 
 // Keys carries the two directions' AEAD material for one connection.
-type Keys struct {
-	TxKey, TxIV []byte
-	RxKey, RxIV []byte
-}
+type Keys = tlsrec.Keys
 
 // Codec implements tcpsim.Codec with TLS 1.3 record protection.
 type Codec struct {
@@ -101,9 +98,6 @@ func New(cm *cost.Model, mode Mode, keys Keys) (*Codec, error) {
 	}
 	return &Codec{cm: cm, mode: mode, tx: tx, rx: rx}, nil
 }
-
-// Mode reports the codec's deployment mode.
-func (c *Codec) Mode() Mode { return c.mode }
 
 // perRecordCost is the non-crypto bookkeeping per record.
 func (c *Codec) perRecordCost() sim.Time {

@@ -4,7 +4,8 @@ package lint
 // rekey-under-traffic: key material must never appear in an error
 // string, a JSON artifact, or a plaintext wire payload. The taint
 // sources are the places secrets are minted or stored —
-// core.SessionKeys values, the handshake's master/resumption secrets
+// tlsrec.Keys values (core.SessionKeys and ktls.Keys are aliases of
+// it), the handshake's master/resumption secrets
 // (Result.Master, Options.PriorSecret), the outputs of its key
 // schedule and its drawn P-256 scalars (handshake.DrawScalar), and
 // every hkdfx output. Taint propagates through assignments, slicing,

@@ -62,7 +62,6 @@ type Program struct {
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Standard   bool
 	Export     string

@@ -352,21 +352,22 @@ func (tw *taintWalker) rootObj(e ast.Expr) types.Object {
 	}
 }
 
-// isSecretType reports whether t is core.SessionKeys (by value, pointer
-// or embedding in a slice) — the session key schedule struct itself.
+// isSecretType reports whether t is tlsrec.Keys (by value or pointer,
+// under any alias: core.SessionKeys, ktls.Keys) — the session key
+// schedule struct itself.
 func isSecretType(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	if ptr, ok := t.(*types.Pointer); ok {
+	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "SessionKeys" && obj.Pkg() != nil && obj.Pkg().Path() == "smt/internal/core"
+	return obj.Name() == "Keys" && obj.Pkg() != nil && obj.Pkg().Path() == "smt/internal/tlsrec"
 }
 
 // secretField reports whether sel selects a known secret-holding field:

@@ -41,14 +41,8 @@ const (
 	Second           = 1000 * Millisecond
 )
 
-// Std converts a virtual timestamp or interval back to a time.Duration.
-func (t Time) Std() time.Duration { return time.Duration(t) }
-
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Micros reports t as floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 // String formats the timestamp using time.Duration notation.
 func (t Time) String() string { return time.Duration(t).String() }

@@ -222,9 +222,6 @@ func (r *Ratio) Observe(x float64) {
 // Count reports the number of observed ratios.
 func (r *Ratio) Count() uint64 { return r.hist.Count() }
 
-// Mean reports the arithmetic mean ratio (0 when empty).
-func (r *Ratio) Mean() float64 { return r.hist.Mean() / RatioScale }
-
 // Max reports the largest observed ratio (0 when empty).
 func (r *Ratio) Max() float64 { return float64(r.hist.Max()) / RatioScale }
 
@@ -259,20 +256,4 @@ type Counter struct {
 func (c *Counter) Add(n, bytes uint64) {
 	c.N += n
 	c.Bytes += bytes
-}
-
-// Rate reports events per second over elapsed virtual seconds.
-func (c *Counter) Rate(elapsedSeconds float64) float64 {
-	if elapsedSeconds <= 0 {
-		return 0
-	}
-	return float64(c.N) / elapsedSeconds
-}
-
-// Throughput reports bytes per second over elapsed virtual seconds.
-func (c *Counter) Throughput(elapsedSeconds float64) float64 {
-	if elapsedSeconds <= 0 {
-		return 0
-	}
-	return float64(c.Bytes) / elapsedSeconds
 }

@@ -283,15 +283,6 @@ func TestCounter(t *testing.T) {
 	if c.N != 15 || c.Bytes != 1500 {
 		t.Fatalf("counter = %+v", c)
 	}
-	if c.Rate(3) != 5 {
-		t.Fatalf("rate = %v", c.Rate(3))
-	}
-	if c.Throughput(3) != 500 {
-		t.Fatalf("throughput = %v", c.Throughput(3))
-	}
-	if c.Rate(0) != 0 || c.Throughput(-1) != 0 {
-		t.Fatal("zero/negative elapsed should yield 0")
-	}
 }
 
 func TestHistogramString(t *testing.T) {

@@ -466,10 +466,20 @@ func (c *Conn) retransmitFrom(seq int64) {
 	}
 }
 
-// handleAck processes a cumulative ACK on the softirq core, with
-// NewReno-style recovery: one fast retransmit per window, then one more
-// retransmission per partial ACK until the recovery point is crossed.
-func (c *Conn) handleAck(ack int64) {
+// unwrap returns the stream offset nearest ref whose low 32 bits are
+// seq: the wire carries sequence numbers modulo 2^32 and the connection
+// counts in 64 bits, so each wire value is read against the counter it
+// is compared with (serial-number arithmetic, RFC 9293 §3.4).
+func unwrap(ref int64, seq uint32) int64 {
+	return ref + int64(int32(seq-uint32(ref)))
+}
+
+// handleAck processes the cumulative ACK number wireAck on the softirq
+// core, with NewReno-style recovery: one fast retransmit per window,
+// then one more retransmission per partial ACK until the recovery point
+// is crossed.
+func (c *Conn) handleAck(wireAck uint32) {
+	ack := unwrap(c.sndUna, wireAck)
 	if ack > c.sndUna {
 		c.sndUna = ack
 		c.dupAcks = 0
@@ -513,7 +523,7 @@ func (c *Conn) handleAck(ack int64) {
 
 // handleData processes a data packet on the softirq core.
 func (c *Conn) handleData(pkt *wire.Packet) {
-	seq := int64(uint32(pkt.Overlay.TSOOffset))
+	seq := unwrap(c.rcvNxt, pkt.Overlay.TSOOffset)
 	data := pkt.Payload
 	advanced := false
 	switch {

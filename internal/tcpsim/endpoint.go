@@ -1,8 +1,6 @@
 package tcpsim
 
 import (
-	"slices"
-
 	"smt/internal/cpusim"
 	"smt/internal/idmap"
 	"smt/internal/nicsim"
@@ -206,31 +204,7 @@ func (e *Endpoint) HandlePacket(pkt *wire.Packet, core int) {
 		}
 	case wire.TypeAck:
 		if c != nil {
-			c.handleAck(int64(pkt.Overlay.Aux))
+			c.handleAck(pkt.Overlay.Aux)
 		}
 	}
-}
-
-// Close unbinds the endpoint and closes its connections in peer order.
-func (e *Endpoint) Close() {
-	for _, c := range e.sortedConns() {
-		c.Close()
-	}
-	e.host.Unbind(wire.ProtoTCP, e.port)
-}
-
-// sortedConns lists connections in peer-key order so no caller observes
-// the table's slot order.
-func (e *Endpoint) sortedConns() []*Conn {
-	keys := make([]uint64, 0, e.conns.Len())
-	for k := range e.conns.All() {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	out := make([]*Conn, 0, len(keys))
-	for _, k := range keys {
-		c, _ := e.conns.Get(k)
-		out = append(out, c)
-	}
-	return out
 }

@@ -16,3 +16,13 @@ func Unacked(c *Conn) (una, chunk int64, ok bool) {
 	}
 	return c.sndUna, 0, false
 }
+
+// MoveStreams moves both directions of the fresh connection pair a, b
+// to stream offset off, as if off bytes had already crossed each way,
+// for the sequence-wrap tests. Neither end may have sent data yet.
+func MoveStreams(a, b *Conn, off int64) {
+	for _, c := range []*Conn{a, b} {
+		c.sndUna, c.sndNxt, c.highWater = off, off, off
+		c.rcvNxt = off
+	}
+}

@@ -154,9 +154,11 @@ type echoRun struct {
 	next      int     // k of the next request
 	stalled   []bool  // per client: its connection ended in ErrTimeout
 	// streams holds, per direction of each connection, every stream
-	// byte seen in a DATA packet so far: a byte on the wire twice must
+	// byte seen in a DATA packet so far, indexed from base, the stream
+	// offset every connection starts at: a byte on the wire twice must
 	// be the same byte.
 	streams map[streamKey]*streamImage
+	base    uint32
 }
 
 type streamKey struct {
@@ -305,7 +307,7 @@ func (r *echoRun) checkWire(pkt *wire.Packet) {
 		s = &streamImage{}
 		r.streams[key] = s
 	}
-	off := int(pkt.Overlay.TSOOffset)
+	off := int(pkt.Overlay.TSOOffset - r.base)
 	if end := off + len(pkt.Payload); end > len(s.b) {
 		s.b = append(s.b, make([]byte, end-len(s.b))...)
 		s.known = append(s.known, make([]bool, end-len(s.known))...)
@@ -316,6 +318,15 @@ func (r *echoRun) checkWire(pkt *wire.Packet) {
 		}
 		s.b[off+j], s.known[off+j] = b, true
 	}
+}
+
+// moveStreams starts every connection's stream offsets at off, before
+// any data flows.
+func (r *echoRun) moveStreams(off int64) {
+	for i, c := range r.clis {
+		tcpsim.MoveStreams(c, r.srvs[i], off)
+	}
+	r.base = uint32(off)
 }
 
 // settled reports whether every client has all its echoes back or has
@@ -459,6 +470,31 @@ func TestRecycledChunksUnderFaults(t *testing.T) {
 			}
 			if segs == 0 || retx == 0 {
 				t.Fatalf("reordering held %d segments out of order and fast-retransmitted %d times", segs, retx)
+			}
+		})
+	}
+}
+
+// TestStreamCodecsSequenceWrap runs lossless mixed-size echoes over
+// every stream codec with each connection's stream offsets starting
+// 100,000 bytes below 2^32, so the wire's 32-bit sequence and ACK
+// numbers wrap early in the run while the connections' counters do not.
+func TestStreamCodecsSequenceWrap(t *testing.T) {
+	const start = 1<<32 - 100_000
+	for _, sc := range streamCodecs {
+		t.Run(sc.name, func(t *testing.T) {
+			r := newEchoRun(t, sc, mixedSizes, 2, 40)
+			r.moveStreams(start)
+			r.run(4)
+			for i := range r.clis {
+				if r.stalled[i] {
+					t.Fatalf("client %d stalled without loss", i)
+				}
+				for _, c := range []*tcpsim.Conn{r.clis[i], r.srvs[i]} {
+					if una, _, _ := tcpsim.Unacked(c); una <= 1<<32 {
+						t.Fatalf("client %d: first unacknowledged offset %d: the run did not cross 2^32", i, una)
+					}
+				}
 			}
 		})
 	}

@@ -307,14 +307,38 @@ func fill(n int, seed byte) []byte {
 func TestBorrowedMessageDescendingSizes(t *testing.T) {
 	for _, loss := range []float64{0, 0.02} {
 		t.Run(fmt.Sprintf("loss=%v", loss), func(t *testing.T) {
-			testBorrowedMessageDescendingSizes(t, loss)
+			testBorrowedMessageDescendingSizes(t, loss, 0)
 		})
 	}
 }
 
-func testBorrowedMessageDescendingSizes(t *testing.T, loss float64) {
+// TestSequenceWrap runs the same echo bursts on a pair whose stream
+// offsets start 100,000 bytes below 2^32, lossless and at 2 % loss: the
+// wire's 32-bit sequence and ACK numbers wrap in the first burst while
+// the connection's 64-bit counters do not.
+func TestSequenceWrap(t *testing.T) {
+	const start = 1<<32 - 100_000
+	for _, loss := range []float64{0, 0.02} {
+		t.Run(fmt.Sprintf("loss=%v", loss), func(t *testing.T) {
+			cli, srv := testBorrowedMessageDescendingSizes(t, loss, start)
+			for _, c := range []*Conn{cli, srv} {
+				if c.sndUna <= 1<<32 || c.rcvNxt <= 1<<32 {
+					t.Fatalf("stream offsets %d sent, %d received: the run did not cross 2^32", c.sndUna, c.rcvNxt)
+				}
+			}
+		})
+	}
+}
+
+// testBorrowedMessageDescendingSizes runs the echo bursts with both
+// directions' stream offsets starting at start and returns the pair.
+func testBorrowedMessageDescendingSizes(t *testing.T, loss float64, start int64) (cli, srv *Conn) {
 	w := newWorld(13)
-	cli, srv := connect(t, w, Config{})
+	cli, srv = connect(t, w, Config{})
+	MoveStreams(cli, srv, start)
+	for _, c := range []*Conn{cli, srv} {
+		c.OnError(func(err error) { t.Fatalf("connection error: %v", err) })
+	}
 	w.net.LossProb = loss
 	sizes := []int{150000, 64000, 20000, 4096, 1500, 64, 1}
 	const rounds = 2
@@ -352,4 +376,5 @@ func testBorrowedMessageDescendingSizes(t *testing.T, loss float64) {
 	if len(cli.sendFree) == 0 || len(srv.sendFree) == 0 {
 		t.Fatal("send descriptors are not recycled")
 	}
+	return cli, srv
 }

@@ -30,6 +30,13 @@ const (
 	Key256 = 32 // AES-256-GCM, §7 post-quantum note
 )
 
+// Keys is one endpoint's keying material after the TLS 1.3 handshake:
+// one AEAD key and IV per direction.
+type Keys struct {
+	TxKey, TxIV []byte // protects what this endpoint sends
+	RxKey, RxIV []byte // verifies what it receives
+}
+
 // Errors surfaced by record processing.
 var (
 	ErrAuthFailed   = errors.New("tlsrec: record authentication failed")

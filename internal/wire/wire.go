@@ -9,10 +9,6 @@
 // replicates the shaded fields (message ID, message length, TSO offset)
 // onto every derived packet, and TLS autonomous offload can encrypt the
 // payload region.
-//
-// Encoding follows the gopacket DecodingLayer idiom: DecodeFromBytes
-// parses into a preallocated struct without allocating, and AppendTo
-// serializes by appending to a caller-provided buffer.
 package wire
 
 import (
@@ -35,7 +31,6 @@ const (
 // transports: they use their own numbers rather than hiding behind TCP's.
 const (
 	ProtoTCP  = 6
-	ProtoUDP  = 17
 	ProtoHoma = 146 // experimental, matches Homa/Linux usage
 	ProtoSMT  = 147 // SMT native protocol number
 )
@@ -64,7 +59,6 @@ const (
 	TypeData PacketType = iota + 1
 	TypeGrant
 	TypeResend
-	TypeBusy
 	TypeAck
 	TypeHandshake // carries key-exchange payloads (§4.2, §4.5)
 )
@@ -78,8 +72,6 @@ func (t PacketType) String() string {
 		return "GRANT"
 	case TypeResend:
 		return "RESEND"
-	case TypeBusy:
-		return "BUSY"
 	case TypeAck:
 		return "ACK"
 	case TypeHandshake:
@@ -89,94 +81,22 @@ func (t PacketType) String() string {
 	}
 }
 
-// Overlay header flag bits.
-const (
-	FlagRetransmit = 1 << iota // payload is a retransmission (§4.3)
-	FlagEncrypted              // payload is TLS-protected (SMT)
-	FlagLast                   // this TSO segment ends the message
-	FlagFirst                  // this TSO segment starts the message
-)
+// FlagRetransmit is the overlay header flag bit marking a payload as a
+// retransmission (§4.3).
+const FlagRetransmit = 1
 
-// Errors returned by DecodeFromBytes implementations.
-var (
-	ErrTruncated   = errors.New("wire: buffer too short")
-	ErrBadVersion  = errors.New("wire: bad IP version")
-	ErrBadChecksum = errors.New("wire: bad IPv4 header checksum")
-	ErrBadDataOff  = errors.New("wire: bad overlay data offset")
-)
+// ErrTruncated is returned when a header decoder's buffer is too short.
+var ErrTruncated = errors.New("wire: buffer too short")
 
 // IPv4Header is the 20-byte network header (no options). The Homa/SMT
 // stacks use the ID field as the intra-TSO-segment packet offset: NIC TSO
 // increments IPID on every packet it cuts from a segment, which is exactly
 // the sequence the receiver needs to reassemble the segment (§4.3).
 type IPv4Header struct {
-	TotalLen uint16
 	ID       uint16
 	TTL      uint8
 	Protocol uint8
-	Checksum uint16
 	Src, Dst uint32
-}
-
-// AppendTo serializes h, appending IPv4HeaderLen bytes to b. The checksum
-// field is computed over the serialized header (any prior value ignored).
-func (h *IPv4Header) AppendTo(b []byte) []byte {
-	off := len(b)
-	b = append(b,
-		0x45, 0x00, // version 4, IHL 5, DSCP 0
-		byte(h.TotalLen>>8), byte(h.TotalLen),
-		byte(h.ID>>8), byte(h.ID),
-		0x40, 0x00, // flags: DF
-		h.TTL, h.Protocol,
-		0, 0, // checksum placeholder
-	)
-	var addr [8]byte
-	binary.BigEndian.PutUint32(addr[0:4], h.Src)
-	binary.BigEndian.PutUint32(addr[4:8], h.Dst)
-	b = append(b, addr[:]...)
-	ck := Checksum(b[off : off+IPv4HeaderLen])
-	binary.BigEndian.PutUint16(b[off+10:off+12], ck)
-	h.Checksum = ck
-	return b
-}
-
-// DecodeFromBytes parses an IPv4 header from data, verifying version and
-// checksum. It does not retain data.
-func (h *IPv4Header) DecodeFromBytes(data []byte) error {
-	if len(data) < IPv4HeaderLen {
-		return ErrTruncated
-	}
-	if data[0]>>4 != 4 {
-		return ErrBadVersion
-	}
-	if Checksum(data[:IPv4HeaderLen]) != 0 {
-		return ErrBadChecksum
-	}
-	h.TotalLen = binary.BigEndian.Uint16(data[2:4])
-	h.ID = binary.BigEndian.Uint16(data[4:6])
-	h.TTL = data[8]
-	h.Protocol = data[9]
-	h.Checksum = binary.BigEndian.Uint16(data[10:12])
-	h.Src = binary.BigEndian.Uint32(data[12:16])
-	h.Dst = binary.BigEndian.Uint32(data[16:20])
-	return nil
-}
-
-// Checksum computes the RFC 1071 Internet checksum of data. Verifying a
-// header including its checksum field yields 0.
-func Checksum(data []byte) uint16 {
-	var sum uint32
-	for len(data) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[:2]))
-		data = data[2:]
-	}
-	if len(data) == 1 {
-		sum += uint32(data[0]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
 }
 
 // OverlayHeader is the 40-byte Homa/SMT transport header from Figure 3.
@@ -201,58 +121,13 @@ func Checksum(data []byte) uint16 {
 // from one segment; the IPv4 ID distinguishes the packets.
 type OverlayHeader struct {
 	SrcPort, DstPort uint16
-	HWSeq            uint32 // written by NICs that generate seqnos for non-TCP TSO
 	Type             PacketType
 	Flags            uint8
-	Checksum         uint16
 	MsgID            uint64
 	MsgLen           uint32
 	TSOOffset        uint32 // offset of this TSO segment within the message
 	ResendPktOff     uint16 // original packet offset within segment, for retransmits
 	Aux              uint32 // GRANT: grant offset; RESEND: length; others: 0
-}
-
-// AppendTo serializes h, appending OverlayHeaderLen bytes to b.
-func (h *OverlayHeader) AppendTo(b []byte) []byte {
-	var buf [OverlayHeaderLen]byte
-	binary.BigEndian.PutUint16(buf[0:2], h.SrcPort)
-	binary.BigEndian.PutUint16(buf[2:4], h.DstPort)
-	binary.BigEndian.PutUint32(buf[4:8], h.HWSeq)
-	buf[8] = byte(h.Type)
-	buf[12] = 10 << 4 // data offset: 10 words = 40 bytes
-	buf[13] = h.Flags
-	binary.BigEndian.PutUint16(buf[16:18], h.Checksum)
-	binary.BigEndian.PutUint16(buf[18:20], uint16(h.TSOOffset&0xffff))
-	binary.BigEndian.PutUint64(buf[20:28], h.MsgID)
-	binary.BigEndian.PutUint32(buf[28:32], h.MsgLen)
-	binary.BigEndian.PutUint16(buf[32:34], uint16(h.TSOOffset>>16))
-	binary.BigEndian.PutUint16(buf[34:36], h.ResendPktOff)
-	binary.BigEndian.PutUint32(buf[36:40], h.Aux)
-	return append(b, buf[:]...)
-}
-
-// DecodeFromBytes parses an overlay header from data without retaining it.
-func (h *OverlayHeader) DecodeFromBytes(data []byte) error {
-	if len(data) < OverlayHeaderLen {
-		return ErrTruncated
-	}
-	if data[12]>>4 != 10 {
-		return ErrBadDataOff
-	}
-	h.SrcPort = binary.BigEndian.Uint16(data[0:2])
-	h.DstPort = binary.BigEndian.Uint16(data[2:4])
-	h.HWSeq = binary.BigEndian.Uint32(data[4:8])
-	h.Type = PacketType(data[8])
-	h.Flags = data[13]
-	h.Checksum = binary.BigEndian.Uint16(data[16:18])
-	lo := uint32(binary.BigEndian.Uint16(data[18:20]))
-	h.MsgID = binary.BigEndian.Uint64(data[20:28])
-	h.MsgLen = binary.BigEndian.Uint32(data[28:32])
-	hi := uint32(binary.BigEndian.Uint16(data[32:34]))
-	h.TSOOffset = hi<<16 | lo
-	h.ResendPktOff = binary.BigEndian.Uint16(data[34:36])
-	h.Aux = binary.BigEndian.Uint32(data[36:40])
-	return nil
 }
 
 // FramingHeader precedes each TLS record's plaintext in a DATA segment and
