@@ -102,28 +102,15 @@ type streamRecord struct {
 	newCodec func(cm *cost.Model, keys ktls.Keys) (tcpsim.Codec, error)
 }
 
-// validate constructs a probe codec pair so key-material or constructor
-// errors surface as error returns (from resolve) instead of failing
-// later inside a tcpsim accept path that cannot return one.
-func (r *streamRecord) validate(cm *cost.Model) error {
-	ck, sk := ktls.ConnKeys(r.label, 0, 0)
-	if _, err := r.newCodec(cm, ck); err != nil {
-		return fmt.Errorf("record layer %s: client codec: %w", r.label, err)
-	}
-	if _, err := r.newCodec(cm, sk); err != nil {
-		return fmt.Errorf("record layer %s: server codec: %w", r.label, err)
-	}
-	return nil
-}
-
-// mustCodec builds one connection end's codec after validate has proven
-// the constructor sound for this record layer's key shape; a failure
-// here is a programming error, not a runtime condition.
+// mustCodec builds one connection end's codec from its ConnKeys. The
+// constructors reject only bad key and IV lengths, and ConnKeys always
+// yields 16-byte keys and 12-byte IVs, so a failure here is a
+// programming error, not a runtime condition.
 func (r *streamRecord) mustCodec(cm *cost.Model, keys ktls.Keys) tcpsim.Codec {
 	c, err := r.newCodec(cm, keys)
 	if err != nil {
-		//smt:allow panic -- resolve validated this record layer before any harness could reach it; failing after validation is a programming error
-		panic(fmt.Sprintf("experiments: %s codec failed after validation: %v", r.label, err))
+		//smt:allow panic -- the constructors reject only key and IV lengths, and ConnKeys' are fixed (TestConnKeysPinned); a failure is a programming error
+		panic(fmt.Sprintf("experiments: %s codec: %v", r.label, err))
 	}
 	return c
 }
@@ -192,8 +179,7 @@ type wiring struct {
 // resolve decides the transport × record matrix for every harness —
 // BuildFabric, MeasureRedis and NewDialer all build from its wiring. A
 // combination the decomposition cannot express gets a descriptive
-// error naming the stack and the record layer; a stream record layer
-// is validated here, once, so no harness can fail on it later.
+// error naming the stack and the record layer.
 func resolve(spec StackSpec) (wiring, error) {
 	wr := wiring{name: spec.name(), encrypted: spec.Record != RecordPlain}
 	switch spec.Transport {
@@ -201,11 +187,6 @@ func resolve(spec StackSpec) (wiring, error) {
 		rec, err := streamRecordFor(spec)
 		if err != nil {
 			return wiring{}, err
-		}
-		if rec != nil {
-			if err := rec.validate(cost.Default()); err != nil {
-				return wiring{}, fmt.Errorf("stack %s: %w", wr.name, err)
-			}
 		}
 		wr.rec = rec
 	case TransportHoma:

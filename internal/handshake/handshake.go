@@ -25,6 +25,7 @@ import (
 	"math/big"
 
 	"smt/internal/core"
+	"smt/internal/hkdfx"
 	"smt/internal/sim"
 	"smt/internal/tlsrec"
 	"smt/internal/wire"
@@ -288,10 +289,7 @@ func keySchedule(secret, transcript []byte) (client, server core.SessionKeys, ma
 	// with secret. dst is at most one SHA-256 block long, so HKDF-Expand
 	// is the single block HMAC(secret, HkdfLabel ‖ 0x01).
 	expand := func(dst []byte, m hash.Hash, label string, context []byte) {
-		const prefix = "tls13 "
-		info = append(info[:0], byte(len(dst)>>8), byte(len(dst)), byte(len(prefix)+len(label)))
-		info = append(append(info, prefix...), label...)
-		info = append(append(append(info, byte(len(context))), context...), 1)
+		info = append(hkdfx.AppendHkdfLabel(info[:0], len(dst), label, context), 1)
 		m.Reset()
 		m.Write(info)
 		sum = m.Sum(sum[:0])

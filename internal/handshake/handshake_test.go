@@ -2,6 +2,7 @@ package handshake
 
 import (
 	"bytes"
+	"crypto/hkdf"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -370,10 +371,17 @@ func TestExchangeKeysPinned(t *testing.T) {
 }
 
 // TestKeyScheduleMatchesHKDF checks keySchedule against RFC 8446's
-// schedule written out with hkdfx, one call per step: Extract,
-// Derive-Secret of each traffic secret and the resumption master, and
-// ExpandLabel of each key and IV.
+// schedule written out one call per step: crypto/hkdf's Extract, then
+// hkdfx's Derive-Secret of each traffic secret and the resumption
+// master, and ExpandLabel of each key and IV.
 func TestKeyScheduleMatchesHKDF(t *testing.T) {
+	must := func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 	for i, tc := range []struct{ secret, transcript string }{
 		{"an ecdh shared secret of 32 bytes", "init-1rtt"},
 		{"a psk of 32 bytes ‖ an ecdh secret of 32 more bytes", "resumption"},
@@ -381,13 +389,13 @@ func TestKeyScheduleMatchesHKDF(t *testing.T) {
 		{"x", "a transcript longer than one sha-256 block, so that its hash takes two compressions, not one"},
 	} {
 		secret, transcript := []byte(tc.secret), []byte(tc.transcript)
-		master := hkdfx.Extract(nil, secret)
-		cs := hkdfx.DeriveSecret(master, "c ap traffic", transcript)
-		ss := hkdfx.DeriveSecret(master, "s ap traffic", transcript)
+		master := must(hkdf.Extract(sha256.New, secret, nil))
+		cs := must(hkdfx.DeriveSecret(master, "c ap traffic", transcript))
+		ss := must(hkdfx.DeriveSecret(master, "s ap traffic", transcript))
 		want := [][]byte{
-			hkdfx.ExpandLabel(cs, "key", nil, 16), hkdfx.ExpandLabel(cs, "iv", nil, 12),
-			hkdfx.ExpandLabel(ss, "key", nil, 16), hkdfx.ExpandLabel(ss, "iv", nil, 12),
-			hkdfx.DeriveSecret(master, "res master", transcript),
+			must(hkdfx.ExpandLabel(cs, "key", nil, 16)), must(hkdfx.ExpandLabel(cs, "iv", nil, 12)),
+			must(hkdfx.ExpandLabel(ss, "key", nil, 16)), must(hkdfx.ExpandLabel(ss, "iv", nil, 12)),
+			must(hkdfx.DeriveSecret(master, "res master", transcript)),
 		}
 		client, server, res := keySchedule(secret, transcript)
 		got := [][]byte{client.TxKey, client.TxIV, client.RxKey, client.RxIV, res}

@@ -247,7 +247,9 @@ func ExchangeOver(conduit Conduit, cliHost, srvHost *cpusim.Host, opts Options, 
 			// expanded with a fresh nonce, so no two resumed
 			// connections ever share keys (the audit's cross-flow
 			// keystream-uniqueness invariant watches for this).
-			psk = hkdfx.ExpandLabel(opts.PriorSecret, "resumption", nonce, 32)
+			if psk, err = hkdfx.ExpandLabel(opts.PriorSecret, "resumption", nonce, 32); err != nil {
+				return fmt.Errorf("handshake: resumption psk: %w", err)
+			}
 		} else {
 			psk = make([]byte, 32)
 			if _, err := io.ReadFull(rng, psk); err != nil {

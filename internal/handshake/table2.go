@@ -4,6 +4,7 @@ import (
 	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
+	"crypto/hkdf"
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
@@ -30,23 +31,37 @@ type Table2Row struct {
 // table2Batches is how many timed batches each measured row takes.
 const table2Batches = 5
 
-// timeIt runs fn in table2Batches batches of iters calls and returns the
-// median batch's mean in microseconds, as bench/'s ladder does: a batch
-// that another process preempted moves the median by one rank, not by
-// its delay.
-func timeIt(iters int, fn func()) float64 {
-	var us [table2Batches]float64
-	for b := range us {
-		//smt:allow determinism -- Table 2 is a real-crypto wall-clock microbenchmark, excluded from the determinism battery
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			fn()
+// timed is one measured operation: iters calls of fn make a batch.
+type timed struct {
+	iters int
+	fn    func()
+}
+
+// timeBatches runs table2Batches rounds of one batch of each op in
+// turn and returns each op's median batch mean in microseconds, as
+// bench/'s ladder does: a batch that another process preempted moves
+// the median by one rank, not by its delay. Interleaving the ops puts
+// host contention on all of them alike, so the comparisons Table 2
+// makes between rows (RSA against ECDSA) hold under load.
+func timeBatches(ops ...timed) []float64 {
+	us := make([][table2Batches]float64, len(ops))
+	for b := range table2Batches {
+		for i, op := range ops {
+			//smt:allow determinism -- Table 2 is a real-crypto wall-clock microbenchmark, excluded from the determinism battery
+			start := time.Now()
+			for range op.iters {
+				op.fn()
+			}
+			//smt:allow determinism -- Table 2 is a real-crypto wall-clock microbenchmark, excluded from the determinism battery
+			us[i][b] = float64(time.Since(start).Nanoseconds()) / 1e3 / float64(op.iters)
 		}
-		//smt:allow determinism -- Table 2 is a real-crypto wall-clock microbenchmark, excluded from the determinism battery
-		us[b] = float64(time.Since(start).Nanoseconds()) / 1e3 / float64(iters)
 	}
-	slices.Sort(us[:])
-	return us[table2Batches/2]
+	med := make([]float64, len(ops))
+	for i := range us {
+		slices.Sort(us[i][:])
+		med[i] = us[i][table2Batches/2]
+	}
+	return med
 }
 
 // MeasureTable2 reproduces Table 2: per-operation handshake costs, run
@@ -70,21 +85,24 @@ func MeasureTable2() []Table2Row {
 	//smt:allow determinism -- real-entropy signature for a wall-clock microbenchmark; bytes never reach artifacts
 	rsaSig, _ := rsa.SignPKCS1v15(rand.Reader, rsaKey, 0, digest[:])
 
-	//smt:allow determinism -- timed real-crypto operation; only its duration is recorded
-	keyGen := timeIt(iters, func() { _, _ = curve.GenerateKey(rand.Reader) })
-	dh := timeIt(iters, func() { _, _ = cliKey.ECDH(srvKey.PublicKey()) })
-	derive := timeIt(iters, func() {
-		m := hkdfx.Extract(nil, digest[:])
-		_ = hkdfx.DeriveSecret(m, "c hs traffic", digest[:])
-		_ = hkdfx.DeriveSecret(m, "s hs traffic", digest[:])
-	})
-	//smt:allow determinism -- timed real-crypto operation; only its duration is recorded
-	ecSign := timeIt(iters, func() { _, _ = ecdsa.SignASN1(rand.Reader, sigKey, digest[:]) })
-	ecVerify := timeIt(iters, func() { _ = ecdsa.VerifyASN1(&sigKey.PublicKey, digest[:], ecSig) })
-	//smt:allow determinism -- timed real-crypto operation; only its duration is recorded
-	rsaSign := timeIt(10, func() { _, _ = rsa.SignPKCS1v15(rand.Reader, rsaKey, 0, digest[:]) })
-	rsaVerify := timeIt(iters, func() { _ = rsa.VerifyPKCS1v15(&rsaKey.PublicKey, 0, digest[:], rsaSig) })
-	hashSmall := timeIt(iters, func() { _ = sha256.Sum256(digest[:]) })
+	m := timeBatches(
+		//smt:allow determinism -- timed real-crypto operation; only its duration is recorded
+		timed{iters, func() { _, _ = curve.GenerateKey(rand.Reader) }},
+		timed{iters, func() { _, _ = cliKey.ECDH(srvKey.PublicKey()) }},
+		timed{iters, func() {
+			prk, _ := hkdf.Extract(sha256.New, digest[:], nil)
+			_, _ = hkdfx.DeriveSecret(prk, "c hs traffic", digest[:])
+			_, _ = hkdfx.DeriveSecret(prk, "s hs traffic", digest[:])
+		}},
+		//smt:allow determinism -- timed real-crypto operation; only its duration is recorded
+		timed{iters, func() { _, _ = ecdsa.SignASN1(rand.Reader, sigKey, digest[:]) }},
+		//smt:allow determinism -- timed real-crypto operation; only its duration is recorded
+		timed{10, func() { _, _ = rsa.SignPKCS1v15(rand.Reader, rsaKey, 0, digest[:]) }},
+		timed{iters, func() { _ = ecdsa.VerifyASN1(&sigKey.PublicKey, digest[:], ecSig) }},
+		timed{iters, func() { _ = rsa.VerifyPKCS1v15(&rsaKey.PublicKey, 0, digest[:], rsaSig) }},
+		timed{iters, func() { _ = sha256.Sum256(digest[:]) }},
+	)
+	keyGen, dh, derive, ecSign, rsaSign, ecVerify, rsaVerify, hashSmall := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7]
 	// Certificate chain verify ≈ 2 signature verifications + parsing.
 	certVerify := 2*ecVerify + hashSmall
 

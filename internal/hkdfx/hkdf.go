@@ -1,72 +1,38 @@
-// Package hkdfx implements HKDF (RFC 5869) and the TLS 1.3 HKDF-Expand-
-// Label construction (RFC 8446 §7.1) over HMAC-SHA256. It exists so the
-// handshake package depends only on the standard library's hash
-// primitives.
+// Package hkdfx implements TLS 1.3's HKDF-Expand-Label and Derive-Secret
+// (RFC 8446 §7.1) over crypto/hkdf with SHA-256, and the HkdfLabel
+// encoding they share with the handshake's merged key schedule.
 package hkdfx
 
 import (
-	"crypto/hmac"
+	"crypto/hkdf"
 	"crypto/sha256"
-	"fmt"
 )
 
-// Extract performs HKDF-Extract: PRK = HMAC-Hash(salt, IKM). A nil salt is
-// replaced with a string of zeros, per RFC 5869.
-func Extract(salt, ikm []byte) []byte {
-	if len(salt) == 0 {
-		salt = make([]byte, sha256.Size)
-	}
-	m := hmac.New(sha256.New, salt)
-	m.Write(ikm)
-	return m.Sum(nil)
-}
-
-// Expand performs HKDF-Expand, deriving length bytes of output keying
-// material from prk and info. It panics if length exceeds 255*HashLen,
-// which is a static misuse rather than a runtime condition.
-func Expand(prk, info []byte, length int) []byte {
-	if length > 255*sha256.Size {
-		//smt:allow panic -- RFC 5869 output-length ceiling; callers pass compile-time label lengths, so this is static misuse
-		panic(fmt.Sprintf("hkdfx: requested %d bytes exceeds HKDF limit", length))
-	}
-	var (
-		out  = make([]byte, 0, length)
-		prev []byte
-		ctr  byte
-	)
-	for len(out) < length {
-		ctr++
-		m := hmac.New(sha256.New, prk)
-		m.Write(prev)
-		m.Write(info)
-		m.Write([]byte{ctr})
-		prev = m.Sum(nil)
-		out = append(out, prev...)
-	}
-	return out[:length]
-}
-
-// ExpandLabel implements HKDF-Expand-Label from RFC 8446:
+// AppendHkdfLabel appends RFC 8446's HkdfLabel for an output of length
+// bytes to b and returns the extended slice:
 //
-//	HkdfLabel = struct {
+//	struct {
 //	    uint16 length;
 //	    opaque label<7..255> = "tls13 " + Label;
 //	    opaque context<0..255>;
-//	}
-func ExpandLabel(secret []byte, label string, context []byte, length int) []byte {
-	full := "tls13 " + label
-	info := make([]byte, 0, 2+1+len(full)+1+len(context))
-	info = append(info, byte(length>>8), byte(length))
-	info = append(info, byte(len(full)))
-	info = append(info, full...)
-	info = append(info, byte(len(context)))
-	info = append(info, context...)
-	return Expand(secret, info, length)
+//	} HkdfLabel;
+func AppendHkdfLabel(b []byte, length int, label string, context []byte) []byte {
+	const prefix = "tls13 "
+	b = append(b, byte(length>>8), byte(length), byte(len(prefix)+len(label)))
+	b = append(append(b, prefix...), label...)
+	return append(append(b, byte(len(context))), context...)
+}
+
+// ExpandLabel is RFC 8446's HKDF-Expand-Label: HKDF-Expand of secret
+// with the HkdfLabel as info. It returns crypto/hkdf's error, such as
+// the one for a length past 255 hash blocks.
+func ExpandLabel(secret []byte, label string, context []byte, length int) ([]byte, error) {
+	return hkdf.Expand(sha256.New, secret, string(AppendHkdfLabel(nil, length, label, context)), length)
 }
 
 // DeriveSecret is RFC 8446's Derive-Secret: ExpandLabel with the SHA-256
 // transcript hash of messages as context and hash-length output.
-func DeriveSecret(secret []byte, label string, transcript []byte) []byte {
+func DeriveSecret(secret []byte, label string, transcript []byte) ([]byte, error) {
 	h := sha256.Sum256(transcript)
 	return ExpandLabel(secret, label, h[:], sha256.Size)
 }

@@ -15,13 +15,14 @@
 package ktls
 
 import (
+	"crypto/hkdf"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 
 	"smt/internal/cost"
-	"smt/internal/hkdfx"
 	"smt/internal/nicsim"
 	"smt/internal/sim"
 	"smt/internal/tcpsim"
@@ -217,12 +218,15 @@ func (c *Codec) DecodeStream(data []byte) ([]byte, sim.Time, error) {
 // dial time; the server reads them off the SYN), and no two connections
 // ever share keys, unlike the fixed PairKeys test vectors.
 func ConnKeys(label string, clientAddr uint32, clientPort uint16) (client, server Keys) {
-	prk := hkdfx.Extract(nil, []byte("smt stack "+label))
-	ctx := make([]byte, 6)
-	binary.BigEndian.PutUint32(ctx, clientAddr)
+	var ctx [6]byte
+	binary.BigEndian.PutUint32(ctx[:], clientAddr)
 	binary.BigEndian.PutUint16(ctx[4:], clientPort)
 	const dirLen = tlsrec.Key128 + wire.GCMNonceLen
-	okm := hkdfx.Expand(prk, ctx, 2*dirLen)
+	// crypto/hkdf fails only on output past 255 blocks or, in FIPS
+	// 140-only mode, on a secret under 14 bytes, and this one is "smt
+	// stack " and a label of 5 bytes or more. TestConnKeysPinned pins
+	// the bytes.
+	okm, _ := hkdf.Key(sha256.New, []byte("smt stack "+label), nil, string(ctx[:]), 2*dirLen)
 	ck, civ := okm[:tlsrec.Key128], okm[tlsrec.Key128:dirLen]
 	sk, siv := okm[dirLen:dirLen+tlsrec.Key128], okm[dirLen+tlsrec.Key128:]
 	client = Keys{TxKey: ck, TxIV: civ, RxKey: sk, RxIV: siv}

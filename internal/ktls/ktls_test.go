@@ -2,6 +2,8 @@ package ktls
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"smt/internal/cost"
@@ -110,6 +112,33 @@ func TestConnKeysMirroredAndUnique(t *testing.T) {
 			t.Errorf("%s shares keys with %s", id, prev)
 		}
 		seen[string(k.TxKey)] = id
+	}
+}
+
+// TestConnKeysPinned pins ConnKeys' bytes, which no artifact Value
+// shows: a SHA-256 over both ends' keys and IVs for each input, ports 0
+// and 65535 included. An argument swapped in the HKDF calls, or any
+// other change to the derivation, fails it.
+func TestConnKeysPinned(t *testing.T) {
+	for _, c := range []struct {
+		label string
+		addr  uint32
+		port  uint16
+		want  string
+	}{
+		{"ktls-sw", 0, 0, "17e2c58e073bc5a4d458bc9e21ce1c41ab67588678424b5069b4a50905edccbe"},
+		{"ktls-hw", 0x0a000001, 65535, "c92018c932646bb1bd34172f52e4a07e2fd5dbb5d3a0312d2dc23b303e3b6967"},
+		{"tls-user", 1, 40001, "e88d46152d052faa4150c24b605c2433b8ec0f4c04d237a827da1d0dbade0e13"},
+		{"tcpls", 0xffffffff, 1, "3d21d860c601afd7b339e47d566b31716a37067a4dd60998f2c6ce08ec1ee798"},
+	} {
+		ck, sk := ConnKeys(c.label, c.addr, c.port)
+		h := sha256.New()
+		for _, b := range [][]byte{ck.TxKey, ck.TxIV, ck.RxKey, ck.RxIV, sk.TxKey, sk.TxIV, sk.RxKey, sk.RxIV} {
+			h.Write(b)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("ConnKeys(%q, %#x, %d) digest %s, want %s", c.label, c.addr, c.port, got, c.want)
+		}
 	}
 }
 

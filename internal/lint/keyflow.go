@@ -8,7 +8,7 @@ package lint
 // it), the handshake's master/resumption secrets
 // (Result.Master, Options.PriorSecret), the outputs of its key
 // schedule and its drawn P-256 scalars (handshake.DrawScalar), and
-// every hkdfx output. Taint propagates through assignments, slicing,
+// every HKDF output (crypto/hkdf's and hkdfx's). Taint propagates through assignments, slicing,
 // conversions, append/copy, and interprocedurally through first-party
 // calls via per-function summaries (see summary.go); calls into the
 // standard library cut it — AEAD ciphertext and MAC outputs are by
@@ -22,7 +22,7 @@ package lint
 // that passes a secret into it.
 var KeyFlowAnalyzer = &Analyzer{
 	Name: "keyflow",
-	Doc:  "key material (SessionKeys, handshake secrets, hkdfx outputs) must not flow into error strings, artifact JSON, or plaintext wire writes",
+	Doc:  "key material (SessionKeys, handshake secrets, HKDF outputs) must not flow into error strings, artifact JSON, or plaintext wire writes",
 	Run:  runKeyFlow,
 }
 

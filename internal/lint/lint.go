@@ -30,7 +30,7 @@
 //     Engine.At/After included — reachable from a steady-state
 //     root (event dispatch, delivery, codec, record layer, transport
 //     rx/tx) without an //smt:coldpath -- <reason> annotation.
-//   - keyflow: key material — SessionKeys, handshake secrets, hkdfx
+//   - keyflow: key material — SessionKeys, handshake secrets, HKDF
 //     outputs — must not flow into error strings, artifact JSON, or
 //     plaintext wire writes.
 //   - engineconfine: code running under a sim.Engine must not write

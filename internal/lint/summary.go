@@ -138,7 +138,7 @@ const secretBit uint64 = 1 << 63
 // taintFacts is one function's keyflow summary.
 type taintFacts struct {
 	// returnsSecret: some return value carries secret-sourced taint
-	// independent of the arguments (hkdfx outputs, SessionKeys fields).
+	// independent of the arguments (HKDF outputs, SessionKeys fields).
 	returnsSecret bool
 	// passParams: parameters whose taint flows to a return value.
 	passParams uint64
@@ -385,17 +385,20 @@ func (tw *taintWalker) secretField(sel *ast.SelectorExpr) bool {
 }
 
 // secretSourceCall reports whether the call's callee mints key material:
-// any hkdfx function, the handshake's scalar draw (handshake.DrawScalar,
+// an HKDF output (crypto/hkdf's Extract, Expand and Key, standard-library
+// calls that would otherwise cut the taint, or hkdfx's ExpandLabel and
+// DeriveSecret), the handshake's scalar draw (handshake.DrawScalar,
 // whose bytes come from a reader), or its key schedule
-// (handshake.keySchedule, whose HMACs are standard-library calls that
-// would otherwise cut the taint).
+// (handshake.keySchedule, whose HMACs are standard-library calls too).
 func secretSourceCall(fn *types.Func) bool {
 	if fn.Pkg() == nil {
 		return false
 	}
 	switch fn.Pkg().Path() {
+	case "crypto/hkdf":
+		return true // Extract, Expand and Key: the package's whole API
 	case "smt/internal/hkdfx":
-		return true
+		return fn.Name() != "AppendHkdfLabel" // a label encoding is not key material
 	case "smt/internal/handshake":
 		return fn.Name() == "DrawScalar" || fn.Name() == "keySchedule"
 	}

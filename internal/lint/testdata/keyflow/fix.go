@@ -1,11 +1,13 @@
 // Package keyfix is analysis-only fixture data for the keyflow
-// analyzer: key material (core.SessionKeys, hkdfx outputs, drawn P-256
+// analyzer: key material (core.SessionKeys, HKDF outputs, drawn P-256
 // scalars) flowing into each of the three sink families, the transitive
 // flavor through a helper's summary, and the declassification cuts
 // (lengths, errors) that keep the rule quiet on legitimate code.
 package keyfix
 
 import (
+	"crypto/hkdf"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,12 +22,12 @@ import (
 var Sink any
 
 func errString() error {
-	k := hkdfx.Expand([]byte("prk"), []byte("info"), 16)
+	k, _ := hkdf.Expand(sha256.New, []byte("prk"), "info", 16)
 	return fmt.Errorf("derived key %x", k) // want "key material flows into a formatted string"
 }
 
 // scalarErr reports a drawn private scalar in an error: the scalar is
-// a key, though its bytes come from a reader, not from hkdfx.
+// a key, though its bytes come from a reader, not from HKDF.
 func scalarErr(r io.Reader) error {
 	d, err := handshake.DrawScalar(r)
 	if err != nil {
@@ -44,7 +46,7 @@ func wireCopy(pkt *wire.Packet, keys *core.SessionKeys) {
 }
 
 func payloadBind(pkt *wire.Packet) {
-	k := hkdfx.DeriveSecret([]byte("s"), "label", nil)
+	k, _ := hkdfx.DeriveSecret([]byte("s"), "label", nil)
 	pkt.Payload = k // want "key material flows into a plaintext wire payload"
 }
 
@@ -55,14 +57,14 @@ func logBytes(b []byte) {
 }
 
 func transitive() {
-	k := hkdfx.Extract(nil, []byte("ikm"))
+	k, _ := hkdf.Extract(sha256.New, []byte("ikm"), nil)
 	logBytes(k) // want "a secret sink inside logBytes"
 }
 
 // lenOnly is a negative: the length of a key is not key material
 // (len is a declassification cut).
 func lenOnly() {
-	k := hkdfx.Expand([]byte("prk"), nil, 32)
+	k, _ := hkdf.Expand(sha256.New, []byte("prk"), "", 32)
 	Sink = fmt.Sprintf("%d", len(k))
 }
 
@@ -74,9 +76,12 @@ func mkBox(k []byte) (*box, error) {
 
 // errFromSecretCtor is a negative: a constructor's error result is a
 // string, not key bytes — error values carry no taint even when the
-// call's other results do.
+// call's other results do, a source's own included.
 func errFromSecretCtor() error {
-	k := hkdfx.Expand([]byte("prk"), nil, 16)
+	k, err := hkdf.Key(sha256.New, []byte("ikm"), nil, "", 16)
+	if err != nil {
+		return fmt.Errorf("hkdf: %w", err)
+	}
 	b, err := mkBox(k)
 	if err != nil {
 		return fmt.Errorf("mkBox: %w", err)
